@@ -39,7 +39,7 @@ def main():
     print(f"lambda = {lam:.6g}, rho(0) = {rho0:.6g}, "
           f"bumps offset to +/-{offset}\n")
 
-    opts = SolveOptions(tol_grad=1e-5, max_iter=4000, keep_trace=False)
+    opts = SolveOptions(tol_grad=1e-5, max_iter=4000)
     print("  eps       radial theta   two-bump estimate   splitting pays?")
     rows = []
     for eps in (0.05, 0.025, 0.0125, 0.00625, 0.003125):

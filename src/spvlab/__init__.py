@@ -10,9 +10,9 @@ subcritically.  Modules:
 - ``models``: nonlinearities, charge profiles, fitted growth constants,
   the critical charge threshold, coercivity floors, hypothesis checks.
 - ``radial``: radially symmetric discretization with an O(n) Newtonian
-  potential and exact discrete energy gradients.
+  potential and exact discrete energy gradients, and its solver kernel.
 - ``field3d``: full 3-D cube discretization with FFT free-space Poisson
-  solves and spectral H^1 machinery.
+  solves and spectral H^1 machinery, and its solver kernel.
 - ``solvers``: Sobolev-gradient descent, multistart global search,
   path-deformation saddle search, critical-point classification.
 - ``landscape``: coupling-threshold bounds with stored witnesses,
@@ -35,11 +35,11 @@ from .radial import (DiscretizationError, PoissonPotential, RadialField,
 from .field3d import (Field3D, Grid3D, embed_radial, energy_3d,
                       h1_inner_3d, h1_norm_sq_3d, nehari_residual_3d,
                       nonlocal_term_3d, poisson_freespace, radial_average,
-                      set_fft_workers, sobolev_gradient_3d, support_radius)
+                      sobolev_gradient_3d, support_radius)
 from .solvers import (SolveOptions, SolveResult, SolverError, TracePoint,
-                      classify, cube_gaussian_starts, minimize,
-                      mountain_pass, multistart_minimize,
-                      radial_gaussian_starts, trace_to_csv)
+                      cube_gaussian_starts, minimize, mountain_pass,
+                      multistart_minimize, radial_gaussian_starts,
+                      trace_to_csv)
 from .landscape import (LambdaBounds, MultibumpReport, MultibumpSpec,
                         TruncationResult, TruncationRow, a0_ratio,
                         abar0_ratio, apply_cutoff, coulomb_self_energy,

@@ -72,7 +72,6 @@ class ScenarioConfig:
     seed: int
     out_dir: str
     grid_scale: str
-    serial: bool
     inputs_echo: Dict[str, object] = field(repr=False, default_factory=dict)
 
 
@@ -121,8 +120,7 @@ def _build_profile(doc: Optional[dict]) -> Optional[ChargeProfile]:
 
 def load_config(scenario: str, config_path: Optional[str] = None,
                 out_dir: Optional[str] = None, seed: Optional[int] = None,
-                grid_scale: str = "desk", serial: bool = True
-                ) -> ScenarioConfig:
+                grid_scale: str = "desk") -> ScenarioConfig:
     """Assemble a ScenarioConfig from defaults, a JSON file, and flags."""
     doc: dict = {}
     if config_path is not None:
@@ -183,7 +181,6 @@ def load_config(scenario: str, config_path: Optional[str] = None,
         seed=resolved_seed,
         out_dir=resolved_out,
         grid_scale=grid_scale,
-        serial=serial,
         inputs_echo={
             "scenario": scenario,
             "model": doc.get("model") or {"kind": "pure-power", "q": 2.5,
@@ -362,12 +359,10 @@ def _scenario_verify_lemmas(cfg: ScenarioConfig):
     above = ChargeProfile.constant(1.1 * d0)
     interp_ok = 0
     positive_ok = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for u in fields:
-            _, _, holds = rad.strauss_check(u, unit_profile)
-            interp_ok += int(holds)
-            positive_ok += int(rad.energy_radial(u, above, model) > 0.0)
+    for u in fields:
+        _, _, holds = rad.strauss_check(u, unit_profile)
+        interp_ok += int(holds)
+        positive_ok += int(rad.energy_radial(u, above, model) > 0.0)
 
     floor_profile = cfg.profile or ChargeProfile.rational(0.1, 2.0)
     floor = coercivity_floor(floor_profile, c0, p)
@@ -410,31 +405,27 @@ def _scenario_autonomous(cfg: ScenarioConfig):
     profile = cfg.profile or ChargeProfile.constant(math.sqrt(lam))
 
     n_starts = int(cfg.solver.get("n_starts", 8))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        starts: List[rad.RadialField] = []
-        if bounds.witness_a0 is not None:
-            starts.append(bounds.witness_a0)
-        starts += slv.radial_gaussian_starts(
-            grid, max(n_starts - len(starts), 1), seed=cfg.seed)
-        best, results = slv.multistart_minimize(
-            starts, profile, model, _opts(cfg, tol_grad_abs=1e-6))
-        saddle = slv.mountain_pass(best.field, profile, model,
-                                   _opts(cfg, tol_grad_abs=1e-5))
+    starts: List[rad.RadialField] = []
+    if bounds.witness_a0 is not None:
+        starts.append(bounds.witness_a0)
+    starts += slv.radial_gaussian_starts(
+        grid, max(n_starts - len(starts), 1), seed=cfg.seed)
+    best, results = slv.multistart_minimize(
+        starts, profile, model, _opts(cfg, tol_grad_abs=1e-6))
+    saddle = slv.mountain_pass(best.field, profile, model,
+                               _opts(cfg, tol_grad_abs=1e-5))
 
     # energies along the broken path 0 -> saddle -> minimizer
     taus = np.linspace(0.0, 1.0, 41)
     path_energies = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for tau in taus:
-            if tau <= 0.5:
-                vals = 2.0 * tau * saddle.field.values
-            else:
-                vals = ((2.0 - 2.0 * tau) * saddle.field.values
-                        + (2.0 * tau - 1.0) * best.field.values)
-            path_energies.append(
-                rad.energy_radial(rad.RadialField(grid, vals), profile, model))
+    for tau in taus:
+        if tau <= 0.5:
+            vals = 2.0 * tau * saddle.field.values
+        else:
+            vals = ((2.0 - 2.0 * tau) * saddle.field.values
+                    + (2.0 * tau - 1.0) * best.field.values)
+        path_energies.append(
+            rad.energy_radial(rad.RadialField(grid, vals), profile, model))
     max_node = int(np.argmax(path_energies))
 
     quantities = {
@@ -506,10 +497,8 @@ def _scenario_uniqueness_scan(cfg: ScenarioConfig):
     opts = _opts(cfg, tol_grad_abs=1e-8, max_iter=2000)
 
     def scan(profile):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            starts = slv.radial_gaussian_starts(grid, n_starts, seed=cfg.seed)
-            _, results = slv.multistart_minimize(starts, profile, model, opts)
+        starts = slv.radial_gaussian_starts(grid, n_starts, seed=cfg.seed)
+        _, results = slv.multistart_minimize(starts, profile, model, opts)
         norms = [math.sqrt(rad.h1_norm_sq(r.field)) for r in results]
         zeros = sum(int(r.classification == "zero") for r in results)
         return zeros, norms
@@ -553,13 +542,11 @@ def _scenario_ground_state(cfg: ScenarioConfig):
     floor = coercivity_floor(profile, model.C0, model.p)
 
     n_starts = int(cfg.solver.get("n_starts", 8))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        starts = [rad.RadialField.gaussian(grid, 30.0, 1.2)]
-        starts += slv.radial_gaussian_starts(grid, max(n_starts - 1, 1),
-                                             seed=cfg.seed)
-        best, results = slv.multistart_minimize(
-            starts, profile, model, _opts(cfg, tol_grad_abs=1e-6))
+    starts = [rad.RadialField.gaussian(grid, 30.0, 1.2)]
+    starts += slv.radial_gaussian_starts(grid, max(n_starts - 1, 1),
+                                         seed=cfg.seed)
+    best, results = slv.multistart_minimize(
+        starts, profile, model, _opts(cfg, tol_grad_abs=1e-6))
 
     # the coercivity floor must hold along every accepted iterate
     floor_ok = True
@@ -617,13 +604,11 @@ def _scenario_multibump(cfg: ScenarioConfig):
     counts = [int(n) for n in cfg.options.get("bump_counts", [1, 2, 3, 4, 5])]
 
     start = _tapered_ball_start(grid, R0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        bump = slv.minimize(start, ChargeProfile.constant(math.sqrt(lam)),
-                            model, _opts(cfg, tol_grad_abs=1e-6),
-                            support_radius=R0)
-        reports, excess_constant = lsc.multibump_sweep(
-            counts, R0, bump.field, profile, model, lam)
+    bump = slv.minimize(start, ChargeProfile.constant(math.sqrt(lam)),
+                        model, _opts(cfg, tol_grad_abs=1e-6),
+                        support_radius=R0)
+    reports, excess_constant = lsc.multibump_sweep(
+        counts, R0, bump.field, profile, model, lam)
 
     energies = [rp.energy for rp in reports]
     decreasing = all(energies[i + 1] < energies[i]
@@ -703,86 +688,81 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
     # bump at the local charge, plus their Coulomb cross term)
     sweep_rows = []
     chosen = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for eps in eps_sweep:
-            prof_eps = profile.scaled(eps)
-            # a single quick solve is enough to rank candidate eps values;
-            # the chosen eps gets the full multistart below
-            theta_quick = slv.minimize(
-                rad.RadialField.gaussian(grid, 30.0, 1.2), prof_eps, model,
-                _opts(cfg, tol_grad_abs=1e-4))
-            local_rho = float(prof_eps.at_radius(offset))
-            local = slv.minimize(
-                rad.RadialField.gaussian(grid, 30.0, 1.2),
-                ChargeProfile.constant(local_rho), model,
-                _opts(cfg, tol_grad_abs=1e-4))
-            charge = local_rho * rad.l2_norm_sq(local.field)
-            cross = charge * charge / (4.0 * math.pi * 2.0 * offset)
-            est_alpha = 2.0 * local.energy + 0.5 * cross
-            row = {"eps": eps, "theta": theta_quick.energy,
-                   "two_bump_estimate": est_alpha}
-            sweep_rows.append(row)
-            if (chosen is None and theta_quick.energy < 0.0
-                    and est_alpha
-                    < theta_quick.energy - 0.05 * abs(theta_quick.energy)):
-                chosen = (eps, local)
-        if chosen is None and sweep_rows:
-            chosen = (eps_sweep[-1], None)
-        eps, local = chosen
+    for eps in eps_sweep:
         prof_eps = profile.scaled(eps)
-        theta_res = radial_theta(prof_eps)
+        # a single quick solve is enough to rank candidate eps values;
+        # the chosen eps gets the full multistart below
+        theta_quick = slv.minimize(
+            rad.RadialField.gaussian(grid, 30.0, 1.2), prof_eps, model,
+            _opts(cfg, tol_grad_abs=1e-4))
+        local_rho = float(prof_eps.at_radius(offset))
+        local = slv.minimize(
+            rad.RadialField.gaussian(grid, 30.0, 1.2),
+            ChargeProfile.constant(local_rho), model,
+            _opts(cfg, tol_grad_abs=1e-4))
+        charge = local_rho * rad.l2_norm_sq(local.field)
+        cross = charge * charge / (4.0 * math.pi * 2.0 * offset)
+        est_alpha = 2.0 * local.energy + 0.5 * cross
+        row = {"eps": eps, "theta": theta_quick.energy,
+               "two_bump_estimate": est_alpha}
+        sweep_rows.append(row)
+        if (chosen is None and theta_quick.energy < 0.0
+                and est_alpha
+                < theta_quick.energy - 0.05 * abs(theta_quick.energy)):
+            chosen = (eps, local)
+    if chosen is None and sweep_rows:
+        chosen = (eps_sweep[-1], None)
+    eps, local = chosen
+    prof_eps = profile.scaled(eps)
+    theta_res = radial_theta(prof_eps)
 
     # full 3-D run at the chosen eps: one centered start (the radial
     # minimizer) and one two-bump start
     grid3 = f3d.Grid3D(cfg.cube_L, cfg.cube_n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        # exponential tails overflow the box at the support tolerance;
-        # taper them smoothly before embedding (the energy shift is far
-        # below the discretization error and the descent relaxes it)
-        margin = grid3.L - 2.0 * grid3.h
-        centered = f3d.embed_radial(
-            _taper_to_support(theta_res.field, margin - 2.5, margin - 0.5),
-            grid3)
-        starts3 = [centered]
-        if local is not None:
-            r1 = margin - offset - 0.5
-            bump = _taper_to_support(local.field, max(r1 - 2.0, 1.0), r1)
-            up = f3d.embed_radial(bump, grid3, center=(0.0, 0.0, offset))
-            dn = f3d.embed_radial(bump, grid3, center=(0.0, 0.0, -offset))
-            starts3.append(f3d.Field3D(grid3, up.values + dn.values))
-        # the two-bump start is assembled from converged radial pieces and
-        # already sits below the radial level; a modest number of 3-D
-        # relaxation steps keeps the scenario inside its time budget
-        opts3 = _opts(cfg, tol_grad=1e-3,
-                      max_iter=int(cfg.solver.get("max_iter", 120)))
-        _, results3 = slv.multistart_minimize(starts3, prof_eps, model,
-                                              opts3, level="alpha")
-        # the iteration cap can stop a descent before the gradient
-        # tolerance; the energy of any admissible field still bounds the
-        # full-space minimum from above, so rank by energy alone here
-        best3 = min(results3, key=lambda r: r.energy)
-        theta3 = rad.energy_radial(theta_res.field, prof_eps, model)
-        # evaluate both candidates on the same 3-D discretization so the
-        # comparison is free of radial-vs-cube quadrature bias
-        theta_cube = f3d.energy_3d(centered, prof_eps, model)
-        alpha_cube = best3.energy
+    # exponential tails overflow the box at the support tolerance;
+    # taper them smoothly before embedding (the energy shift is far
+    # below the discretization error and the descent relaxes it)
+    margin = grid3.L - 2.0 * grid3.h
+    centered = f3d.embed_radial(
+        _taper_to_support(theta_res.field, margin - 2.5, margin - 0.5),
+        grid3)
+    starts3 = [centered]
+    if local is not None:
+        r1 = margin - offset - 0.5
+        bump = _taper_to_support(local.field, max(r1 - 2.0, 1.0), r1)
+        up = f3d.embed_radial(bump, grid3, center=(0.0, 0.0, offset))
+        dn = f3d.embed_radial(bump, grid3, center=(0.0, 0.0, -offset))
+        starts3.append(f3d.Field3D(grid3, up.values + dn.values))
+    # the two-bump start is assembled from converged radial pieces and
+    # already sits below the radial level; a modest number of 3-D
+    # relaxation steps keeps the scenario inside its time budget
+    opts3 = _opts(cfg, tol_grad=1e-3,
+                  max_iter=int(cfg.solver.get("max_iter", 120)))
+    _, results3 = slv.multistart_minimize(starts3, prof_eps, model,
+                                          opts3, level="alpha")
+    # the iteration cap can stop a descent before the gradient
+    # tolerance; the energy of any admissible field still bounds the
+    # full-space minimum from above, so rank by energy alone here
+    best3 = min(results3, key=lambda r: r.energy)
+    # evaluate both candidates on the same 3-D discretization so the
+    # comparison is free of radial-vs-cube quadrature bias
+    theta_cube = f3d.energy_3d(centered, prof_eps, model)
+    alpha_cube = best3.energy
 
-        # discretization error: re-evaluate both fields on a refined cube
-        n_ref = int(cfg.options.get("refine_n", cfg.cube_n + 32))
-        grid_ref = f3d.Grid3D(cfg.cube_L, n_ref)
-        alpha_ref = f3d.energy_3d(
-            f3d.Field3D(grid_ref, _trilinear_resample(
-                best3.field.values, grid3, grid_ref)), prof_eps, model)
-        theta_ref = f3d.energy_3d(
-            f3d.Field3D(grid_ref, _trilinear_resample(
-                centered.values, grid3, grid_ref)), prof_eps, model)
-        disc_err = abs(alpha_ref - alpha_cube) + abs(theta_ref - theta_cube)
-        margin = theta_cube - alpha_cube
+    # discretization error: re-evaluate both fields on a refined cube
+    n_ref = int(cfg.options.get("refine_n", cfg.cube_n + 32))
+    grid_ref = f3d.Grid3D(cfg.cube_L, n_ref)
+    alpha_ref = f3d.energy_3d(
+        f3d.Field3D(grid_ref, _trilinear_resample(
+            best3.field.values, grid3, grid_ref)), prof_eps, model)
+    theta_ref = f3d.energy_3d(
+        f3d.Field3D(grid_ref, _trilinear_resample(
+            centered.values, grid3, grid_ref)), prof_eps, model)
+    disc_err = abs(alpha_ref - alpha_cube) + abs(theta_ref - theta_cube)
+    margin = theta_cube - alpha_cube
 
-        saddle = slv.mountain_pass(theta_res.field, prof_eps, model,
-                                   _opts(cfg, tol_grad_abs=1e-5))
+    saddle = slv.mountain_pass(theta_res.field, prof_eps, model,
+                               _opts(cfg, tol_grad_abs=1e-5))
 
     broke = alpha_cube < theta_cube < 0.0 and margin > 10.0 * disc_err
     inconclusive = (alpha_cube < theta_cube < 0.0
@@ -854,19 +834,33 @@ _SCENARIO_BODIES: Dict[str, Callable] = {
 # Runner and plot emission
 # ---------------------------------------------------------------------------
 
+# plot-ready CSV projection of each scenario that has one:
+# (attachment key, file name, CSV header)
+_PLOT_TABLES = {
+    "autonomous": ("path", "path_energies.csv", "tau,energy,is_max"),
+    "multibump": ("ladder", "bump_count_vs_energy.csv", "n_bumps,energy"),
+    "uniqueness-scan": ("start_norms", "start_norms.csv",
+                        "start,h1_norm_autonomous,h1_norm_nonautonomous"),
+    "symmetry-breaking": ("sweep", "eps_sweep.csv",
+                          "eps,theta,two_bump_estimate"),
+}
+
+
 def run(cfg: ScenarioConfig) -> ExperimentReport:
     """Execute the scenario and write report, traces, fields, plot CSVs."""
     t0 = time.perf_counter()
-    if cfg.serial:
-        f3d.set_fft_workers(1)
     os.makedirs(cfg.out_dir, exist_ok=True)
     traces_dir = os.path.join(cfg.out_dir, "traces")
     fields_dir = os.path.join(cfg.out_dir, "fields")
     os.makedirs(traces_dir, exist_ok=True)
     os.makedirs(fields_dir, exist_ok=True)
 
-    quantities, verdicts, attachments, fields = \
-        _SCENARIO_BODIES[cfg.scenario](cfg)
+    with warnings.catch_warnings():
+        # descent iterates and trial fields legitimately brush the decay
+        # guard at the domain edge
+        warnings.simplefilter("ignore", RuntimeWarning)
+        quantities, verdicts, attachments, fields = \
+            _SCENARIO_BODIES[cfg.scenario](cfg)
 
     artifacts = ["report.json"]
     for name, result in sorted(attachments.get("traces", {}).items()):
@@ -884,7 +878,8 @@ def run(cfg: ScenarioConfig) -> ExperimentReport:
             fld.slice_csv(os.path.join(cfg.out_dir, rel_slice))
             artifacts.append(rel_slice)
         artifacts.append(rel)
-    artifacts += _plot_artifact_names(cfg.scenario)
+    if cfg.scenario in _PLOT_TABLES:
+        artifacts.append(_PLOT_TABLES[cfg.scenario][1])
 
     report = ExperimentReport(
         scenario=cfg.scenario,
@@ -905,41 +900,16 @@ def run(cfg: ScenarioConfig) -> ExperimentReport:
     return report
 
 
-def _plot_artifact_names(scenario: str) -> List[str]:
-    names = []
-    if scenario == "autonomous":
-        names.append("path_energies.csv")
-    if scenario == "multibump":
-        names.append("bump_count_vs_energy.csv")
-    if scenario == "uniqueness-scan":
-        names.append("start_norms.csv")
-    if scenario == "symmetry-breaking":
-        names.append("eps_sweep.csv")
-    return names
-
-
 def emit_plot_data(report: ExperimentReport, out_dir: str) -> List[str]:
     """Write plot-ready CSV projections of a report; deterministic bytes."""
-    written = []
-
-    def save(name, rows, header):
-        path = os.path.join(out_dir, name)
-        np.savetxt(path, np.asarray(rows, dtype=float), delimiter=",",
-                   fmt="%.17g", header=header, comments="")
-        written.append(path)
-
-    att = report.attachments
-    if report.scenario == "autonomous" and "path" in att:
-        save("path_energies.csv", att["path"], "tau,energy,is_max")
-    if report.scenario == "multibump" and "ladder" in att:
-        save("bump_count_vs_energy.csv", att["ladder"], "n_bumps,energy")
-    if report.scenario == "uniqueness-scan" and "start_norms" in att:
-        save("start_norms.csv", att["start_norms"],
-             "start,h1_norm_autonomous,h1_norm_nonautonomous")
-    if report.scenario == "symmetry-breaking" and "sweep" in att:
-        save("eps_sweep.csv", att["sweep"],
-             "eps,theta,two_bump_estimate")
-    return written
+    table = _PLOT_TABLES.get(report.scenario)
+    if table is None or table[0] not in report.attachments:
+        return []
+    key, name, header = table
+    path = os.path.join(out_dir, name)
+    np.savetxt(path, np.asarray(report.attachments[key], dtype=float),
+               delimiter=",", fmt="%.17g", header=header, comments="")
+    return [path]
 
 
 # ---------------------------------------------------------------------------
@@ -959,8 +929,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sp.add_argument("--out", default=None, metavar="DIR",
                         help="output directory")
         sp.add_argument("--seed", type=int, default=None, metavar="N")
-        sp.add_argument("--serial", action="store_true",
-                        help="force single-threaded execution")
         sp.add_argument("--grid-scale", choices=sorted(GRID_SCALES),
                         default="desk")
     args = parser.parse_args(argv)
@@ -968,7 +936,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.scenario, config_path=args.config,
                           out_dir=args.out, seed=args.seed,
-                          grid_scale=args.grid_scale, serial=args.serial)
+                          grid_scale=args.grid_scale)
         report = run(cfg)
     except (ConfigError, ModelError, slv.SolverError,
             rad.DiscretizationError, OSError, ValueError) as exc:

@@ -26,19 +26,11 @@ import numpy as np
 from scipy import fft as sfft
 
 from .models import ChargeProfile, ModelError, NonlinearityModel, eval_F, eval_f
-from .radial import FOUR_PI, DECAY_GUARD_REL, DiscretizationError, RadialField, RadialGrid
+from .radial import (FOUR_PI, DECAY_GUARD_REL, DiscretizationError, Disc,
+                     RadialField, RadialGrid)
 
 # mean of 1/|x| over the unit cube [-1/2, 1/2]^3
 _CUBE_COULOMB_AVG = 2.3800773639795536
-
-_FFT_WORKERS = 1
-
-
-def set_fft_workers(workers: int) -> None:
-    """Worker count for the FFT backend (1 = fully serial)."""
-    global _FFT_WORKERS
-    _FFT_WORKERS = max(1, int(workers))
-
 
 @dataclass(frozen=True, eq=False)
 class Grid3D:
@@ -99,7 +91,7 @@ class Field3D:
                 warnings.warn(
                     "field has not decayed at the box boundary; enlarge L "
                     f"(edge peak {edge:.3e}, interior peak {peak:.3e})",
-                    RuntimeWarning, stacklevel=2)
+                    RuntimeWarning, stacklevel=3)
 
     @staticmethod
     def zero(grid: Grid3D) -> "Field3D":
@@ -173,7 +165,7 @@ def _coulomb_kernel_hat(grid: Grid3D) -> np.ndarray:
         with np.errstate(divide="ignore"):
             kern = h ** 2 / (FOUR_PI * dist)
         kern[0, 0, 0] = h ** 2 * _CUBE_COULOMB_AVG / FOUR_PI
-        khat = sfft.rfftn(kern, workers=_FFT_WORKERS)
+        khat = sfft.rfftn(kern)
         _KERNEL_CACHE[grid.key] = khat
     return khat
 
@@ -220,8 +212,7 @@ def poisson_freespace(source: Field3D) -> Field3D:
             f"doubled grid ({2*n}^3, about {size:.1f} GiB per array) does "
             "not fit in memory") from exc
     pad[:n, :n, :n] = g
-    conv = sfft.irfftn(sfft.rfftn(pad, workers=_FFT_WORKERS) * khat,
-                       s=pad.shape, workers=_FFT_WORKERS)
+    conv = sfft.irfftn(sfft.rfftn(pad) * khat, s=pad.shape)
     return Field3D(grid, conv[:n, :n, :n], guard=False)
 
 
@@ -233,7 +224,7 @@ def h1_norm_sq_3d(u: Field3D) -> float:
     """int (|grad u|^2 + u^2), spectral derivative (periodic)."""
     grid = u.grid
     k2, pw = _spectral(grid)
-    uhat = sfft.rfftn(u.values, workers=_FFT_WORKERS)
+    uhat = sfft.rfftn(u.values)
     grad_sq = float(np.sum(pw * k2 * np.abs(uhat) ** 2)) / grid.n ** 3
     return grid.cell_volume * (grad_sq + float(np.sum(u.values ** 2)))
 
@@ -241,8 +232,8 @@ def h1_norm_sq_3d(u: Field3D) -> float:
 def h1_inner_3d(u: Field3D, v: Field3D) -> float:
     grid = u.grid
     k2, pw = _spectral(grid)
-    uhat = sfft.rfftn(u.values, workers=_FFT_WORKERS)
-    vhat = sfft.rfftn(v.values, workers=_FFT_WORKERS)
+    uhat = sfft.rfftn(u.values)
+    vhat = sfft.rfftn(v.values)
     cross = float(np.sum(pw * (1.0 + k2) * (uhat.conj() * vhat).real))
     return grid.cell_volume * cross / grid.n ** 3
 
@@ -283,8 +274,7 @@ def sobolev_gradient_3d(u: Field3D, profile: ChargeProfile,
     phi = poisson_freespace(Field3D(grid, rho * u.values ** 2)).values
     nl = rho * phi * u.values - eval_f(model, u.values)
     k2, _ = _spectral(grid)
-    corr = sfft.irfftn(sfft.rfftn(nl, workers=_FFT_WORKERS) / (1.0 + k2),
-                       s=u.values.shape, workers=_FFT_WORKERS)
+    corr = sfft.irfftn(sfft.rfftn(nl) / (1.0 + k2), s=u.values.shape)
     return Field3D(grid, u.values + corr)
 
 
@@ -292,6 +282,62 @@ def nehari_residual_3d(u: Field3D, profile: ChargeProfile,
                        model: NonlinearityModel) -> float:
     return (h1_norm_sq_3d(u) + nonlocal_term_3d(u, profile)
             - u.grid.integrate(eval_f(model, u.values) * u.values))
+
+
+# ---------------------------------------------------------------------------
+# Raw-array evaluation kernel for the critical-point searches
+# ---------------------------------------------------------------------------
+
+class CubeDisc(Disc):
+    """Cube kernel: spectral H^1 forms and a spectral Riesz solve."""
+
+    def __init__(self, grid: Grid3D, profile: ChargeProfile,
+                 model: NonlinearityModel):
+        self.grid = grid
+        self.model = model
+        self.rho = _rho_values(profile, grid)
+        self.k2, self.pw = _spectral(grid)
+
+    def wrap(self, values: np.ndarray) -> Field3D:
+        return Field3D(self.grid, values)
+
+    def _norm_sq_hat(self, vhat: np.ndarray) -> float:
+        total = float(np.sum(self.pw * (1.0 + self.k2)
+                             * (vhat.real ** 2 + vhat.imag ** 2)))
+        return self.grid.cell_volume * total / self.grid.n ** 3
+
+    def h1_norm_sq(self, values: np.ndarray) -> float:
+        return self._norm_sq_hat(sfft.rfftn(values))
+
+    def h1_inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        ahat = sfft.rfftn(a)
+        bhat = sfft.rfftn(b)
+        total = float(np.sum(self.pw * (1.0 + self.k2)
+                             * (ahat.conj() * bhat).real))
+        return self.grid.cell_volume * total / self.grid.n ** 3
+
+    def poisson(self, source: np.ndarray) -> np.ndarray:
+        return poisson_freespace(Field3D(self.grid, source, guard=False)).values
+
+    def gradient(self, u: np.ndarray, phi: np.ndarray):
+        """H^1-Riesz gradient and its H^1 norm, reusing the potential."""
+        nl = self.rho * phi * u - eval_f(self.model, u)
+        ghat = sfft.rfftn(u) + sfft.rfftn(nl) / (1.0 + self.k2)
+        g = sfft.irfftn(ghat, s=u.shape)
+        return g, math.sqrt(max(self._norm_sq_hat(ghat), 0.0))
+
+    def random_direction(self, rng: np.random.Generator) -> np.ndarray:
+        """A random smooth decaying field with unit H^1 norm."""
+        ax = self.grid.axis()
+        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+        v = np.zeros((self.grid.n,) * 3)
+        for _ in range(3):
+            c = rng.uniform(-self.grid.L / 3.0, self.grid.L / 3.0, size=3)
+            s = rng.uniform(0.5, 2.0)
+            v = v + rng.normal() * np.exp(
+                -(((X - c[0]) ** 2 + (Y - c[1]) ** 2 + (Z - c[2]) ** 2)
+                  / s ** 2))
+        return v / math.sqrt(self.h1_norm_sq(v))
 
 
 # ---------------------------------------------------------------------------

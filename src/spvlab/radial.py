@@ -92,7 +92,7 @@ class RadialField:
             warnings.warn(
                 "field has not decayed at r_max; enlarge the domain "
                 f"(|u(r_max)| = {abs(vals[-1]):.3e}, peak {peak:.3e})",
-                RuntimeWarning, stacklevel=2)
+                RuntimeWarning, stacklevel=3)
 
     @staticmethod
     def zero(grid: RadialGrid) -> "RadialField":
@@ -276,13 +276,8 @@ def sobolev_gradient_radial(u: RadialField, profile: ChargeProfile,
     right-hand side is the exact gradient of the discrete energy, so
     <g, v>_H1 equals the directional derivative of the discrete J exactly.
     """
-    _, M, lu = _operators(u.grid)
-    rho = profile.at_radius(u.grid.r)
-    phi = poisson_radial(RadialField(u.grid, rho * u.values ** 2)).values
-    rhs = M @ u.values + u.grid.w * (rho * phi * u.values - eval_f(model, u.values))
-    g = lu.solve(rhs)
-    if not np.all(np.isfinite(g)):
-        raise DiscretizationError("Riesz solve produced non-finite values")
+    disc = RadialDisc(u.grid, profile, model)
+    g, _ = disc.gradient(u.values, disc.poisson(disc.rho * u.values * u.values))
     return RadialField(u.grid, g)
 
 
@@ -307,3 +302,118 @@ def strauss_check(u: RadialField, profile: ChargeProfile,
     rhs = 0.25 * grad_sq + 0.125 * nonlocal_term(u, profile)
     holds = lhs <= rhs * (1.0 + slack) + 1e-300
     return lhs, rhs, bool(holds)
+
+
+# ---------------------------------------------------------------------------
+# Raw-array evaluation kernels for the critical-point searches
+# ---------------------------------------------------------------------------
+
+class Disc:
+    """Raw-array evaluation kernel for one (grid, profile, model) triple.
+
+    The interface the solvers work through.  A discretization supplies
+    ``grid``, ``model``, the sampled charge ``rho`` and the methods
+    ``poisson``, ``h1_norm_sq``, ``h1_inner``, ``gradient``,
+    ``random_direction`` and ``wrap``; the energy and the Nehari ratio
+    are written here once.  ``energy`` returns the potential with J so
+    the gradient at the same iterate reuses the Poisson solve, which
+    dominates the per-iteration cost in 3-D.
+    """
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Nearest admissible field: negative values clamped to zero."""
+        return np.maximum(values, 0.0)
+
+    def energy(self, u: np.ndarray):
+        """Return (J(u), phi) with the Poisson solve exposed for reuse."""
+        src = self.rho * u * u
+        phi = self.poisson(src)
+        J = (0.5 * self.h1_norm_sq(u) + 0.25 * self.grid.integrate(src * phi)
+             - self.grid.integrate(eval_F(self.model, u)))
+        return J, phi
+
+    def nehari_relative(self, u: np.ndarray, phi: np.ndarray) -> float:
+        """Energy derivative along u, relative to the squared H^1 norm."""
+        h1 = self.h1_norm_sq(u)
+        if h1 == 0.0:
+            return 0.0
+        res = (h1 + self.grid.integrate(self.rho * u * u * phi)
+               - self.grid.integrate(eval_f(self.model, u) * u))
+        return res / h1
+
+
+class RadialDisc(Disc):
+    """Radial kernel: Gram-matrix H^1 forms and a sparse Riesz solve."""
+
+    def __init__(self, grid: RadialGrid, profile: ChargeProfile,
+                 model: NonlinearityModel):
+        self.grid = grid
+        self.model = model
+        self.rho = profile.at_radius(grid.r)
+        _, self.M, self.lu = _operators(grid)
+
+    def wrap(self, values: np.ndarray) -> RadialField:
+        return RadialField(self.grid, values)
+
+    def h1_norm_sq(self, values: np.ndarray) -> float:
+        return max(float(values @ (self.M @ values)), 0.0)
+
+    def h1_inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(a @ (self.M @ b))
+
+    def poisson(self, source: np.ndarray) -> np.ndarray:
+        return poisson_radial(RadialField(self.grid, source)).values
+
+    def _riesz_rhs(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Right-hand side b of the Riesz solve M g = b: the exact
+        gradient of the discrete energy."""
+        nl = self.rho * phi * u - eval_f(self.model, u)
+        return self.M @ u + self.grid.w * nl
+
+    def gradient(self, u: np.ndarray, phi: np.ndarray):
+        """H^1-Riesz gradient and its H^1 norm, reusing the potential."""
+        g = self.lu.solve(self._riesz_rhs(u, phi))
+        if not np.all(np.isfinite(g)):
+            raise DiscretizationError("Riesz solve produced non-finite values")
+        return g, math.sqrt(max(float(g @ (self.M @ g)), 0.0))
+
+    def random_direction(self, rng: np.random.Generator) -> np.ndarray:
+        """A random smooth decaying field with unit H^1 norm."""
+        r = self.grid.r
+        v = np.zeros_like(r)
+        for _ in range(3):
+            c = rng.uniform(0.0, self.grid.r_max / 3.0)
+            s = rng.uniform(0.5, 2.0)
+            v = v + rng.normal() * np.exp(-((r - c) / s) ** 2)
+        return v / math.sqrt(self.h1_norm_sq(v))
+
+
+class BallDisc(RadialDisc):
+    """Radial kernel restricted to fields vanishing outside a ball.
+
+    A Dirichlet-in-a-ball minimization produces compactly supported
+    minimizers for the bump constructions.  The Riesz gradient is taken
+    within the constrained subspace, with the Dirichlet-reduced block of
+    the H^1 Gram matrix, so it vanishes exactly when every directional
+    derivative along fields supported in the ball vanishes.
+    """
+
+    def __init__(self, grid: RadialGrid, profile: ChargeProfile,
+                 model: NonlinearityModel, radius: float):
+        super().__init__(grid, profile, model)
+        self.mask = (grid.r <= radius).astype(float)
+        self.idx = np.flatnonzero(self.mask)
+        if self.idx.size < 3 or self.idx.size > grid.n:
+            raise DiscretizationError(
+                "support radius must leave at least three interior nodes "
+                "and exclude the outer boundary")
+        self.lu_ball = splu(self.M.tocsr()[self.idx][:, self.idx].tocsc())
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        return np.maximum(values, 0.0) * self.mask
+
+    def gradient(self, u: np.ndarray, phi: np.ndarray):
+        rhs = self._riesz_rhs(u, phi)[self.idx]
+        g = np.zeros_like(u)
+        g[self.idx] = self.lu_ball.solve(rhs)
+        return g, math.sqrt(max(float(g[self.idx] @ rhs), 0.0))

@@ -9,8 +9,10 @@ highest-energy node and re-spreading the nodes by arclength, then
 polishes the saddle candidate by descending the squared residual norm.
 
 Both strategies work on either the radial or the full 3-D discretization
-(dispatch is by field type) and certify convergence with the H^1 norm of
-the preconditioned residual, a metric-independent optimality measure.
+through its evaluation kernel (``radial.RadialDisc``, ``radial.BallDisc``
+or ``field3d.CubeDisc``, chosen by field type) and certify convergence
+with the H^1 norm of the preconditioned residual, a metric-independent
+optimality measure.
 """
 
 from __future__ import annotations
@@ -20,17 +22,25 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.sparse.linalg import splu
 
 from . import field3d as f3d
 from . import radial as rad
-from .models import ChargeProfile, NonlinearityModel, eval_F, eval_f
+from .models import ChargeProfile, NonlinearityModel
 
 FieldLike = Union[rad.RadialField, f3d.Field3D]
 
 # below this H^1 norm a converged iterate counts as the zero solution
 ZERO_NORM_TOL = 1e-6
+# Armijo sufficient-decrease constant, backtracking factor, first trial step
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+STEP0 = 1.0
+# random curvature probes per classification, and the second derivative
+# below which a probe counts as a descent direction
+CLASSIFY_DIRECTIONS = 20
+CURVATURE_TOL = -1e-4
+# nodes of the discretized mountain-pass path, endpoints included
+PATH_NODES = 21
 
 
 class SolverError(RuntimeError):
@@ -51,20 +61,13 @@ class SolveOptions:
     tol_grad: float = 1e-6
     tol_grad_abs: Optional[float] = None
     max_iter: int = 10_000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    step0: float = 1.0
     seed: int = 0
-    classify_directions: int = 20
-    keep_trace: bool = True
 
     def __post_init__(self):
         if self.tol_grad <= 0.0:
             raise ValueError("tol_grad must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -112,130 +115,23 @@ def trace_to_csv(result: SolveResult, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Geometry dispatch: raw-array energies and gradients for both discretizations
+# Geometry dispatch: the evaluation kernel of each discretization
 # ---------------------------------------------------------------------------
 
-class _Workspace:
-    """Raw-array evaluation kernel for one (grid, profile, model) triple.
-
-    Shares the Poisson solve between the energy and the gradient at the
-    same iterate, which dominates the per-iteration cost in 3-D.
-    """
-
-    def __init__(self, proto: FieldLike, profile: ChargeProfile,
-                 model: NonlinearityModel):
-        self.profile = profile
-        self.model = model
-        self.grid = proto.grid
-        self.is_radial = isinstance(proto, rad.RadialField)
-        if self.is_radial:
-            self.rho = profile.at_radius(self.grid.r)
-            _, self._M, self._lu = rad._operators(self.grid)
-        else:
-            self.rho = f3d._rho_values(profile, self.grid)
-            self._k2, self._pw = f3d._spectral(self.grid)
-
-    # -- wrapping -------------------------------------------------------
-
-    def wrap(self, values: np.ndarray) -> FieldLike:
-        if self.is_radial:
-            return rad.RadialField(self.grid, values)
-        return f3d.Field3D(self.grid, values)
-
-    # -- norms ------------------------------------------------------------
-
-    def h1_norm_sq(self, values: np.ndarray) -> float:
-        if self.is_radial:
-            return max(float(values @ (self._M @ values)), 0.0)
-        vhat = sfft.rfftn(values)
-        total = float(np.sum(self._pw * (1.0 + self._k2)
-                             * (vhat.real ** 2 + vhat.imag ** 2)))
-        return self.grid.cell_volume * total / self.grid.n ** 3
-
-    def h1_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        if self.is_radial:
-            return float(a @ (self._M @ b))
-        ahat = sfft.rfftn(a)
-        bhat = sfft.rfftn(b)
-        total = float(np.sum(self._pw * (1.0 + self._k2)
-                             * (ahat.conj() * bhat).real))
-        return self.grid.cell_volume * total / self.grid.n ** 3
-
-    def integrate(self, values: np.ndarray) -> float:
-        return self.grid.integrate(values)
-
-    # -- energy and gradient ----------------------------------------------
-
-    def poisson(self, source: np.ndarray) -> np.ndarray:
-        if self.is_radial:
-            return rad.poisson_radial(rad.RadialField(self.grid, source)).values
-        return f3d.poisson_freespace(
-            f3d.Field3D(self.grid, source, guard=False)).values
-
-    def energy(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Return (J(u), phi) with the Poisson solve exposed for reuse."""
-        src = self.rho * u * u
-        phi = self.poisson(src)
-        J = (0.5 * self.h1_norm_sq(u) + 0.25 * self.integrate(src * phi)
-             - self.integrate(eval_F(self.model, u)))
-        return J, phi
-
-    def gradient(self, u: np.ndarray,
-                 phi: np.ndarray) -> Tuple[np.ndarray, float]:
-        """H^1-Riesz gradient and its H^1 norm, reusing the potential."""
-        nl = self.rho * phi * u - eval_f(self.model, u)
-        if self.is_radial:
-            rhs = self._M @ u + self.grid.w * nl
-            g = self._lu.solve(rhs)
-            if not np.all(np.isfinite(g)):
-                raise SolverError("Riesz solve produced non-finite values")
-            gnorm = math.sqrt(max(float(g @ (self._M @ g)), 0.0))
-            return g, gnorm
-        ghat = sfft.rfftn(u) + sfft.rfftn(nl) / (1.0 + self._k2)
-        g = sfft.irfftn(ghat, s=u.shape)
-        gnorm2 = self.grid.cell_volume * float(
-            np.sum(self._pw * (1.0 + self._k2)
-                   * (ghat.real ** 2 + ghat.imag ** 2))) / self.grid.n ** 3
-        return g, math.sqrt(max(gnorm2, 0.0))
-
-    def nehari_relative(self, u: np.ndarray, phi: np.ndarray) -> float:
-        """Energy derivative along u, relative to the squared H^1 norm."""
-        h1 = self.h1_norm_sq(u)
-        if h1 == 0.0:
-            return 0.0
-        res = (h1 + self.integrate(self.rho * u * u * phi)
-               - self.integrate(eval_f(self.model, u) * u))
-        return res / h1
-
-    # -- random probe directions -------------------------------------------
-
-    def random_direction(self, rng: np.random.Generator) -> np.ndarray:
-        """A random smooth decaying field with unit H^1 norm."""
-        if self.is_radial:
-            r = self.grid.r
-            v = np.zeros_like(r)
-            for _ in range(3):
-                c = rng.uniform(0.0, self.grid.r_max / 3.0)
-                s = rng.uniform(0.5, 2.0)
-                v = v + rng.normal() * np.exp(-((r - c) / s) ** 2)
-        else:
-            ax = self.grid.axis()
-            X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
-            v = np.zeros((self.grid.n,) * 3)
-            for _ in range(3):
-                c = rng.uniform(-self.grid.L / 3.0, self.grid.L / 3.0, size=3)
-                s = rng.uniform(0.5, 2.0)
-                v = v + rng.normal() * np.exp(
-                    -(((X - c[0]) ** 2 + (Y - c[1]) ** 2 + (Z - c[2]) ** 2)
-                      / s ** 2))
-        return v / math.sqrt(self.h1_norm_sq(v))
-
-
-def _workspace(proto: FieldLike, profile: ChargeProfile,
-               model: NonlinearityModel) -> _Workspace:
-    if not isinstance(proto, (rad.RadialField, f3d.Field3D)):
-        raise SolverError(f"unsupported field type {type(proto).__name__}")
-    return _Workspace(proto, profile, model)
+def _kernel(proto: FieldLike, profile: ChargeProfile,
+            model: NonlinearityModel,
+            support_radius: Optional[float] = None) -> rad.Disc:
+    if isinstance(proto, rad.RadialField):
+        if support_radius is not None:
+            return rad.BallDisc(proto.grid, profile, model, support_radius)
+        return rad.RadialDisc(proto.grid, profile, model)
+    if isinstance(proto, f3d.Field3D):
+        if support_radius is not None:
+            raise SolverError(
+                "ball-constrained minimization is implemented for radial "
+                "fields only")
+        return f3d.CubeDisc(proto.grid, profile, model)
+    raise SolverError(f"unsupported field type {type(proto).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,47 +155,14 @@ def minimize(init: FieldLike, profile: ChargeProfile,
     produces compactly supported minimizers for the bump constructions.
     """
     opts = opts or SolveOptions()
-    ws = _workspace(init, profile, model)
-    u = np.maximum(np.array(init.values, dtype=float), 0.0)
-    mask = None
-    if support_radius is not None:
-        if not ws.is_radial:
-            raise SolverError(
-                "ball-constrained minimization is implemented for radial "
-                "fields only")
-        mask = (ws.grid.r <= support_radius).astype(float)
-        idx = np.flatnonzero(mask)
-        if idx.size < 3 or idx.size > ws.grid.n:
-            raise SolverError(
-                "support radius must leave at least three interior nodes "
-                "and exclude the outer boundary")
-        # Gram matrix of the constrained subspace (fields vanishing outside
-        # the ball): the Dirichlet-reduced block of the full H^1 Gram matrix
-        M_dd = ws._M.tocsr()[idx][:, idx].tocsc()
-        lu_dd = splu(M_dd)
-        u = u * mask
-
-    def masked_gradient(vals, pot):
-        if mask is None:
-            return ws.gradient(vals, pot)
-        # Riesz gradient within the constrained subspace: it vanishes
-        # exactly when all directional derivatives along fields supported
-        # in the ball vanish (first-order optimality for the constraint)
-        nl = ws.rho * pot * vals - eval_f(model, vals)
-        rhs = ws._M @ vals + ws.grid.w * nl
-        g_ = np.zeros_like(vals)
-        g_[idx] = lu_dd.solve(rhs[idx])
-        gn2 = float(g_[idx] @ rhs[idx])
-        return g_, math.sqrt(max(gn2, 0.0))
-
+    ws = _kernel(init, profile, model, support_radius)
+    u = ws.project(np.asarray(init.values, dtype=float))
     J, phi = ws.energy(u)
-    g, gnorm = masked_gradient(u, phi)
+    g, gnorm = ws.gradient(u, phi)
     tol = (opts.tol_grad_abs if opts.tol_grad_abs is not None
            else opts.tol_grad * gnorm)
-    trace: List[TracePoint] = []
-    if opts.keep_trace:
-        trace.append(TracePoint(0, J, gnorm, 0.0, ws.h1_norm_sq(u)))
-    t = opts.step0
+    trace = [TracePoint(0, J, gnorm, 0.0, ws.h1_norm_sq(u))]
+    t = STEP0
     converged = gnorm <= tol
     clamped = False
     it = 0
@@ -309,48 +172,47 @@ def minimize(init: FieldLike, profile: ChargeProfile,
         t = min(2.0 * t, 1e6)
         while t > 1e-16:
             raw = u - t * g
-            cand = np.maximum(raw, 0.0)
-            if mask is not None:
-                cand = cand * mask
-            diff = cand - u
-            dn2 = ws.h1_norm_sq(diff)
+            cand = ws.project(raw)
+            dn2 = ws.h1_norm_sq(cand - u)
             if dn2 <= 0.0:
                 break
             Jc, phic = ws.energy(cand)
-            if Jc < J and Jc <= J - opts.armijo_c * dn2 / t:
+            if Jc < J and Jc <= J - ARMIJO_C * dn2 / t:
                 clamped = bool(np.any(raw < 0.0))
                 u, J, phi = cand, Jc, phic
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= BACKTRACK
         if not accepted:
             break
-        g, gnorm = masked_gradient(u, phi)
-        if opts.keep_trace:
-            trace.append(TracePoint(it, J, gnorm, t, ws.h1_norm_sq(u)))
+        g, gnorm = ws.gradient(u, phi)
+        trace.append(TracePoint(it, J, gnorm, t, ws.h1_norm_sq(u)))
         converged = gnorm <= tol
     if not converged and it < opts.max_iter:
         # Armijo progress stalled at the double-precision floor of J;
         # finish with the residual-norm polish, which works on ||G||^2
         # directly and is not limited by cancellations in the energy
-        u, gnorm, J, phi = _polish_residual(ws, u, tol, opts,
-                                            gradient=masked_gradient)
-        if mask is not None:
-            u = u * mask
+        u, gnorm, J, phi = _polish_residual(ws, u, tol)
         converged = gnorm <= tol
     return _finish(ws, u, J, phi, gnorm, it, converged, clamped, level,
                    opts, trace)
 
 
-def _finish(ws: _Workspace, u, J, phi, gnorm, iterations, converged, clamped,
-            level, opts, trace) -> SolveResult:
+def _finish(ws: rad.Disc, u, J, phi, gnorm, iterations, converged, clamped,
+            level, opts, trace, probes=()) -> SolveResult:
+    """Classify a search's last iterate and package it as a result.
+
+    ``probes`` are fields whose directions join the random curvature
+    probes, ahead of them.
+    """
     unorm = math.sqrt(ws.h1_norm_sq(u))
     if unorm < ZERO_NORM_TOL:
         cls = "zero"
     elif not converged:
         cls = "non-converged"
     else:
-        cls = _classify(ws, u, J, opts.classify_directions, opts.seed)
+        extra = [v / math.sqrt(ws.h1_norm_sq(v)) for v in probes]
+        cls = _classify(ws, u, J, opts.seed, extra)
     return SolveResult(
         field=ws.wrap(u), energy=J, gradient_norm=gnorm,
         nehari_residual=ws.nehari_relative(u, phi), iterations=iterations,
@@ -358,41 +220,28 @@ def _finish(ws: _Workspace, u, J, phi, gnorm, iterations, converged, clamped,
         clamped=clamped, trace=trace)
 
 
-def _classify(ws: _Workspace, u: np.ndarray, J0: float, n_directions: int,
-              seed: int, curvature_tol: float = -1e-4,
-              extra_directions: Sequence[np.ndarray] = ()) -> str:
-    """Finite-difference curvature probes along random unit directions."""
+def _classify(ws: rad.Disc, u: np.ndarray, J0: float, seed: int,
+              extra_directions: Sequence[np.ndarray]) -> str:
+    """Finite-difference curvature probes along random unit directions.
+
+    ``minimizer`` when the smallest probed second derivative stays above
+    ``CURVATURE_TOL``; ``mountain-pass`` when a direction of negative
+    curvature is found.
+    """
     rng = np.random.default_rng(seed)
     unorm = math.sqrt(ws.h1_norm_sq(u))
     eps = max(1e-3, 1e-3 * unorm)
     worst = math.inf
     dirs = list(extra_directions)
-    dirs += [ws.random_direction(rng) for _ in range(n_directions)]
+    dirs += [ws.random_direction(rng) for _ in range(CLASSIFY_DIRECTIONS)]
     for v in dirs:
         Jp, _ = ws.energy(u + eps * v)
         Jm, _ = ws.energy(u - eps * v)
         d2 = (Jp - 2.0 * J0 + Jm) / eps ** 2
         worst = min(worst, d2)
-        if worst < curvature_tol:
+        if worst < CURVATURE_TOL:
             return "mountain-pass"
     return "minimizer"
-
-
-def classify(result: SolveResult, profile: ChargeProfile,
-             model: NonlinearityModel, n_directions: int = 20,
-             seed: int = 0, curvature_tol: float = -1e-4) -> str:
-    """Re-classify a converged candidate by random curvature probes.
-
-    ``zero`` when the iterate is numerically zero; ``minimizer`` when the
-    smallest probed second derivative stays above ``curvature_tol``;
-    ``mountain-pass`` when a negative-curvature direction is found.
-    """
-    u = np.asarray(result.field.values, dtype=float)
-    ws = _workspace(result.field, profile, model)
-    if math.sqrt(ws.h1_norm_sq(u)) < ZERO_NORM_TOL:
-        return "zero"
-    J0, _ = ws.energy(u)
-    return _classify(ws, u, J0, n_directions, seed, curvature_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -463,40 +312,37 @@ def cube_gaussian_starts(grid: f3d.Grid3D, n_starts: int, seed: int = 0,
 
 def mountain_pass(u_low: FieldLike, profile: ChargeProfile,
                   model: NonlinearityModel,
-                  opts: Optional[SolveOptions] = None,
-                  n_path: int = 21) -> SolveResult:
+                  opts: Optional[SolveOptions] = None) -> SolveResult:
     """Path-deformation search for the saddle between 0 and a minimizer.
 
     The segment path from the zero field to ``u_low`` is discretized into
-    ``n_path`` nodes; the interior node of maximal energy takes a descent
-    step, nodes are re-spread by H^1 arclength, and the loop stops when
-    the max node's gradient is small.  The saddle candidate is then
-    polished by descending the squared residual norm (finite-difference
-    Hessian action, first-order information only).
+    ``PATH_NODES`` nodes; the interior node of maximal energy takes a
+    descent step, nodes are re-spread by H^1 arclength, and the loop
+    stops when the max node's gradient is small.  The saddle candidate is
+    then polished by descending the squared residual norm
+    (finite-difference Hessian action, first-order information only).
 
     Raises SolverError when the geometry is absent: ``u_low`` must be a
     nonzero field with negative energy, and the path's interior maximum
     must stay above the endpoint energies.
     """
     opts = opts or SolveOptions()
-    if n_path < 5:
-        raise SolverError("path needs at least 5 nodes")
-    ws = _workspace(u_low, profile, model)
-    anchor = np.maximum(np.array(u_low.values, dtype=float), 0.0)
+    ws = _kernel(u_low, profile, model)
+    anchor = ws.project(np.asarray(u_low.values, dtype=float))
     J_anchor, _ = ws.energy(anchor)
     if math.sqrt(ws.h1_norm_sq(anchor)) < ZERO_NORM_TOL or J_anchor >= 0.0:
         raise SolverError(
             "no mountain-pass geometry detected: the anchor must be a "
             "nonzero minimizer with negative energy")
 
-    ss = np.linspace(0.0, 1.0, n_path)
+    ss = np.linspace(0.0, 1.0, PATH_NODES)
     nodes = [s * anchor for s in ss]
     energies = [ws.energy(v)[0] for v in nodes]
     base = max(energies[0], energies[-1])
     target = max(opts.tol_grad_abs or 1e-5, 0.0)
     coarse = max(100.0 * target, 1e-2)
     trace: List[TracePoint] = []
-    t = opts.step0
+    t = STEP0
     it = 0
     u = nodes[int(np.argmax(energies[1:-1])) + 1]
     while it < opts.max_iter:
@@ -509,8 +355,7 @@ def mountain_pass(u_low: FieldLike, profile: ChargeProfile,
         u = nodes[i]
         J_i, phi = ws.energy(u)
         g, gnorm = ws.gradient(u, phi)
-        if opts.keep_trace:
-            trace.append(TracePoint(it, J_i, gnorm, t, ws.h1_norm_sq(u)))
+        trace.append(TracePoint(it, J_i, gnorm, t, ws.h1_norm_sq(u)))
         if gnorm <= coarse:
             break
         # descend across the ridge: remove the gradient's component along
@@ -524,43 +369,31 @@ def mountain_pass(u_low: FieldLike, profile: ChargeProfile,
         accepted = False
         t = min(2.0 * t, 1e3)
         while t > 1e-16:
-            cand = np.maximum(u - t * d, 0.0)
+            cand = ws.project(u - t * d)
             dn2 = ws.h1_norm_sq(cand - u)
             if dn2 <= 0.0:
                 break
             Jc, _ = ws.energy(cand)
-            if Jc < J_i and Jc <= J_i - opts.armijo_c * dn2 / t:
+            if Jc < J_i and Jc <= J_i - ARMIJO_C * dn2 / t:
                 nodes[i] = cand
                 energies[i] = Jc
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= BACKTRACK
         if not accepted:
             break
         if it % 5 == 0:
             nodes = _respread(ws, nodes)
             energies = [ws.energy(v)[0] for v in nodes]
 
-    u, gnorm, J, phi = _polish_residual(ws, u, target, opts)
-    converged = gnorm <= target
-    unorm2 = ws.h1_norm_sq(u)
-    if math.sqrt(unorm2) < ZERO_NORM_TOL:
-        cls = "zero"
-    elif not converged:
-        cls = "non-converged"
-    else:
-        extra = [anchor / math.sqrt(ws.h1_norm_sq(anchor)),
-                 u / math.sqrt(unorm2)]
-        cls = _classify(ws, u, J, opts.classify_directions, opts.seed,
-                        extra_directions=extra)
-    return SolveResult(
-        field=ws.wrap(u), energy=J, gradient_norm=gnorm,
-        nehari_residual=ws.nehari_relative(u, phi), iterations=it,
-        classification=cls, level="beta", converged=converged,
-        clamped=False, trace=trace)
+    u, gnorm, J, phi = _polish_residual(ws, u, target)
+    # the anchor and the saddle itself are the likeliest descent
+    # directions, so they are probed first
+    return _finish(ws, u, J, phi, gnorm, it, gnorm <= target, False, "beta",
+                   opts, trace, probes=(anchor, u))
 
 
-def _respread(ws: _Workspace, nodes: List[np.ndarray]) -> List[np.ndarray]:
+def _respread(ws: rad.Disc, nodes: List[np.ndarray]) -> List[np.ndarray]:
     """Redistribute path nodes to uniform H^1 arclength."""
     seg = np.array([math.sqrt(ws.h1_norm_sq(nodes[k + 1] - nodes[k]))
                     for k in range(len(nodes) - 1)])
@@ -577,29 +410,26 @@ def _respread(ws: _Workspace, nodes: List[np.ndarray]) -> List[np.ndarray]:
     return out
 
 
-def _polish_residual(ws: _Workspace, u0: np.ndarray, tol: float,
-                     opts: SolveOptions, max_iter: int = 2000,
-                     gradient=None):
+def _polish_residual(ws: rad.Disc, u0: np.ndarray, tol: float,
+                     max_iter: int = 2000):
     """Drive the gradient norm to ``tol`` by descending Phi = 1/2 ||G||^2.
 
     The H^1 gradient of Phi is the Hessian applied to G, approximated by
     a central difference of the gradient map along G.  Converges to any
-    nearby critical point, saddles included.  ``gradient`` overrides the
-    gradient map (used for constrained searches).
+    nearby critical point, saddles included.
     """
-    grad = gradient if gradient is not None else ws.gradient
     u = u0.copy()
     J, phi = ws.energy(u)
-    G, gn = grad(u, phi)
+    G, gn = ws.gradient(u, phi)
     t = 1.0
     for _ in range(max_iter):
         if gn <= tol or gn == 0.0:
             break
         scale = 1e-6 * (1.0 + math.sqrt(ws.h1_norm_sq(u))) / gn
         Jp, pp = ws.energy(u + scale * G)
-        Gp, _ = grad(u + scale * G, pp)
+        Gp, _ = ws.gradient(u + scale * G, pp)
         Jm, pm = ws.energy(u - scale * G)
-        Gm, _ = grad(u - scale * G, pm)
+        Gm, _ = ws.gradient(u - scale * G, pm)
         d = (Gp - Gm) / (2.0 * scale)
         dn2 = ws.h1_norm_sq(d)
         if dn2 <= 0.0:
@@ -610,8 +440,8 @@ def _polish_residual(ws: _Workspace, u0: np.ndarray, tol: float,
         while t > 1e-18:
             cand = u - t * d
             Jc, pc = ws.energy(cand)
-            Gc, gc = grad(cand, pc)
-            if 0.5 * gc * gc <= phi0 - opts.armijo_c * t * dn2:
+            Gc, gc = ws.gradient(cand, pc)
+            if 0.5 * gc * gc <= phi0 - ARMIJO_C * t * dn2:
                 u, G, gn, J, phi = cand, Gc, gc, Jc, pc
                 accepted = True
                 break

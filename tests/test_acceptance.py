@@ -195,7 +195,7 @@ def test_criterion_04_inequality_suites():
                   + slv.radial_gaussian_starts(grid, 3, seed=1))
         _, results = slv.multistart_minimize(
             starts, profile, model,
-            slv.SolveOptions(tol_grad=1e-4, keep_trace=True))
+            slv.SolveOptions(tol_grad=1e-4))
     floor_ok = all(
         pt.energy >= 0.25 * pt.h1_norm_sq + floor_total - 1e-6
         for res in results for pt in res.trace)
@@ -307,13 +307,11 @@ def test_criterion_09_threshold_bounds():
 
 
 def test_criterion_10_reproducibility(tmp_path):
-    run(load_config("verify-lemmas", out_dir=str(tmp_path / "a"), seed=3,
-                    serial=True))
-    run(load_config("verify-lemmas", out_dir=str(tmp_path / "b"), seed=3,
-                    serial=True))
+    run(load_config("verify-lemmas", out_dir=str(tmp_path / "a"), seed=3))
+    run(load_config("verify-lemmas", out_dir=str(tmp_path / "b"), seed=3))
     ja = (tmp_path / "a" / "report.json").read_bytes()
     jb = (tmp_path / "b" / "report.json").read_bytes()
     ok = ja == jb and len(ja) > 0
     _report("criterion-10-reproducibility", ok,
-            f"two serial runs, report bytes equal: {ja == jb} "
+            f"two runs, report bytes equal: {ja == jb} "
             f"({len(ja)} bytes)")

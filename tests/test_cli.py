@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -144,9 +145,9 @@ class TestRunAndMain:
 
     def test_reports_byte_identical_across_serial_runs(self, tmp_path):
         a = run(load_config("verify-lemmas", out_dir=str(tmp_path / "a"),
-                            seed=5, serial=True))
+                            seed=5))
         b = run(load_config("verify-lemmas", out_dir=str(tmp_path / "b"),
-                            seed=5, serial=True))
+                            seed=5))
         ja = (tmp_path / "a" / "report.json").read_bytes()
         jb = (tmp_path / "b" / "report.json").read_bytes()
         assert ja == jb
@@ -185,3 +186,28 @@ class TestRunAndMain:
             assert isinstance(scenario, str)
         with pytest.raises(SystemExit):
             main(["not-a-scenario"])
+
+
+def test_no_warning_reaches_the_caller(tmp_path):
+    # small grids run every scenario, symmetry-breaking included, in seconds
+    path = _write(tmp_path, {"schema": SCHEMA_VERSION,
+                             "radial_grid": {"n": 512},
+                             "cube_grid": {"n": 16},
+                             "options": {"refine_n": 24}})
+    for scenario in SCENARIOS:
+        cfg = load_config(scenario, config_path=path,
+                          out_dir=str(tmp_path / scenario))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(cfg)
+        assert [str(w.message) for w in caught] == [], scenario
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the finite-difference residual polish stalls at 1.012e-5 against the "
+    "1e-5 saddle tolerance; ROADMAP item 5 (exact Hessian action)"))
+def test_autonomous_saddle_converges_at_seed_1(tmp_path):
+    report = run(load_config("autonomous", out_dir=str(tmp_path), seed=1))
+    verdicts = {v.name: v for v in report.verdicts}
+    assert verdicts["positive-energy-saddle"].passed, \
+        verdicts["positive-energy-saddle"].detail

@@ -238,6 +238,12 @@ class TestFieldIO3D:
         with pytest.warns(RuntimeWarning):
             _ = Field3D(grid, np.ones((16, 16, 16)))
 
+    def test_guard_points_at_the_constructing_line(self):
+        grid = Grid3D(6.0, 16)
+        with pytest.warns(RuntimeWarning) as rec:
+            Field3D(grid, np.ones((16, 16, 16)))
+        assert [w.filename for w in rec] == [__file__]
+
     def test_poisson_output_guard_disabled(self):
         grid = Grid3D(6.0, 32)
         u = _gaussian3(grid, 1.0, 0.8)

@@ -203,6 +203,12 @@ class TestFieldIO:
         with pytest.warns(RuntimeWarning):
             RadialField.gaussian(grid, 1.0, 6.0)
 
+    def test_decay_guard_points_at_the_constructing_line(self):
+        grid = _grid(n=256)
+        with pytest.warns(RuntimeWarning) as rec:
+            RadialField(grid, np.ones(grid.n + 1))
+        assert [w.filename for w in rec] == [__file__]
+
     def test_grid_validation(self):
         with pytest.raises(DiscretizationError):
             RadialGrid(-1.0, 256)

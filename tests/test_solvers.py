@@ -46,7 +46,7 @@ class TestMinimize:
     def test_finds_negative_minimizer(self):
         grid = _grid()
         res = minimize(_negative_start(grid), _rho(), _model(),
-                       SolveOptions(tol_grad=1e-5, keep_trace=True))
+                       SolveOptions(tol_grad=1e-5))
         assert res.converged
         assert res.energy < 0.0
         assert res.gradient_norm < 1e-5 * math.sqrt(h1_norm_sq(res.field))
@@ -66,7 +66,7 @@ class TestMinimize:
     def test_trace_is_monotone_decreasing(self):
         grid = _grid()
         res = minimize(_negative_start(grid), _rho(), _model(),
-                       SolveOptions(tol_grad=1e-5, keep_trace=True))
+                       SolveOptions(tol_grad=1e-5))
         energies = [pt.energy for pt in res.trace]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
@@ -141,12 +141,6 @@ class TestMountainPass:
         assert saddle.level == "beta"
         assert saddle.classification == "mountain-pass"
 
-    def test_rejects_short_path(self):
-        grid = _grid()
-        with pytest.raises(SolverError):
-            mountain_pass(_negative_start(grid), _rho(), _model(),
-                          n_path=3)
-
     def test_rejects_positive_energy_endpoint(self):
         grid = _grid()
         with warnings.catch_warnings():
@@ -160,7 +154,7 @@ class TestTraceIO:
     def test_trace_csv(self, tmp_path):
         grid = _grid()
         res = minimize(_negative_start(grid), _rho(), _model(),
-                       SolveOptions(tol_grad=1e-4, keep_trace=True))
+                       SolveOptions(tol_grad=1e-4))
         path = tmp_path / "trace.csv"
         trace_to_csv(res, path)
         data = np.loadtxt(path, delimiter=",", skiprows=1)
