@@ -916,6 +916,13 @@ def emit_plot_data(report: ExperimentReport, out_dir: str) -> List[str]:
 # Command line
 # ---------------------------------------------------------------------------
 
+def _fail(exc: BaseException, code: int) -> int:
+    """One JSON error line on stderr; returns the exit code."""
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+          file=sys.stderr)
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="spvlab",
@@ -940,9 +947,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run(cfg)
     except (ConfigError, ModelError, slv.SolverError,
             rad.DiscretizationError, OSError, ValueError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
+    except MemoryError as exc:
+        # most often the doubled cube of field3d.poisson_freespace
+        return _fail(exc, 3)
 
     for v in report.verdicts:
         print(f"[{'PASS' if v.passed else 'FAIL'}] {v.name}: {v.detail}")

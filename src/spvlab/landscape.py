@@ -95,6 +95,54 @@ class LambdaBounds:
     witness_abar0: Optional[RadialField] = field(repr=False, default=None)
 
 
+# Amplitudes evaluated together in the ranking scan: a 4 x (n+1) block
+# stays in cache and keeps the temporaries small.
+_RANK_BLOCK = 4
+# Relative bound on the gap between a ranked ratio and the exact one.
+# Both come from the same nodal values and differ only in the order of
+# their sums, at most about n eps of the summed magnitudes, so this
+# covers grids up to millions of nodes.
+_RANK_TOL = 1e-9
+
+
+def _rank_family(model: NonlinearityModel, grid: RadialGrid,
+                 sigmas: Sequence[float], ts: np.ndarray):
+    """Both witness ratios over the family t * g_sigma, ranked cheaply.
+
+    Under u = t g the H^1 term scales exactly as t^2 and the Coulomb
+    term as t^4, so each width needs one h1_norm_sq and one Poisson
+    solve; only int F(t g) and int f(t g) t g are evaluated per
+    amplitude, a block of amplitudes at a time.  Returns, for the A0
+    and the Abar0 ratio in turn, the ranked values and a bound on their
+    gap to the exact ratios, each of shape (len(sigmas), len(ts)).
+    """
+    # int F, int |F|, int f u and int |f u| for every (sigma, t)
+    sums = np.empty((4, len(sigmas), len(ts)))
+    h1 = np.empty(len(sigmas))
+    coul = np.empty(len(sigmas))
+    for i, sig in enumerate(sigmas):
+        g = RadialField.gaussian(grid, 1.0, float(sig))
+        h1[i] = h1_norm_sq(g)
+        coul[i] = coulomb_self_energy(g)
+        for j in range(0, len(ts), _RANK_BLOCK):
+            U = ts[j:j + _RANK_BLOCK, None] * g.values
+            F = eval_F(model, U)
+            fu = eval_f(model, U) * U
+            sums[:, i, j:j + _RANK_BLOCK] = (
+                np.stack([F, np.abs(F), fu, np.abs(fu)]) @ grid.w)
+    F, F_abs, fu, fu_abs = sums
+    t2 = ts * ts
+    quad = t2 * h1[:, None]
+    coulomb = t2 * t2 * coul[:, None]
+    # t = 0 gives 0/0, a NaN that no comparison selects; its exact
+    # excess is 0, outside both sets
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return [((F - 0.5 * quad) / coulomb,
+                 _RANK_TOL * (F_abs + 0.5 * quad) / coulomb),
+                ((fu - quad) / coulomb,
+                 _RANK_TOL * (fu_abs + quad) / coulomb)]
+
+
 def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
                            sigma_grid: Optional[np.ndarray] = None,
                            t_grid: Optional[np.ndarray] = None
@@ -106,6 +154,16 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
     from the fitted cubic constants: C1^2/2 for the energy threshold and
     Cbar^2/2 for the derivative threshold (Cbar from the analogous fit
     of f(s) s <= s^2 + Cbar s^3).
+
+    The grid scan only ranks.  Along u = t g the H^1 term is exactly
+    t^2 ||g||^2 and the Coulomb term t^4 int phi_g g^2, so one Poisson
+    solve per width ranks every amplitude (``_rank_family``).  The
+    ranked ratios differ from the exact ones by rounding alone, so the
+    exact ratio (``a0_ratio``/``abar0_ratio``) is re-evaluated at the
+    points whose rounding band reaches the best ranked value, usually
+    the winner alone.  The first strict maximum in (sigma, t) order
+    among them is the one a point-by-point scan of exact ratios would
+    keep, and the bounded refinement and the witness start from it.
     """
     from .models import fit_cubic_bound, fit_nehari_cubic_bound
     c1 = model.C1 if model.C1 is not None else fit_cubic_bound(model)
@@ -116,16 +174,21 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
         sigma_grid = np.geomspace(0.4, max(hi, 0.5), 24)
     if t_grid is None:
         t_grid = np.geomspace(1.0, 1e3, 160)
+    ts = np.asarray(t_grid, dtype=float)
+    ranked = _rank_family(model, grid, sigma_grid, ts)
 
-    def scan(ratio_fn):
+    def scan(ratio_fn, ranked_ratio, gap):
+        # every exact maximizer's band reaches the floor, so it is
+        # among the candidates, which keep the (sigma, t) order
+        lo, hi = ranked_ratio - gap, ranked_ratio + gap
+        floor = np.max(lo, initial=0.0, where=~np.isnan(lo))
         best_val, best_field = None, None
-        for sig in sigma_grid:
-            g = RadialField.gaussian(grid, 1.0, float(sig))
-            for t in t_grid:
-                u = RadialField(grid, t * g.values)
-                val = ratio_fn(u, model)
-                if val is not None and (best_val is None or val > best_val):
-                    best_val, best_field = val, (float(sig), float(t))
+        for i, j in zip(*np.nonzero(hi >= floor)):
+            sig, t = float(sigma_grid[i]), float(ts[j])
+            g = RadialField.gaussian(grid, 1.0, sig)
+            val = ratio_fn(RadialField(grid, t * g.values), model)
+            if val is not None and (best_val is None or val > best_val):
+                best_val, best_field = val, (sig, t)
         if best_val is None:
             return None, None
         sig, t0 = best_field
@@ -145,8 +208,8 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
         # reproduces it bit for bit
         return ratio_fn(witness, model), witness
 
-    lower0, wit0 = scan(a0_ratio)
-    lowerbar, witbar = scan(abar0_ratio)
+    lower0, wit0 = scan(a0_ratio, *ranked[0])
+    lowerbar, witbar = scan(abar0_ratio, *ranked[1])
     return LambdaBounds(
         lambda0_lower=lower0, lambda0_upper=0.5 * c1 ** 2,
         lambdabar0_lower=lowerbar, lambdabar0_upper=0.5 * cbar ** 2,

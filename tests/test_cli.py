@@ -181,6 +181,23 @@ class TestRunAndMain:
         assert code == 1
         assert "[FAIL] doomed-check" in capsys.readouterr().out
 
+    def test_main_reports_memory_error(self, tmp_path, monkeypatch, capsys):
+        import spvlab.cli as cli
+
+        def fake_run(cfg):
+            raise MemoryError("doubled grid (512^3, about 1.0 GiB per "
+                              "array) does not fit in memory")
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        code = cli.main(["symmetry-breaking", "--out", str(tmp_path / "out")])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "MemoryError",
+            "message": "doubled grid (512^3, about 1.0 GiB per array) does "
+                       "not fit in memory"}
+
     def test_main_lists_scenarios(self):
         for scenario in SCENARIOS:
             assert isinstance(scenario, str)

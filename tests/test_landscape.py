@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import optimize
 
+import spvlab.landscape as lsc
 from spvlab.landscape import (LambdaBounds, MultibumpSpec, a0_ratio,
                               abar0_ratio, apply_cutoff, coulomb_self_energy,
                               cutoff_psi, estimate_lambda_bounds,
@@ -31,6 +33,56 @@ def _model():
 
 def _grid(n=2048, r_max=12.0):
     return RadialGrid(r_max, n)
+
+
+def _table_model():
+    s = np.linspace(0.0, 40.0, 300)
+    return NonlinearityModel.from_table(
+        s, s ** 1.5 * (1.0 + 0.3 * np.sin(s)), q=2.5, a_q=1.0)
+
+
+def _reference_bounds(model, grid, sigma_grid, t_grid):
+    """The point-by-point scan: one exact ratio per (sigma, t) pair."""
+    def scan(ratio_fn):
+        best_val, best_field = None, None
+        for sig in sigma_grid:
+            g = RadialField.gaussian(grid, 1.0, float(sig))
+            for t in t_grid:
+                u = RadialField(grid, t * g.values)
+                val = ratio_fn(u, model)
+                if val is not None and (best_val is None or val > best_val):
+                    best_val, best_field = val, (float(sig), float(t))
+        if best_val is None:
+            return None, None
+        sig, t0 = best_field
+        g = RadialField.gaussian(grid, 1.0, sig)
+
+        def neg(logt):
+            u = RadialField(grid, math.exp(logt) * g.values)
+            val = ratio_fn(u, model)
+            return -val if val is not None else 0.0
+
+        res = optimize.minimize_scalar(
+            neg, bounds=(math.log(t0) - 1.0, math.log(t0) + 1.0),
+            method="bounded", options={"xatol": 1e-12})
+        t_best = math.exp(res.x) if -res.fun > best_val else t0
+        witness = RadialField(grid, t_best * g.values)
+        return ratio_fn(witness, model), witness
+
+    return scan(a0_ratio) + scan(abar0_ratio)
+
+
+def _assert_same_as_reference(bounds, model, grid, sigmas, ts):
+    low0, wit0, lowbar, witbar = _reference_bounds(model, grid, sigmas, ts)
+    assert bounds.lambda0_lower == low0
+    assert bounds.lambdabar0_lower == lowbar
+    assert np.array_equal(bounds.witness_a0.values, wit0.values)
+    assert np.array_equal(bounds.witness_abar0.values, witbar.values)
+
+
+MODELS = pytest.mark.parametrize("make_model", [
+    _model, lambda: NonlinearityModel.asymptotically_linear(4.0),
+    _table_model], ids=["pure-power", "asymptotically-linear", "table"])
 
 
 class TestCoulomb:
@@ -96,6 +148,61 @@ class TestLambdaBounds:
                        - bounds.lambdabar0_lower)
         assert drift0 < 1e-10
         assert driftbar < 1e-10
+
+    @MODELS
+    @pytest.mark.parametrize("as_list", [False, True], ids=["arrays", "lists"])
+    def test_matches_point_by_point_scan(self, make_model, as_list):
+        model = make_model()
+        grid = RadialGrid(12.0, 512)
+        sigmas = np.geomspace(0.4, 2.2, 5)
+        ts = np.geomspace(1.0, 1e3, 40)
+        if as_list:
+            # a zero amplitude is outside both sets, as at any width
+            sigmas, ts = sigmas.tolist(), [0.0] + ts.tolist()
+        bounds = estimate_lambda_bounds(model, grid, sigma_grid=sigmas,
+                                        t_grid=ts)
+        _assert_same_as_reference(bounds, model, grid, sigmas, ts)
+
+    @MODELS
+    def test_near_ties_settled_by_exact_ratio(self, make_model):
+        # amplitudes one ulp apart around the best one: their ratios
+        # differ by less than the rounding of the ranking, so only the
+        # exact re-evaluation finds the point-by-point winner
+        model = make_model()
+        grid = RadialGrid(12.0, 512)
+        coarse = estimate_lambda_bounds(model, grid, sigma_grid=[2.0],
+                                        t_grid=np.geomspace(1.0, 1e3, 40))
+        t_best = np.max(coarse.witness_a0.values)
+        ts = t_best * (1.0 + np.arange(-20, 21) * np.finfo(float).eps)
+        bounds = estimate_lambda_bounds(model, grid, sigma_grid=[2.0],
+                                        t_grid=ts)
+        _assert_same_as_reference(bounds, model, grid, [2.0], ts)
+
+    def test_family_outside_both_sets(self):
+        bounds = estimate_lambda_bounds(_model(), RadialGrid(12.0, 512),
+                                        t_grid=np.array([0.01, 0.02]))
+        assert bounds.lambda0_lower is None
+        assert bounds.lambdabar0_lower is None
+        assert bounds.witness_a0 is None and bounds.witness_abar0 is None
+        assert bounds.lambda0_upper > 0.0 and bounds.lambdabar0_upper > 0.0
+
+    def test_one_poisson_solve_per_width(self, monkeypatch):
+        calls = []
+
+        def counted(u):
+            calls.append(None)
+            return coulomb_self_energy(u)
+
+        monkeypatch.setattr(lsc, "coulomb_self_energy", counted)
+        sigmas = np.geomspace(0.4, 12.0 / 5.3, 24)
+        ts = np.geomspace(1.0, 1e3, 160)
+        bounds = estimate_lambda_bounds(_model(), RadialGrid(12.0, 512),
+                                        sigma_grid=sigmas, t_grid=ts)
+        assert bounds.lambda0_lower is not None
+        # each exact finish: the winner, the bounded refinement and the
+        # witness, about 15 solves
+        assert len(calls) <= len(sigmas) + 2 * 40
+        assert len(calls) < 0.02 * 2 * len(sigmas) * len(ts)
 
 
 class TestCutoff:

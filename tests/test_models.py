@@ -162,6 +162,25 @@ class TestNonlinearityModel:
             NonlinearityModel.from_table([0.0, 2.0, 1.0], [0.0, 1.0, 2.0],
                                          q=2.5, a_q=1.0)
 
+    @pytest.mark.parametrize("model", [
+        NonlinearityModel.pure_power(2.5, a_q=2.0),
+        NonlinearityModel.asymptotically_linear(3.0),
+        NonlinearityModel.from_table(np.linspace(0.5, 40.0, 300),
+                                     np.linspace(0.5, 40.0, 300) ** 1.5,
+                                     q=2.5, a_q=1.0)],
+        ids=["pure-power", "asymptotically-linear", "table"])
+    def test_block_equals_rows_bit_for_bit(self, model):
+        # amplitudes times a profile, as the lambda-bounds scan builds
+        # them; the range crosses zero and runs past the table's end
+        profile = np.linspace(-1.0, 1.0, 257) * np.exp(
+            -np.linspace(0.0, 4.0, 257))
+        block = np.array([0.3, 7.0, 55.0, 900.0])[:, None] * profile
+        for fn in (eval_F, eval_f):
+            out = fn(model, block)
+            assert out.shape == block.shape
+            for row, values in zip(block, out):
+                assert np.array_equal(fn(model, row), values)
+
 
 class TestPointwiseFloor:
     def test_zero_above_threshold(self):
