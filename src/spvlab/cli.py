@@ -945,12 +945,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           out_dir=args.out, seed=args.seed,
                           grid_scale=args.grid_scale)
         report = run(cfg)
-    except (ConfigError, ModelError, slv.SolverError,
-            rad.DiscretizationError, OSError, ValueError) as exc:
+    except (ConfigError, ModelError, ValueError) as exc:
         return _fail(exc, 2)
     except MemoryError as exc:
         # most often the doubled cube of field3d.poisson_freespace
         return _fail(exc, 3)
+    except slv.SolverError as exc:
+        return _fail(exc, 4)
+    except rad.DiscretizationError as exc:
+        return _fail(exc, 5)
+    except OSError as exc:
+        return _fail(exc, 6)
 
     for v in report.verdicts:
         print(f"[{'PASS' if v.passed else 'FAIL'}] {v.name}: {v.detail}")

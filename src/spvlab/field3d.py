@@ -8,6 +8,14 @@ kernel's singular cell carries the analytic average of 1/(4 pi |x|) over
 a cube of side h, which removes the O(1) self-interaction error of point
 sampling.
 
+The doubled-grid transforms are staged and pruned (Hockney & Eastwood,
+Computer Simulation Using Particles, ch. 6): 7/8 of the padded input is
+zero and 7/8 of the inverse output is discarded, so the solve transforms
+one axis at a time and skips both.  It keeps pocketfft's axis order and
+its single final scaling, so every 1-D transform sees the same input as
+in a full ``rfftn``/``irfftn`` and the potential is bit-identical to the
+unpruned solve.
+
 H^1 quantities and the Riesz solve for the energy gradient use the
 periodic spectral Laplacian.  This periodicization is an approximation
 justified by the boundary-decay guard on fields; the discrete energy and
@@ -197,23 +205,37 @@ def poisson_freespace(source: Field3D) -> Field3D:
 
     Zero-padded convolution on the doubled grid; exact convolution of the
     sampled source with the (cell-averaged at the origin) Coulomb kernel.
+
+    The (2n)^3 transforms are staged one axis at a time and pruned: the
+    forward pass transforms only the n x n rows that hold the source, and
+    the inverse pass computes only the n^3 corner it returns.  The stages
+    run in pocketfft's own order (``rfftn``: real axis 2, then axes 0, 1;
+    ``irfftn``: axes 0, 1, then real axis 2, scaled once at the end), so
+    each 1-D transform sees the same input as in the full ``rfftn`` and
+    ``irfftn`` and the potential is bit-identical to theirs.
     """
     g = source.values
     if np.any(g < 0.0):
         raise ModelError("Poisson source must be nonnegative")
     grid = source.grid
     n = grid.n
+    m = 2 * n
     try:
         khat = _coulomb_kernel_hat(grid)
-        pad = np.zeros((2 * n,) * 3)
+        spec = sfft.rfft(g, n=m, axis=2)
+        spec = sfft.fft(spec, n=m, axis=0)
+        spec = sfft.fft(spec, n=m, axis=1)
+        spec *= khat
+        spec = sfft.ifft(spec, axis=0, norm="forward")
+        spec = sfft.ifft(spec[:n], axis=1, norm="forward")
+        conv = sfft.irfft(spec[:, :n], n=m, axis=2, norm="forward")[..., :n]
+        conv *= 1.0 / m ** 3
     except MemoryError as exc:
-        size = (2 * n) ** 3 * 8 / 2 ** 30
+        size = m ** 3 * 8 / 2 ** 30
         raise MemoryError(
-            f"doubled grid ({2*n}^3, about {size:.1f} GiB per array) does "
+            f"doubled grid ({m}^3, about {size:.1f} GiB per array) does "
             "not fit in memory") from exc
-    pad[:n, :n, :n] = g
-    conv = sfft.irfftn(sfft.rfftn(pad) * khat, s=pad.shape)
-    return Field3D(grid, conv[:n, :n, :n], guard=False)
+    return Field3D(grid, conv, guard=False)
 
 
 # ---------------------------------------------------------------------------

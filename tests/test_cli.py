@@ -8,6 +8,9 @@ import pytest
 
 from spvlab.cli import (GRID_SCALES, SCENARIOS, SCHEMA_VERSION, ConfigError,
                         ExperimentReport, Verdict, load_config, main, run)
+from spvlab.models import ModelError
+from spvlab.radial import DiscretizationError
+from spvlab.solvers import SolverError
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -197,6 +200,26 @@ class TestRunAndMain:
             "error": "MemoryError",
             "message": "doubled grid (512^3, about 1.0 GiB per array) does "
                        "not fit in memory"}
+
+    @pytest.mark.parametrize("exc, code", [
+        (SolverError("descent diverged"), 4),
+        (DiscretizationError("field contains non-finite values"), 5),
+        (PermissionError(13, "Permission denied"), 6),
+        (ModelError("Poisson source must be nonnegative"), 2),
+    ])
+    def test_main_exit_code_per_failure_class(self, tmp_path, monkeypatch,
+                                              capsys, exc, code):
+        import spvlab.cli as cli
+
+        def fake_run(cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        assert cli.main(["ground-state", "--out", str(tmp_path / "o")]) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": type(exc).__name__,
+                                        "message": str(exc)}
 
     def test_main_lists_scenarios(self):
         for scenario in SCENARIOS:

@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import fft as sfft
 
+import spvlab.field3d as f3d
 from spvlab.field3d import (DiscretizationError, Field3D, Grid3D,
                             embed_radial, energy_3d, h1_inner_3d,
                             h1_norm_sq_3d, nehari_residual_3d,
@@ -95,6 +97,69 @@ class TestPoisson3D:
         assert_allclose(nonlocal_term_3d(u3, rho),
                         nonlocal_radial(u_rad, rho), rtol=5e-3)
         assert_allclose(h1_norm_sq_3d(u3), h1_radial(u_rad), rtol=5e-3)
+
+
+def _reference_poisson(source):
+    """The unpruned solve: zero pad to (2n)^3, full rfftn and irfftn, crop."""
+    n = source.grid.n
+    pad = np.zeros((2 * n,) * 3)
+    pad[:n, :n, :n] = source.values
+    khat = f3d._coulomb_kernel_hat(source.grid)
+    return sfft.irfftn(sfft.rfftn(pad) * khat, s=pad.shape)[:n, :n, :n]
+
+
+class _RecordingFFT:
+    """Stands in for ``scipy.fft``; logs (name, input shape, output shape)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        func = getattr(sfft, name)
+
+        def recorded(x, *args, **kwargs):
+            out = func(x, *args, **kwargs)
+            self.calls.append((name, np.shape(x), np.shape(out)))
+            return out
+        return recorded
+
+
+class TestPrunedPoisson:
+    @pytest.mark.parametrize("n", [4, 6, 10, 14, 16])
+    def test_bit_identical_to_unpruned_solve(self, n):
+        grid = Grid3D(5.0, n)
+        ax = grid.axis()
+        x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
+        blob = np.exp(-((x - 1.3) ** 2 + (y + 0.7) ** 2 + (z - 0.4) ** 2))
+        # exact zeros inside the cube, not only at its edge
+        shell = np.where(np.abs(np.sqrt(x ** 2 + y ** 2 + z ** 2) - 2.5)
+                         < 0.8, 1.0 + 0.1 * x, 0.0)
+        for vals in (blob, shell):
+            src = Field3D(grid, vals, guard=False)
+            assert np.array_equal(poisson_freespace(src).values,
+                                  _reference_poisson(src))
+
+    def test_transforms_only_the_source_rows_and_kept_corner(self,
+                                                              monkeypatch):
+        n = 8
+        grid = Grid3D(4.0, n)
+        f3d._coulomb_kernel_hat(grid)  # warm the kernel cache
+        rec = _RecordingFFT()
+        monkeypatch.setattr(f3d, "sfft", rec)
+        poisson_freespace(_gaussian3(grid))
+        names = [c[0] for c in rec.calls]
+        assert "rfftn" not in names and "irfftn" not in names
+        assert [c[1] for c in rec.calls if c[0] == "rfft"] == [(n, n, n)]
+        c2r = [c[2] for c in rec.calls if c[0] == "irfft"]
+        assert len(c2r) == 1 and math.prod(c2r[0][:-1]) == n * n
+
+    def test_memory_error_in_a_later_stage_names_the_grid(self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f3d.sfft, "ifft", no_memory)
+        with pytest.raises(MemoryError, match=r"^doubled grid \(16\^3"):
+            poisson_freespace(_gaussian3(Grid3D(4.0, 8)))
 
 
 class TestEnergies3D:
