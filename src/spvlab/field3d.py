@@ -341,10 +341,18 @@ class CubeDisc(Disc):
     def poisson(self, source: np.ndarray) -> np.ndarray:
         return poisson_freespace(Field3D(self.grid, source, guard=False)).values
 
+    def _riesz_hat(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Half spectrum of the H^1-Riesz gradient."""
+        nl = self.rho * phi * u - eval_f(self.model, u)
+        return sfft.rfftn(u) + sfft.rfftn(nl) / (1.0 + self.k2)
+
+    def riesz(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """H^1-Riesz gradient, reusing the potential."""
+        return sfft.irfftn(self._riesz_hat(u, phi), s=u.shape)
+
     def gradient(self, u: np.ndarray, phi: np.ndarray):
         """H^1-Riesz gradient and its H^1 norm, reusing the potential."""
-        nl = self.rho * phi * u - eval_f(self.model, u)
-        ghat = sfft.rfftn(u) + sfft.rfftn(nl) / (1.0 + self.k2)
+        ghat = self._riesz_hat(u, phi)
         g = sfft.irfftn(ghat, s=u.shape)
         return g, math.sqrt(max(self._norm_sq_hat(ghat), 0.0))
 

@@ -22,7 +22,8 @@ non-radial ground states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -143,6 +144,25 @@ def _rank_family(model: NonlinearityModel, grid: RadialGrid,
                  _RANK_TOL * (fu_abs + quad) / coulomb)]
 
 
+# Scans kept by ``estimate_lambda_bounds``, most recently used last.  A
+# scenario run asks for the same scan more than once; each entry holds
+# two witness fields, so a few entries cost little.
+_BOUNDS_MEMO: "OrderedDict[tuple, LambdaBounds]" = OrderedDict()
+_BOUNDS_MEMO_SIZE = 8
+
+
+def _array_key(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _bounds_key(model: NonlinearityModel, grid: RadialGrid,
+                sigmas: np.ndarray, ts: np.ndarray) -> tuple:
+    """Everything a scan depends on, by value."""
+    values = tuple(_array_key(v) if isinstance(v, np.ndarray) else v
+                   for v in (getattr(model, f.name) for f in fields(model)))
+    return values, grid.key, _array_key(sigmas), _array_key(ts)
+
+
 def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
                            sigma_grid: Optional[np.ndarray] = None,
                            t_grid: Optional[np.ndarray] = None
@@ -164,18 +184,28 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
     the winner alone.  The first strict maximum in (sigma, t) order
     among them is the one a point-by-point scan of exact ratios would
     keep, and the bounded refinement and the witness start from it.
+
+    The last few results are kept, keyed by the values of the model,
+    the grid and both scan grids, so a repeated scan is not redone;
+    their witness arrays are read-only.
     """
-    from .models import fit_cubic_bound, fit_nehari_cubic_bound
-    c1 = model.C1 if model.C1 is not None else fit_cubic_bound(model)
-    cbar = fit_nehari_cubic_bound(model)
     if sigma_grid is None:
         # widths capped so the trial fields decay inside the grid
         hi = grid.r_max / 5.3
         sigma_grid = np.geomspace(0.4, max(hi, 0.5), 24)
     if t_grid is None:
         t_grid = np.geomspace(1.0, 1e3, 160)
+    sigmas = np.asarray(sigma_grid, dtype=float)
     ts = np.asarray(t_grid, dtype=float)
-    ranked = _rank_family(model, grid, sigma_grid, ts)
+    key = _bounds_key(model, grid, sigmas, ts)
+    bounds = _BOUNDS_MEMO.get(key)
+    if bounds is not None:
+        _BOUNDS_MEMO.move_to_end(key)
+        return bounds
+    from .models import fit_cubic_bound, fit_nehari_cubic_bound
+    c1 = model.C1 if model.C1 is not None else fit_cubic_bound(model)
+    cbar = fit_nehari_cubic_bound(model)
+    ranked = _rank_family(model, grid, sigmas, ts)
 
     def scan(ratio_fn, ranked_ratio, gap):
         # every exact maximizer's band reaches the floor, so it is
@@ -184,7 +214,7 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
         floor = np.max(lo, initial=0.0, where=~np.isnan(lo))
         best_val, best_field = None, None
         for i, j in zip(*np.nonzero(hi >= floor)):
-            sig, t = float(sigma_grid[i]), float(ts[j])
+            sig, t = float(sigmas[i]), float(ts[j])
             g = RadialField.gaussian(grid, 1.0, sig)
             val = ratio_fn(RadialField(grid, t * g.values), model)
             if val is not None and (best_val is None or val > best_val):
@@ -210,10 +240,17 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
 
     lower0, wit0 = scan(a0_ratio, *ranked[0])
     lowerbar, witbar = scan(abar0_ratio, *ranked[1])
-    return LambdaBounds(
+    for wit in (wit0, witbar):
+        if wit is not None:
+            wit.values.flags.writeable = False
+    bounds = LambdaBounds(
         lambda0_lower=lower0, lambda0_upper=0.5 * c1 ** 2,
         lambdabar0_lower=lowerbar, lambdabar0_upper=0.5 * cbar ** 2,
         witness_a0=wit0, witness_abar0=witbar)
+    _BOUNDS_MEMO[key] = bounds
+    if len(_BOUNDS_MEMO) > _BOUNDS_MEMO_SIZE:
+        _BOUNDS_MEMO.popitem(last=False)
+    return bounds
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,7 @@ def sobolev_gradient_radial(u: RadialField, profile: ChargeProfile,
     <g, v>_H1 equals the directional derivative of the discrete J exactly.
     """
     disc = RadialDisc(u.grid, profile, model)
-    g, _ = disc.gradient(u.values, disc.poisson(disc.rho * u.values * u.values))
-    return RadialField(u.grid, g)
+    return RadialField(u.grid, disc.riesz(u.values, disc.potential(u.values)))
 
 
 def nehari_residual(u: RadialField, profile: ChargeProfile,
@@ -313,24 +312,35 @@ class Disc:
 
     The interface the solvers work through.  A discretization supplies
     ``grid``, ``model``, the sampled charge ``rho`` and the methods
-    ``poisson``, ``h1_norm_sq``, ``h1_inner``, ``gradient``,
-    ``random_direction`` and ``wrap``; the energy and the Nehari ratio
-    are written here once.  ``energy`` returns the potential with J so
-    the gradient at the same iterate reuses the Poisson solve, which
-    dominates the per-iteration cost in 3-D.
+    ``poisson``, ``h1_norm_sq``, ``h1_inner``, ``riesz`` (the H^1-Riesz
+    gradient given the potential), ``gradient`` (the same with its H^1
+    norm), ``random_direction`` and ``wrap``; the potential, the energy
+    and the Nehari ratio are written here once.  ``potential`` is the
+    Poisson solve alone, for callers that need the gradient but not J;
+    ``energy`` returns the potential with J so the gradient at the same
+    iterate reuses the Poisson solve, which dominates the per-iteration
+    cost in 3-D, and ``energy_at`` evaluates J from a potential already
+    solved for.
     """
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Nearest admissible field: negative values clamped to zero."""
         return np.maximum(values, 0.0)
 
+    def potential(self, u: np.ndarray) -> np.ndarray:
+        """The potential phi of the source rho u^2."""
+        return self.poisson(self.rho * u * u)
+
+    def energy_at(self, u: np.ndarray, phi: np.ndarray) -> float:
+        """J(u), with phi = potential(u) already solved for."""
+        return (0.5 * self.h1_norm_sq(u)
+                + 0.25 * self.grid.integrate(self.rho * u * u * phi)
+                - self.grid.integrate(eval_F(self.model, u)))
+
     def energy(self, u: np.ndarray):
         """Return (J(u), phi) with the Poisson solve exposed for reuse."""
-        src = self.rho * u * u
-        phi = self.poisson(src)
-        J = (0.5 * self.h1_norm_sq(u) + 0.25 * self.grid.integrate(src * phi)
-             - self.grid.integrate(eval_F(self.model, u)))
-        return J, phi
+        phi = self.potential(u)
+        return self.energy_at(u, phi), phi
 
     def nehari_relative(self, u: np.ndarray, phi: np.ndarray) -> float:
         """Energy derivative along u, relative to the squared H^1 norm."""
@@ -370,11 +380,16 @@ class RadialDisc(Disc):
         nl = self.rho * phi * u - eval_f(self.model, u)
         return self.M @ u + self.grid.w * nl
 
-    def gradient(self, u: np.ndarray, phi: np.ndarray):
-        """H^1-Riesz gradient and its H^1 norm, reusing the potential."""
+    def riesz(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """H^1-Riesz gradient, reusing the potential."""
         g = self.lu.solve(self._riesz_rhs(u, phi))
         if not np.all(np.isfinite(g)):
             raise DiscretizationError("Riesz solve produced non-finite values")
+        return g
+
+    def gradient(self, u: np.ndarray, phi: np.ndarray):
+        """H^1-Riesz gradient and its H^1 norm, reusing the potential."""
+        g = self.riesz(u, phi)
         return g, math.sqrt(max(float(g @ (self.M @ g)), 0.0))
 
     def random_direction(self, rng: np.random.Generator) -> np.ndarray:
@@ -412,8 +427,17 @@ class BallDisc(RadialDisc):
     def project(self, values: np.ndarray) -> np.ndarray:
         return np.maximum(values, 0.0) * self.mask
 
-    def gradient(self, u: np.ndarray, phi: np.ndarray):
+    def _riesz_ball(self, u: np.ndarray, phi: np.ndarray):
+        """The constrained Riesz gradient and the reduced right-hand side
+        it solves for."""
         rhs = self._riesz_rhs(u, phi)[self.idx]
         g = np.zeros_like(u)
         g[self.idx] = self.lu_ball.solve(rhs)
+        return g, rhs
+
+    def riesz(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        return self._riesz_ball(u, phi)[0]
+
+    def gradient(self, u: np.ndarray, phi: np.ndarray):
+        g, rhs = self._riesz_ball(u, phi)
         return g, math.sqrt(max(float(g[self.idx] @ rhs), 0.0))

@@ -212,7 +212,7 @@ def _finish(ws: rad.Disc, u, J, phi, gnorm, iterations, converged, clamped,
         cls = "non-converged"
     else:
         extra = [v / math.sqrt(ws.h1_norm_sq(v)) for v in probes]
-        cls = _classify(ws, u, J, opts.seed, extra)
+        cls = _classify(ws, u, J, unorm, opts.seed, extra)
     return SolveResult(
         field=ws.wrap(u), energy=J, gradient_norm=gnorm,
         nehari_residual=ws.nehari_relative(u, phi), iterations=iterations,
@@ -220,16 +220,15 @@ def _finish(ws: rad.Disc, u, J, phi, gnorm, iterations, converged, clamped,
         clamped=clamped, trace=trace)
 
 
-def _classify(ws: rad.Disc, u: np.ndarray, J0: float, seed: int,
-              extra_directions: Sequence[np.ndarray]) -> str:
+def _classify(ws: rad.Disc, u: np.ndarray, J0: float, unorm: float,
+              seed: int, extra_directions: Sequence[np.ndarray]) -> str:
     """Finite-difference curvature probes along random unit directions.
 
-    ``minimizer`` when the smallest probed second derivative stays above
-    ``CURVATURE_TOL``; ``mountain-pass`` when a direction of negative
-    curvature is found.
+    ``unorm`` is the H^1 norm of ``u``.  ``minimizer`` when the smallest
+    probed second derivative stays above ``CURVATURE_TOL``;
+    ``mountain-pass`` when a direction of negative curvature is found.
     """
     rng = np.random.default_rng(seed)
-    unorm = math.sqrt(ws.h1_norm_sq(u))
     eps = max(1e-3, 1e-3 * unorm)
     worst = math.inf
     dirs = list(extra_directions)
@@ -383,8 +382,10 @@ def mountain_pass(u_low: FieldLike, profile: ChargeProfile,
         if not accepted:
             break
         if it % 5 == 0:
+            # the endpoints stay fixed, and so do their energies
             nodes = _respread(ws, nodes)
-            energies = [ws.energy(v)[0] for v in nodes]
+            energies = ([energies[0]] + [ws.energy(v)[0] for v in nodes[1:-1]]
+                        + [energies[-1]])
 
     u, gnorm, J, phi = _polish_residual(ws, u, target)
     # the anchor and the saddle itself are the likeliest descent
@@ -416,21 +417,22 @@ def _polish_residual(ws: rad.Disc, u0: np.ndarray, tol: float,
 
     The H^1 gradient of Phi is the Hessian applied to G, approximated by
     a central difference of the gradient map along G.  Converges to any
-    nearby critical point, saddles included.
+    nearby critical point, saddles included.  Only potentials and
+    gradients are evaluated along the way; J is computed once, for the
+    returned iterate, from its stored potential.
     """
     u = u0.copy()
-    J, phi = ws.energy(u)
+    phi = ws.potential(u)
     G, gn = ws.gradient(u, phi)
     t = 1.0
     for _ in range(max_iter):
         if gn <= tol or gn == 0.0:
             break
         scale = 1e-6 * (1.0 + math.sqrt(ws.h1_norm_sq(u))) / gn
-        Jp, pp = ws.energy(u + scale * G)
-        Gp, _ = ws.gradient(u + scale * G, pp)
-        Jm, pm = ws.energy(u - scale * G)
-        Gm, _ = ws.gradient(u - scale * G, pm)
-        d = (Gp - Gm) / (2.0 * scale)
+        up = u + scale * G
+        um = u - scale * G
+        d = (ws.riesz(up, ws.potential(up))
+             - ws.riesz(um, ws.potential(um))) / (2.0 * scale)
         dn2 = ws.h1_norm_sq(d)
         if dn2 <= 0.0:
             break
@@ -439,13 +441,13 @@ def _polish_residual(ws: rad.Disc, u0: np.ndarray, tol: float,
         t = min(2.0 * t, 1e3)
         while t > 1e-18:
             cand = u - t * d
-            Jc, pc = ws.energy(cand)
+            pc = ws.potential(cand)
             Gc, gc = ws.gradient(cand, pc)
             if 0.5 * gc * gc <= phi0 - ARMIJO_C * t * dn2:
-                u, G, gn, J, phi = cand, Gc, gc, Jc, pc
+                u, G, gn, phi = cand, Gc, gc, pc
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             break
-    return u, gn, J, phi
+    return u, gn, ws.energy_at(u, phi), phi

@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,10 +27,10 @@ FOUR_PI = 4.0 * math.pi
 LAM = 0.0031587563549145504
 
 
-def _model():
+def _model(q=2.5):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return NonlinearityModel.pure_power(2.5).with_constants(2.5)
+        return NonlinearityModel.pure_power(q).with_constants(q)
 
 
 def _grid(n=2048, r_max=12.0):
@@ -186,14 +188,10 @@ class TestLambdaBounds:
         assert bounds.witness_a0 is None and bounds.witness_abar0 is None
         assert bounds.lambda0_upper > 0.0 and bounds.lambdabar0_upper > 0.0
 
-    def test_one_poisson_solve_per_width(self, monkeypatch):
-        calls = []
-
-        def counted(u):
-            calls.append(None)
-            return coulomb_self_energy(u)
-
-        monkeypatch.setattr(lsc, "coulomb_self_energy", counted)
+    def test_one_poisson_solve_per_width(self, monkeypatch, count_calls):
+        # these are the default grids: count a real scan, not a memo hit
+        monkeypatch.setattr(lsc, "_BOUNDS_MEMO", OrderedDict())
+        calls = count_calls(lsc, "coulomb_self_energy")
         sigmas = np.geomspace(0.4, 12.0 / 5.3, 24)
         ts = np.geomspace(1.0, 1e3, 160)
         bounds = estimate_lambda_bounds(_model(), RadialGrid(12.0, 512),
@@ -203,6 +201,73 @@ class TestLambdaBounds:
         # witness, about 15 solves
         assert len(calls) <= len(sigmas) + 2 * 40
         assert len(calls) < 0.02 * 2 * len(sigmas) * len(ts)
+
+
+class TestBoundsMemo:
+    SIGMAS = np.geomspace(0.4, 2.2, 3)
+    TS = np.geomspace(1.0, 1e3, 20)
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(lsc, "_BOUNDS_MEMO", OrderedDict())
+
+    def _scan(self, model=None, grid=None, sigmas=None, ts=None):
+        return estimate_lambda_bounds(
+            model or _model(), grid or RadialGrid(12.0, 512),
+            sigma_grid=self.SIGMAS if sigmas is None else sigmas,
+            t_grid=self.TS if ts is None else ts)
+
+    def test_equal_inputs_reuse_the_scan(self, count_calls):
+        first = self._scan()
+        calls = count_calls(lsc, "coulomb_self_energy")
+        # a freshly built, equal model and grid, and equal scan grids
+        again = self._scan(_model(), RadialGrid(12.0, 512),
+                           list(self.SIGMAS), self.TS.copy())
+        assert len(calls) == 0
+        assert again is first
+
+    @pytest.mark.parametrize("change", [
+        lambda: dict(model=_model(2.2)),
+        lambda: dict(model=replace(_model(), C1=0.09)),
+        lambda: dict(grid=RadialGrid(12.0, 256)),
+        lambda: dict(grid=RadialGrid(10.0, 512)),
+        lambda: dict(sigmas=TestBoundsMemo.SIGMAS[:2]),
+        lambda: dict(ts=TestBoundsMemo.TS * (1.0 + np.finfo(float).eps)),
+    ], ids=["q", "C1", "n", "r_max", "sigma_grid", "t_grid"])
+    def test_changed_inputs_scan_afresh(self, change, count_calls):
+        self._scan()
+        calls = count_calls(lsc, "coulomb_self_energy")
+        self._scan(**change())
+        assert len(calls) > 0
+
+    def test_table_arrays_keyed_by_value(self, count_calls):
+        self._scan(_table_model())
+        calls = count_calls(lsc, "coulomb_self_energy")
+        self._scan(_table_model())
+        assert len(calls) == 0
+        other = _table_model()
+        other.table_f[-1] *= 1.5
+        self._scan(other)
+        assert len(calls) > 0
+
+    def test_witnesses_are_read_only(self):
+        bounds = self._scan()
+        for witness in (bounds.witness_a0, bounds.witness_abar0):
+            with pytest.raises(ValueError):
+                witness.values[0] = 1.0
+
+    def test_memo_is_bounded(self, count_calls):
+        grid = RadialGrid(12.0, 64)
+        family = [np.array([2.0 + k]) for k in range(lsc._BOUNDS_MEMO_SIZE + 1)]
+        for ts in family:
+            self._scan(grid=grid, sigmas=[1.0], ts=ts)
+        assert len(lsc._BOUNDS_MEMO) == lsc._BOUNDS_MEMO_SIZE
+        calls = count_calls(lsc, "coulomb_self_energy")
+        self._scan(grid=grid, sigmas=[1.0], ts=family[-1])
+        assert len(calls) == 0
+        # the least recently used scan was dropped
+        self._scan(grid=grid, sigmas=[1.0], ts=family[0])
+        assert len(calls) > 0
 
 
 class TestCutoff:

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spvlab.field3d as f3d
+import spvlab.radial as rad
+import spvlab.solvers as slv
+from spvlab.cli import _tapered_ball_start
 from spvlab.field3d import Field3D, Grid3D
 from spvlab.models import ChargeProfile, NonlinearityModel
 from spvlab.radial import RadialField, RadialGrid, h1_norm_sq
-from spvlab.solvers import (SolveOptions, SolverError, minimize,
+from spvlab.solvers import (ARMIJO_C, SolveOptions, SolverError, minimize,
                             mountain_pass, multistart_minimize,
                             radial_gaussian_starts, trace_to_csv)
 
@@ -160,3 +164,116 @@ class TestTraceIO:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape[0] == len(res.trace)
         assert_allclose(data[-1, 1], res.trace[-1].energy)
+
+
+def _reference_polish(ws, u0, tol, max_iter=2000):
+    """The residual polish that evaluated J and ||G|| at every point."""
+    u = u0.copy()
+    J, phi = ws.energy(u)
+    G, gn = ws.gradient(u, phi)
+    t = 1.0
+    for _ in range(max_iter):
+        if gn <= tol or gn == 0.0:
+            break
+        scale = 1e-6 * (1.0 + math.sqrt(ws.h1_norm_sq(u))) / gn
+        Jp, pp = ws.energy(u + scale * G)
+        Gp, _ = ws.gradient(u + scale * G, pp)
+        Jm, pm = ws.energy(u - scale * G)
+        Gm, _ = ws.gradient(u - scale * G, pm)
+        d = (Gp - Gm) / (2.0 * scale)
+        dn2 = ws.h1_norm_sq(d)
+        if dn2 <= 0.0:
+            break
+        phi0 = 0.5 * gn * gn
+        accepted = False
+        t = min(2.0 * t, 1e3)
+        while t > 1e-18:
+            cand = u - t * d
+            Jc, pc = ws.energy(cand)
+            Gc, gc = ws.gradient(cand, pc)
+            if 0.5 * gc * gc <= phi0 - ARMIJO_C * t * dn2:
+                u, G, gn, J, phi = cand, Gc, gc, Jc, pc
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+    return u, gn, J, phi
+
+
+def _saddle_polish_input():
+    """The kernel, iterate and tolerance the saddle search hands to the
+    polish, on the autonomous problem at radial n=512."""
+    grid = RadialGrid(12.0, 512)
+    low = minimize(_negative_start(grid), _rho(), _model(),
+                   SolveOptions(tol_grad_abs=1e-6))
+    seen = []
+
+    def record(ws, u, tol, **kw):
+        seen.append((ws, u.copy(), tol))
+        return polish(ws, u, tol, **kw)
+
+    polish = slv._polish_residual
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slv, "_polish_residual", record)
+        mountain_pass(low.field, _rho(), _model(),
+                      SolveOptions(tol_grad_abs=1e-5))
+    (ws, u, tol), = seen
+    return ws, u, tol, {}
+
+
+def _ball_polish_input():
+    """The multibump ball start under the ball-constrained kernel."""
+    grid = RadialGrid(12.0, 512)
+    ws = rad.BallDisc(grid, _rho(), _model(), 3.5)
+    u = ws.project(_tapered_ball_start(grid, 3.5).values)
+    return ws, u, 1e-6, {"max_iter": 40}
+
+
+def _cube_polish_input():
+    grid = Grid3D(6.0, 16)
+    ws = f3d.CubeDisc(grid, _rho(), _model())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        start = slv.cube_gaussian_starts(grid, 1, seed=0)[0]
+    return ws, ws.project(start.values), 1e-6, {"max_iter": 20}
+
+
+POLISH_INPUTS = pytest.mark.parametrize(
+    "make_input", [_saddle_polish_input, _ball_polish_input,
+                   _cube_polish_input], ids=["radial-saddle", "ball", "cube"])
+
+
+class TestPolish:
+    @POLISH_INPUTS
+    def test_bit_identical_to_reference(self, make_input):
+        ws, u0, tol, kw = make_input()
+        u, gn, J, phi = slv._polish_residual(ws, u0, tol, **kw)
+        u_ref, gn_ref, J_ref, phi_ref = _reference_polish(ws, u0, tol, **kw)
+        assert not np.array_equal(u, u0)
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(phi, phi_ref)
+        assert gn == gn_ref
+        assert J == J_ref
+
+    @POLISH_INPUTS
+    def test_evaluates_potentials_only(self, make_input, count_calls):
+        ws, u0, tol, kw = make_input()
+        kind = type(ws)
+        # every difference step takes two H^1 norms (of the iterate, for
+        # the step size, and of the descent direction) and the returned J
+        # one more; every line-search trial takes one gradient with its
+        # norm, and so does the starting point
+        norms = count_calls(kind, "h1_norm_sq")
+        gradients = count_calls(kind, "gradient")
+        evals_F = count_calls(rad, "eval_F")
+        if isinstance(ws, f3d.CubeDisc):
+            solves = count_calls(f3d, "poisson_freespace")
+        else:
+            solves = count_calls(rad, "poisson_radial")
+        slv._polish_residual(ws, u0, tol, **kw)
+        assert len(evals_F) == 1
+        steps, odd = divmod(len(norms) - 1, 2)
+        trials = len(gradients) - 1
+        assert odd == 0 and steps >= 1 and trials >= steps
+        assert len(solves) <= 1 + 2 * steps + trials
