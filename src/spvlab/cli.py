@@ -166,16 +166,20 @@ def load_config(scenario: str, config_path: Optional[str] = None,
     # default coupling each bump spans a radius-12 ball, so this scenario
     # needs a box large enough to hold two of them side by side
     default_extent = 18.0 if scenario == "symmetry-breaking" else 12.0
+    radial_grid = {"r_max": float(rg.get("r_max", default_extent)),
+                   "n": int(rg.get("n", scale["radial_n"]))}
+    cube_grid = {"L": float(cg.get("L", default_extent)),
+                 "n": int(cg.get("n", scale["cube_n"]))}
 
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         scenario=scenario,
         model=model,
         profile=profile,
         lam=None if lam is None else float(lam),
-        radial_r_max=float(rg.get("r_max", default_extent)),
-        radial_n=int(rg.get("n", scale["radial_n"])),
-        cube_L=float(cg.get("L", default_extent)),
-        cube_n=int(cg.get("n", scale["cube_n"])),
+        radial_r_max=radial_grid["r_max"],
+        radial_n=radial_grid["n"],
+        cube_L=cube_grid["L"],
+        cube_n=cube_grid["n"],
         solver=solver,
         options=options,
         seed=resolved_seed,
@@ -187,16 +191,13 @@ def load_config(scenario: str, config_path: Optional[str] = None,
                                           "a_q": 1.0, "p": 2.5},
             "profile": doc.get("profile"),
             "lambda": lam,
-            "radial_grid": {"r_max": float(rg.get("r_max", default_extent)),
-                            "n": int(rg.get("n", scale["radial_n"]))},
-            "cube_grid": {"L": float(cg.get("L", default_extent)),
-                          "n": int(cg.get("n", scale["cube_n"]))},
+            "radial_grid": radial_grid,
+            "cube_grid": cube_grid,
             "solver": solver,
             "options": options,
             "seed": resolved_seed,
             "grid_scale": grid_scale,
         })
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +302,8 @@ def _tapered_ball_start(grid: rad.RadialGrid, radius: float,
                         amplitude: float = 13.0,
                         sigma: float = 1.65) -> rad.RadialField:
     """Gaussian bump smoothly cut to zero at the given support radius."""
-    r = grid.r
-    x = np.clip((r - 0.5 * radius) / (0.5 * radius), 0.0, 1.0)
-    taper = 1.0 - x * x * (3.0 - 2.0 * x)
-    return rad.RadialField(grid, amplitude
-                           * np.exp(-r ** 2 / (2.0 * sigma ** 2)) * taper)
+    return _taper_to_support(rad.RadialField.gaussian(grid, amplitude, sigma),
+                             0.5 * radius, radius)
 
 
 def _taper_to_support(u: rad.RadialField, r0: float,
@@ -328,8 +326,8 @@ def _trilinear_resample(values: np.ndarray, grid_from: f3d.Grid3D,
 
 
 # ---------------------------------------------------------------------------
-# Scenario bodies: each returns (quantities, verdicts, attachments, fields)
-# where fields maps artifact names to radial/3-D fields to snapshot.
+# Scenario bodies: each returns (quantities, verdicts, attachments); the
+# field of every result in attachments["traces"] is snapshotted too.
 # ---------------------------------------------------------------------------
 
 def _scenario_verify_lemmas(cfg: ScenarioConfig):
@@ -394,7 +392,7 @@ def _scenario_verify_lemmas(cfg: ScenarioConfig):
                 f"floor {_fmt(floor.floor)} over measure "
                 f"{_fmt(floor.measure)}"),
     ]
-    return quantities, verdicts, {}, {}
+    return quantities, verdicts, {}
 
 
 def _scenario_autonomous(cfg: ScenarioConfig):
@@ -475,8 +473,7 @@ def _scenario_autonomous(cfg: ScenarioConfig):
                                  .astype(float)]),
         "traces": {"minimizer": best, "mountain_pass": saddle},
     }
-    fields = {"minimizer": best.field, "mountain_pass": saddle.field}
-    return quantities, verdicts, attachments, fields
+    return quantities, verdicts, attachments
 
 
 def _scenario_uniqueness_scan(cfg: ScenarioConfig):
@@ -530,7 +527,7 @@ def _scenario_uniqueness_scan(cfg: ScenarioConfig):
         "start_norms": np.column_stack([np.arange(n_starts, dtype=float),
                                         norms_auto, norms_non]),
     }
-    return quantities, verdicts, attachments, {}
+    return quantities, verdicts, attachments
 
 
 def _scenario_ground_state(cfg: ScenarioConfig):
@@ -590,8 +587,7 @@ def _scenario_ground_state(cfg: ScenarioConfig):
                 f"worst slack {_fmt(worst_slack)}"),
     ]
     attachments = {"traces": {"ground_state": best}}
-    fields = {"ground_state": best.field}
-    return quantities, verdicts, attachments, fields
+    return quantities, verdicts, attachments
 
 
 def _scenario_multibump(cfg: ScenarioConfig):
@@ -652,8 +648,7 @@ def _scenario_multibump(cfg: ScenarioConfig):
         "ladder": np.column_stack([np.array(counts, dtype=float), energies]),
         "traces": {"bump": bump},
     }
-    fields = {"bump": bump.field}
-    return quantities, verdicts, attachments, fields
+    return quantities, verdicts, attachments
 
 
 def _scenario_symmetry_breaking(cfg: ScenarioConfig):
@@ -814,10 +809,7 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
                    "full_space_minimizer": best3,
                    "mountain_pass": saddle},
     }
-    fields = {"radial_minimizer": theta_res.field,
-              "full_space_minimizer": best3.field,
-              "mountain_pass": saddle.field}
-    return quantities, verdicts, attachments, fields
+    return quantities, verdicts, attachments
 
 
 _SCENARIO_BODIES: Dict[str, Callable] = {
@@ -859,15 +851,14 @@ def run(cfg: ScenarioConfig) -> ExperimentReport:
         # descent iterates and trial fields legitimately brush the decay
         # guard at the domain edge
         warnings.simplefilter("ignore", RuntimeWarning)
-        quantities, verdicts, attachments, fields = \
-            _SCENARIO_BODIES[cfg.scenario](cfg)
+        quantities, verdicts, attachments = _SCENARIO_BODIES[cfg.scenario](cfg)
 
     artifacts = ["report.json"]
     for name, result in sorted(attachments.get("traces", {}).items()):
         rel = os.path.join("traces", f"{name}.csv")
         slv.trace_to_csv(result, os.path.join(cfg.out_dir, rel))
         artifacts.append(rel)
-    for name, fld in sorted(fields.items()):
+        fld = result.field
         if isinstance(fld, rad.RadialField):
             rel = os.path.join("fields", f"{name}.csv")
             fld.to_csv(os.path.join(cfg.out_dir, rel))

@@ -25,6 +25,7 @@ directional derivatives match the reported gradient to roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import warnings
@@ -34,8 +35,8 @@ import numpy as np
 from scipy import fft as sfft
 
 from .models import ChargeProfile, ModelError, NonlinearityModel, eval_F, eval_f
-from .radial import (FOUR_PI, DECAY_GUARD_REL, DiscretizationError, Disc,
-                     RadialField, RadialGrid)
+from .radial import (_GRID_CACHE_SIZE, FOUR_PI, DECAY_GUARD_REL,
+                     DiscretizationError, Disc, RadialField, RadialGrid)
 
 # mean of 1/|x| over the unit cube [-1/2, 1/2]^3
 _CUBE_COULOMB_AVG = 2.3800773639795536
@@ -141,59 +142,47 @@ class Field3D:
 
 
 # ---------------------------------------------------------------------------
-# Cached spectral machinery
+# Cached spectral machinery, keyed by grid.key (grids compare by identity)
 # ---------------------------------------------------------------------------
 
-_RADIUS_CACHE: dict = {}
-_KERNEL_CACHE: dict = {}
-_SPECTRAL_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _cached_radius(key):
-    r = _RADIUS_CACHE.get(key)
-    if r is None:
-        L, n = key
-        ax = -L + (2.0 * L / n) * np.arange(n)
-        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
-        r = np.sqrt(X ** 2 + Y ** 2 + Z ** 2)
-        _RADIUS_CACHE[key] = r
-    return r
+    L, n = key
+    ax = -L + (2.0 * L / n) * np.arange(n)
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+    return np.sqrt(X ** 2 + Y ** 2 + Z ** 2)
 
 
-def _coulomb_kernel_hat(grid: Grid3D) -> np.ndarray:
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _coulomb_kernel_hat(key) -> np.ndarray:
     """rfftn of the Coulomb kernel on the doubled (2n)^3 grid."""
-    khat = _KERNEL_CACHE.get(grid.key)
-    if khat is None:
-        n, h = grid.n, grid.h
-        m = 2 * n
-        idx = np.arange(m)
-        off = np.where(idx < n, idx, idx - m).astype(float)  # offsets -n..n-1
-        OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij", sparse=True)
-        dist = np.sqrt(OX ** 2 + OY ** 2 + OZ ** 2)
-        with np.errstate(divide="ignore"):
-            kern = h ** 2 / (FOUR_PI * dist)
-        kern[0, 0, 0] = h ** 2 * _CUBE_COULOMB_AVG / FOUR_PI
-        khat = sfft.rfftn(kern)
-        _KERNEL_CACHE[grid.key] = khat
-    return khat
+    L, n = key
+    h = 2.0 * L / n
+    m = 2 * n
+    idx = np.arange(m)
+    off = np.where(idx < n, idx, idx - m).astype(float)  # offsets -n..n-1
+    OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij", sparse=True)
+    dist = np.sqrt(OX ** 2 + OY ** 2 + OZ ** 2)
+    with np.errstate(divide="ignore"):
+        kern = h ** 2 / (FOUR_PI * dist)
+    kern[0, 0, 0] = h ** 2 * _CUBE_COULOMB_AVG / FOUR_PI
+    return sfft.rfftn(kern)
 
 
-def _spectral(grid: Grid3D):
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _spectral(key):
     """(k^2, Parseval bin weights) for rfftn on the n^3 grid."""
-    spec = _SPECTRAL_CACHE.get(grid.key)
-    if spec is None:
-        n, h = grid.n, grid.h
-        k = 2.0 * math.pi * sfft.fftfreq(n, d=h)
-        kr = 2.0 * math.pi * sfft.rfftfreq(n, d=h)
-        KX, KY, KZ = np.meshgrid(k, k, kr, indexing="ij", sparse=True)
-        k2 = KX ** 2 + KY ** 2 + KZ ** 2
-        pw = np.full(len(kr), 2.0)
-        pw[0] = 1.0
-        if n % 2 == 0:
-            pw[-1] = 1.0
-        spec = (k2, pw[np.newaxis, np.newaxis, :])
-        _SPECTRAL_CACHE[grid.key] = spec
-    return spec
+    L, n = key
+    h = 2.0 * L / n
+    k = 2.0 * math.pi * sfft.fftfreq(n, d=h)
+    kr = 2.0 * math.pi * sfft.rfftfreq(n, d=h)
+    KX, KY, KZ = np.meshgrid(k, k, kr, indexing="ij", sparse=True)
+    k2 = KX ** 2 + KY ** 2 + KZ ** 2
+    pw = np.full(len(kr), 2.0)
+    pw[0] = 1.0
+    if n % 2 == 0:
+        pw[-1] = 1.0
+    return k2, pw[np.newaxis, np.newaxis, :]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +210,7 @@ def poisson_freespace(source: Field3D) -> Field3D:
     n = grid.n
     m = 2 * n
     try:
-        khat = _coulomb_kernel_hat(grid)
+        khat = _coulomb_kernel_hat(grid.key)
         spec = sfft.rfft(g, n=m, axis=2)
         spec = sfft.fft(spec, n=m, axis=0)
         spec = sfft.fft(spec, n=m, axis=1)
@@ -245,19 +234,23 @@ def poisson_freespace(source: Field3D) -> Field3D:
 def h1_norm_sq_3d(u: Field3D) -> float:
     """int (|grad u|^2 + u^2), spectral derivative (periodic)."""
     grid = u.grid
-    k2, pw = _spectral(grid)
+    k2, pw = _spectral(grid.key)
     uhat = sfft.rfftn(u.values)
     grad_sq = float(np.sum(pw * k2 * np.abs(uhat) ** 2)) / grid.n ** 3
     return grid.cell_volume * (grad_sq + float(np.sum(u.values ** 2)))
 
 
 def h1_inner_3d(u: Field3D, v: Field3D) -> float:
-    grid = u.grid
-    k2, pw = _spectral(grid)
-    uhat = sfft.rfftn(u.values)
-    vhat = sfft.rfftn(v.values)
-    cross = float(np.sum(pw * (1.0 + k2) * (uhat.conj() * vhat).real))
-    return grid.cell_volume * cross / grid.n ** 3
+    """H^1 inner product consistent with h1_norm_sq_3d."""
+    return _h1_inner(u.grid, u.values, v.values)
+
+
+def _h1_inner(grid: Grid3D, a: np.ndarray, b: np.ndarray) -> float:
+    k2, pw = _spectral(grid.key)
+    ahat = sfft.rfftn(a)
+    bhat = sfft.rfftn(b)
+    total = float(np.sum(pw * (1.0 + k2) * (ahat.conj() * bhat).real))
+    return grid.cell_volume * total / grid.n ** 3
 
 
 def _rho_values(profile: ChargeProfile, grid: Grid3D) -> np.ndarray:
@@ -291,19 +284,15 @@ def sobolev_gradient_3d(u: Field3D, profile: ChargeProfile,
     decay guard active this is a faithful metric for descent, and the
     returned g satisfies <g, v>_H1 = dJ(u)[v] exactly for the discrete J.
     """
-    grid = u.grid
-    rho = _rho_values(profile, grid)
-    phi = poisson_freespace(Field3D(grid, rho * u.values ** 2)).values
-    nl = rho * phi * u.values - eval_f(model, u.values)
-    k2, _ = _spectral(grid)
-    corr = sfft.irfftn(sfft.rfftn(nl) / (1.0 + k2), s=u.values.shape)
-    return Field3D(grid, u.values + corr)
+    disc = CubeDisc(u.grid, profile, model)
+    return Field3D(u.grid, disc.riesz(u.values, disc.potential(u.values)))
 
 
 def nehari_residual_3d(u: Field3D, profile: ChargeProfile,
                        model: NonlinearityModel) -> float:
-    return (h1_norm_sq_3d(u) + nonlocal_term_3d(u, profile)
-            - u.grid.integrate(eval_f(model, u.values) * u.values))
+    """||u||_H1^2 + int rho phi u^2 - int f(u) u  (the derivative along u)."""
+    disc = CubeDisc(u.grid, profile, model)
+    return disc.nehari_residual(u.values, disc.potential(u.values))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +307,7 @@ class CubeDisc(Disc):
         self.grid = grid
         self.model = model
         self.rho = _rho_values(profile, grid)
-        self.k2, self.pw = _spectral(grid)
+        self.k2, self.pw = _spectral(grid.key)
 
     def wrap(self, values: np.ndarray) -> Field3D:
         return Field3D(self.grid, values)
@@ -332,11 +321,7 @@ class CubeDisc(Disc):
         return self._norm_sq_hat(sfft.rfftn(values))
 
     def h1_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        ahat = sfft.rfftn(a)
-        bhat = sfft.rfftn(b)
-        total = float(np.sum(self.pw * (1.0 + self.k2)
-                             * (ahat.conj() * bhat).real))
-        return self.grid.cell_volume * total / self.grid.n ** 3
+        return _h1_inner(self.grid, a, b)
 
     def poisson(self, source: np.ndarray) -> np.ndarray:
         return poisson_freespace(Field3D(self.grid, source, guard=False)).values

@@ -474,8 +474,8 @@ class CoercivityFloor:
     degenerate: bool      # constant profile: sublevel set empty
 
 
-def coercivity_floor(profile: ChargeProfile, c0: float, p: float,
-                     inf_tol: float = 1e-9) -> CoercivityFloor:
+def coercivity_floor(profile: ChargeProfile, c0: float,
+                     p: float) -> CoercivityFloor:
     """Integral of the pointwise energy floor over the sublevel set {rho < d0}.
 
     Finite and nonpositive under rho_min < d0 < rho_inf; the sublevel set

@@ -20,6 +20,7 @@ directional derivatives match to roundoff).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -34,6 +35,10 @@ FOUR_PI = 4.0 * math.pi
 SQRT8 = math.sqrt(8.0)
 
 DECAY_GUARD_REL = 1e-6
+
+# grids whose operators each geometry cache keeps (least recently used
+# evicted); a scenario works on at most two grids of each kind
+_GRID_CACHE_SIZE = 2
 
 
 class DiscretizationError(RuntimeError):
@@ -133,14 +138,12 @@ class PoissonPotential:
 
 
 # ---------------------------------------------------------------------------
-# Cached discrete operators (keyed by the grid geometry)
+# Cached discrete operators, keyed by grid.key (grids compare by identity)
 # ---------------------------------------------------------------------------
 
-_OPERATOR_CACHE: dict = {}
-
-
-def _operators(grid: RadialGrid):
-    """Gradient matrix D, H^1 Gram matrix M = D^T W_cell D + W, its factor.
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _operators(key):
+    """H^1 Gram matrix M = D^T W_cell D + W and its sparse LU factor.
 
     D is the cell-wise forward difference (u_{i+1} - u_i)/h, weighted by
     the exact shell volume of each cell.  Cell-wise differences (unlike
@@ -148,26 +151,21 @@ def _operators(grid: RadialGrid):
     sawtooth pays full gradient energy, so descent cannot hide
     oscillations from the discrete H^1 term.
     """
-    key = grid.key
-    ops = _OPERATOR_CACHE.get(key)
-    if ops is None:
-        n, h = grid.n, grid.h
-        idx = np.arange(n)
-        rows = np.repeat(idx, 2)
-        cols = np.empty(2 * n, dtype=int)
-        cols[0::2] = idx
-        cols[1::2] = idx + 1
-        vals = np.empty(2 * n)
-        vals[0::2] = -1.0 / h
-        vals[1::2] = 1.0 / h
-        D = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n + 1))
-        vol = FOUR_PI / 3.0 * grid.r ** 3
-        W_cell = sparse.diags(np.diff(vol))
-        W = sparse.diags(grid.w)
-        M = (D.T @ W_cell @ D + W).tocsc()
-        ops = (D, M, splu(M))
-        _OPERATOR_CACHE[key] = ops
-    return ops
+    grid = RadialGrid(*key)
+    n, h = grid.n, grid.h
+    idx = np.arange(n)
+    rows = np.repeat(idx, 2)
+    cols = np.empty(2 * n, dtype=int)
+    cols[0::2] = idx
+    cols[1::2] = idx + 1
+    vals = np.empty(2 * n)
+    vals[0::2] = -1.0 / h
+    vals[1::2] = 1.0 / h
+    D = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n + 1))
+    W_cell = sparse.diags(_cell_volumes(grid))
+    W = sparse.diags(grid.w)
+    M = (D.T @ W_cell @ D + W).tocsc()
+    return M, splu(M)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +281,8 @@ def sobolev_gradient_radial(u: RadialField, profile: ChargeProfile,
 def nehari_residual(u: RadialField, profile: ChargeProfile,
                     model: NonlinearityModel) -> float:
     """||u||_H1^2 + int rho phi u^2 - int f(u) u  (the derivative along u)."""
-    return (h1_norm_sq(u) + nonlocal_term(u, profile)
-            - u.grid.integrate(eval_f(model, u.values) * u.values))
+    disc = RadialDisc(u.grid, profile, model)
+    return disc.nehari_residual(u.values, disc.potential(u.values))
 
 
 def strauss_check(u: RadialField, profile: ChargeProfile,
@@ -314,13 +312,15 @@ class Disc:
     ``grid``, ``model``, the sampled charge ``rho`` and the methods
     ``poisson``, ``h1_norm_sq``, ``h1_inner``, ``riesz`` (the H^1-Riesz
     gradient given the potential), ``gradient`` (the same with its H^1
-    norm), ``random_direction`` and ``wrap``; the potential, the energy
-    and the Nehari ratio are written here once.  ``potential`` is the
-    Poisson solve alone, for callers that need the gradient but not J;
-    ``energy`` returns the potential with J so the gradient at the same
-    iterate reuses the Poisson solve, which dominates the per-iteration
-    cost in 3-D, and ``energy_at`` evaluates J from a potential already
-    solved for.
+    norm), ``random_direction`` and ``wrap``; the potential, the energy,
+    the Nehari residual and its ratio to the squared H^1 norm are written
+    here once.  ``potential`` is the Poisson solve alone, for callers
+    that need the gradient but not J; ``energy`` returns the potential
+    with J so the gradient at the same iterate reuses the Poisson solve,
+    which dominates the per-iteration cost in 3-D, and ``energy_at``
+    evaluates J from a potential already solved for.  The module-level
+    ``sobolev_gradient_*`` and ``nehari_residual*`` helpers of a
+    discretization are thin calls into its kernel.
     """
 
     def project(self, values: np.ndarray) -> np.ndarray:
@@ -342,14 +342,19 @@ class Disc:
         phi = self.potential(u)
         return self.energy_at(u, phi), phi
 
+    def nehari_residual(self, u: np.ndarray, phi: np.ndarray) -> float:
+        """||u||_H1^2 + int rho phi u^2 - int f(u) u, the energy
+        derivative along u, with phi = potential(u)."""
+        return (self.h1_norm_sq(u)
+                + self.grid.integrate(self.rho * u * u * phi)
+                - self.grid.integrate(eval_f(self.model, u) * u))
+
     def nehari_relative(self, u: np.ndarray, phi: np.ndarray) -> float:
         """Energy derivative along u, relative to the squared H^1 norm."""
         h1 = self.h1_norm_sq(u)
         if h1 == 0.0:
             return 0.0
-        res = (h1 + self.grid.integrate(self.rho * u * u * phi)
-               - self.grid.integrate(eval_f(self.model, u) * u))
-        return res / h1
+        return self.nehari_residual(u, phi) / h1
 
 
 class RadialDisc(Disc):
@@ -360,7 +365,7 @@ class RadialDisc(Disc):
         self.grid = grid
         self.model = model
         self.rho = profile.at_radius(grid.r)
-        _, self.M, self.lu = _operators(grid)
+        self.M, self.lu = _operators(grid.key)
 
     def wrap(self, values: np.ndarray) -> RadialField:
         return RadialField(self.grid, values)

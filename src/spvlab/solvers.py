@@ -168,23 +168,10 @@ def minimize(init: FieldLike, profile: ChargeProfile,
     it = 0
     while not converged and it < opts.max_iter:
         it += 1
-        accepted = False
-        t = min(2.0 * t, 1e6)
-        while t > 1e-16:
-            raw = u - t * g
-            cand = ws.project(raw)
-            dn2 = ws.h1_norm_sq(cand - u)
-            if dn2 <= 0.0:
-                break
-            Jc, phic = ws.energy(cand)
-            if Jc < J and Jc <= J - ARMIJO_C * dn2 / t:
-                clamped = bool(np.any(raw < 0.0))
-                u, J, phi = cand, Jc, phic
-                accepted = True
-                break
-            t *= BACKTRACK
-        if not accepted:
+        step = _armijo_step(ws, u, J, g, min(2.0 * t, 1e6))
+        if step is None:
             break
+        t, u, J, phi, clamped = step
         g, gnorm = ws.gradient(u, phi)
         trace.append(TracePoint(it, J, gnorm, t, ws.h1_norm_sq(u)))
         converged = gnorm <= tol
@@ -196,6 +183,28 @@ def minimize(init: FieldLike, profile: ChargeProfile,
         converged = gnorm <= tol
     return _finish(ws, u, J, phi, gnorm, it, converged, clamped, level,
                    opts, trace)
+
+
+def _armijo_step(ws: rad.Disc, u: np.ndarray, J: float, d: np.ndarray,
+                 t: float):
+    """Projected Armijo backtracking from u along -d, first trial step t.
+
+    Returns (t, u_new, J(u_new), phi(u_new), clamped) for the first step
+    whose projected point decreases J sufficiently, where ``clamped``
+    tells whether the projection was active; None when the step size
+    underflows or the projection stops moving u.
+    """
+    while t > 1e-16:
+        raw = u - t * d
+        cand = ws.project(raw)
+        dn2 = ws.h1_norm_sq(cand - u)
+        if dn2 <= 0.0:
+            return None
+        Jc, phic = ws.energy(cand)
+        if Jc < J and Jc <= J - ARMIJO_C * dn2 / t:
+            return t, cand, Jc, phic, bool(np.any(raw < 0.0))
+        t *= BACKTRACK
+    return None
 
 
 def _finish(ws: rad.Disc, u, J, phi, gnorm, iterations, converged, clamped,
@@ -352,8 +361,8 @@ def mountain_pass(u_low: FieldLike, profile: ChargeProfile,
                 "no mountain-pass geometry detected: the path's ridge "
                 "collapsed to the endpoint level")
         u = nodes[i]
-        J_i, phi = ws.energy(u)
-        g, gnorm = ws.gradient(u, phi)
+        J_i = energies[i]
+        g, gnorm = ws.gradient(u, ws.potential(u))
         trace.append(TracePoint(it, J_i, gnorm, t, ws.h1_norm_sq(u)))
         if gnorm <= coarse:
             break
@@ -365,22 +374,10 @@ def mountain_pass(u_low: FieldLike, profile: ChargeProfile,
         dn2_dir = ws.h1_norm_sq(d)
         if dn2_dir <= (1e-14 * gnorm) ** 2:
             break
-        accepted = False
-        t = min(2.0 * t, 1e3)
-        while t > 1e-16:
-            cand = ws.project(u - t * d)
-            dn2 = ws.h1_norm_sq(cand - u)
-            if dn2 <= 0.0:
-                break
-            Jc, _ = ws.energy(cand)
-            if Jc < J_i and Jc <= J_i - ARMIJO_C * dn2 / t:
-                nodes[i] = cand
-                energies[i] = Jc
-                accepted = True
-                break
-            t *= BACKTRACK
-        if not accepted:
+        step = _armijo_step(ws, u, J_i, d, min(2.0 * t, 1e3))
+        if step is None:
             break
+        t, nodes[i], energies[i], _, _ = step
         if it % 5 == 0:
             # the endpoints stay fixed, and so do their energies
             nodes = _respread(ws, nodes)

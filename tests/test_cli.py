@@ -1,11 +1,13 @@
 """Tests for config validation, report output, and the CLI front end."""
 
+import importlib.util
 import json
 import os
 import warnings
 
 import pytest
 
+import spvlab
 from spvlab.cli import (GRID_SCALES, SCENARIOS, SCHEMA_VERSION, ConfigError,
                         ExperimentReport, Verdict, load_config, main, run)
 from spvlab.models import ModelError
@@ -13,6 +15,10 @@ from spvlab.radial import DiscretizationError
 from spvlab.solvers import SolverError
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _write(tmp_path, doc, name="config.json"):
@@ -251,3 +257,32 @@ def test_autonomous_saddle_converges_at_seed_1(tmp_path):
     verdicts = {v.name: v for v in report.verdicts}
     assert verdicts["positive-energy-saddle"].passed, \
         verdicts["positive-energy-saddle"].detail
+
+
+def _perfbench_worker():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", os.path.join(PERFBENCH, "worker.py"))
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+@pytest.mark.parametrize("workload", ["radial-suite", "cube-descent"])
+def test_smoke_reports_match_the_benchmark_reference(tmp_path, workload):
+    # the seed-independent scenarios at the benchmark's smoke sizes must
+    # reproduce the report bytes stored with the benchmark
+    with open(os.path.join(PERFBENCH, "reference.json")) as fh:
+        checks = json.load(fh)[f"{workload}/smoke"]["checks"]
+    stored = {c["key"]: c["sha256"] for c in checks if "sha256" in c}
+    assert stored
+    work = _perfbench_worker().WORKLOADS[workload](0, True)
+    work.setup(str(tmp_path))
+    work.run()
+    outcomes = work.outcomes()
+    assert {key: outcomes.get(key) for key in stored} == stored
+
+
+def test_package_exports_resolve():
+    assert len(spvlab.__all__) <= 12
+    for name in spvlab.__all__:
+        assert getattr(spvlab, name) is not None, name

@@ -104,7 +104,7 @@ def _reference_poisson(source):
     n = source.grid.n
     pad = np.zeros((2 * n,) * 3)
     pad[:n, :n, :n] = source.values
-    khat = f3d._coulomb_kernel_hat(source.grid)
+    khat = f3d._coulomb_kernel_hat(source.grid.key)
     return sfft.irfftn(sfft.rfftn(pad) * khat, s=pad.shape)[:n, :n, :n]
 
 
@@ -143,7 +143,7 @@ class TestPrunedPoisson:
                                                               monkeypatch):
         n = 8
         grid = Grid3D(4.0, n)
-        f3d._coulomb_kernel_hat(grid)  # warm the kernel cache
+        f3d._coulomb_kernel_hat(grid.key)  # warm the kernel cache
         rec = _RecordingFFT()
         monkeypatch.setattr(f3d, "sfft", rec)
         poisson_freespace(_gaussian3(grid))
@@ -226,6 +226,31 @@ class TestEnergies3D:
                     - grid.integrate(eval_f(model, u.values) * u.values))
         assert_allclose(nehari_residual_3d(u, rho, model), expected,
                         rtol=1e-10)
+
+    def test_helpers_are_the_kernel(self):
+        grid = Grid3D(6.0, 16)
+        model = _model()
+        rho = ChargeProfile.rational(0.1, 2.0)
+        u = _gaussian3(grid, 3.0, 1.0)
+        v = _gaussian3(grid, 0.5, 1.5)
+        disc = f3d.CubeDisc(grid, rho, model)
+        phi = disc.potential(u.values)
+        assert np.array_equal(sobolev_gradient_3d(u, rho, model).values,
+                              disc.riesz(u.values, phi))
+        assert (nehari_residual_3d(u, rho, model)
+                == disc.nehari_residual(u.values, phi))
+        assert h1_inner_3d(u, v) == disc.h1_inner(u.values, v.values)
+
+
+@pytest.mark.parametrize("cached", [f3d._cached_radius,
+                                    f3d._coulomb_kernel_hat, f3d._spectral],
+                         ids=["radius", "coulomb-kernel", "spectral"])
+def test_grid_caches_are_bounded(cached):
+    size = cached.cache_info().maxsize
+    assert size is not None and size <= 4
+    for n in range(4, 4 + 2 * (size + 2), 2):
+        cached(Grid3D(3.0, n).key)
+        assert cached.cache_info().currsize <= size
 
 
 class TestEmbedding:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spvlab.radial as rad
 from spvlab.models import ChargeProfile, NonlinearityModel
 from spvlab.radial import (DiscretizationError, RadialField, RadialGrid,
                            energy_radial, h1_inner, h1_norm_sq, l2_norm_sq,
@@ -169,6 +170,20 @@ class TestEnergyAndGradient:
                     - grid.integrate(eval_f(model, u.values) * u.values))
         assert_allclose(nehari_residual(u, rho, model), expected, rtol=1e-10)
 
+    def test_nehari_helper_is_the_kernel(self):
+        grid = _grid(n=1024)
+        model = _model()
+        rho = ChargeProfile.constant(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            u = RadialField.gaussian(grid, 2.0, 1.0)
+        disc = rad.RadialDisc(grid, rho, model)
+        phi = disc.potential(u.values)
+        res = disc.nehari_residual(u.values, phi)
+        assert nehari_residual(u, rho, model) == res
+        assert (disc.nehari_relative(u.values, phi)
+                == res / disc.h1_norm_sq(u.values))
+
     def test_strauss_inequality_random_fields(self):
         grid = _grid(n=1024)
         rho = ChargeProfile.constant(1.0)
@@ -181,6 +196,14 @@ class TestEnergyAndGradient:
             lhs, rhs, holds = strauss_check(u, rho)
             assert holds
             assert lhs <= rhs * (1.0 + 1e-6)
+
+
+def test_operator_cache_is_bounded():
+    size = rad._operators.cache_info().maxsize
+    assert size is not None and size <= 4
+    for n in range(8, 8 + size + 2):
+        rad._operators(RadialGrid(1.0, n).key)
+        assert rad._operators.cache_info().currsize <= size
 
 
 class TestFieldIO:

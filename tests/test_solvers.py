@@ -145,6 +145,33 @@ class TestMountainPass:
         assert saddle.level == "beta"
         assert saddle.classification == "mountain-pass"
 
+    def test_highest_node_energy_is_not_recomputed(self, count_calls,
+                                                    monkeypatch):
+        grid = RadialGrid(12.0, 512)
+        low = minimize(_negative_start(grid), _rho(), _model(),
+                       SolveOptions(tol_grad_abs=1e-6))
+        evals_F = count_calls(rad, "eval_F")
+        projections = count_calls(rad.RadialDisc, "project")
+        iterations = count_calls(rad.RadialDisc, "gradient")
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(slv, "_polish_residual", stop)
+        with pytest.raises(Stop):
+            # below the first re-spread of the path, at iteration 5
+            mountain_pass(low.field, _rho(), _model(),
+                          SolveOptions(tol_grad_abs=1e-5, max_iter=4))
+        # J is evaluated once at the projected anchor and once at each
+        # path node; after that, only at line-search trials, each of
+        # which projects once
+        assert len(iterations) >= 1
+        trials = len(projections) - 1
+        assert len(evals_F) - (1 + slv.PATH_NODES) == trials
+
     def test_rejects_positive_energy_endpoint(self):
         grid = _grid()
         with warnings.catch_warnings():
