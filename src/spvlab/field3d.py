@@ -14,7 +14,11 @@ zero and 7/8 of the inverse output is discarded, so the solve transforms
 one axis at a time and skips both.  It keeps pocketfft's axis order and
 its single final scaling, so every 1-D transform sees the same input as
 in a full ``rfftn``/``irfftn`` and the potential is bit-identical to the
-unpruned solve.
+unpruned solve.  One solve allocates one complex (2n, 2n, n+1) workspace,
+uninitialised; it clears each zero pad just before the stage that reads
+it and runs the complex stages in place, so the stages allocate no
+outputs of their own.  In-place transforms compute the same 1-D
+transforms of the same inputs, so the bits do not change.
 
 H^1 quantities and the Riesz solve for the energy gradient use the
 periodic spectral Laplacian.  This periodicization is an approximation
@@ -124,11 +128,20 @@ class Field3D:
             magic = fh.read(len(Field3D._MAGIC))
             if magic != Field3D._MAGIC:
                 raise DiscretizationError("not a spvlab field file")
-            L, n, kind = struct.unpack("<dqB", fh.read(17))
+            header = fh.read(17)
+            if len(header) != 17:
+                raise DiscretizationError("field file header is truncated")
+            L, n, kind = struct.unpack("<dqB", header)
             if kind != 0:
                 raise DiscretizationError(f"unknown element kind {kind}")
             grid = Grid3D(L=L, n=n)
-            data = np.frombuffer(fh.read(), dtype="<f8").reshape((n, n, n))
+            payload = fh.read()
+        expected = n ** 3 * 8
+        if len(payload) != expected:
+            raise DiscretizationError(
+                f"field file payload has {len(payload)} bytes; a float64 "
+                f"field with n = {n} needs {expected}")
+        data = np.frombuffer(payload, dtype="<f8").reshape((n, n, n))
         return Field3D(grid, data.copy())
 
     def slice_csv(self, path, axis: int = 2) -> None:
@@ -162,9 +175,12 @@ def _coulomb_kernel_hat(key) -> np.ndarray:
     idx = np.arange(m)
     off = np.where(idx < n, idx, idx - m).astype(float)  # offsets -n..n-1
     OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij", sparse=True)
-    dist = np.sqrt(OX ** 2 + OY ** 2 + OZ ** 2)
+    # one m^3 array: distance, then 4 pi |x|, then h^2 / (4 pi |x|)
+    kern = OX ** 2 + OY ** 2 + OZ ** 2
+    np.sqrt(kern, out=kern)
+    np.multiply(FOUR_PI, kern, out=kern)
     with np.errstate(divide="ignore"):
-        kern = h ** 2 / (FOUR_PI * dist)
+        np.divide(h ** 2, kern, out=kern)
     kern[0, 0, 0] = h ** 2 * _CUBE_COULOMB_AVG / FOUR_PI
     return sfft.rfftn(kern)
 
@@ -202,6 +218,13 @@ def poisson_freespace(source: Field3D) -> Field3D:
     ``irfftn``: axes 0, 1, then real axis 2, scaled once at the end), so
     each 1-D transform sees the same input as in the full ``rfftn`` and
     ``irfftn`` and the potential is bit-identical to theirs.
+
+    One solve uses one complex (2n, 2n, n+1) workspace.  The half
+    spectrum of the source fills its [:n, :n] corner; each zero pad is
+    cleared just before the stage that reads it, and the complex stages
+    transform the workspace, or a view of it, in place.  The first of them
+    transforms a strided view and relies on ``overwrite_x`` being honoured
+    (a test pins this); the others use the arrays the transforms return.
     """
     g = source.values
     if np.any(g < 0.0):
@@ -211,19 +234,24 @@ def poisson_freespace(source: Field3D) -> Field3D:
     m = 2 * n
     try:
         khat = _coulomb_kernel_hat(grid.key)
-        spec = sfft.rfft(g, n=m, axis=2)
-        spec = sfft.fft(spec, n=m, axis=0)
-        spec = sfft.fft(spec, n=m, axis=1)
+        spec = np.empty((m, m, n + 1), dtype=complex)
+        spec[:n, :n] = sfft.rfft(g, n=m, axis=2)
+        spec[n:, :n] = 0.0
+        # in place, result not kept (assigning it back copies even when it
+        # is this view); test_complex_stages_run_in_the_workspace pins it
+        sfft.fft(spec[:, :n], axis=0, overwrite_x=True)
+        spec[:, n:] = 0.0
+        spec = sfft.fft(spec, axis=1, overwrite_x=True)
         spec *= khat
-        spec = sfft.ifft(spec, axis=0, norm="forward")
-        spec = sfft.ifft(spec[:n], axis=1, norm="forward")
+        spec = sfft.ifft(spec, axis=0, norm="forward", overwrite_x=True)
+        spec = sfft.ifft(spec[:n], axis=1, norm="forward", overwrite_x=True)
         conv = sfft.irfft(spec[:, :n], n=m, axis=2, norm="forward")[..., :n]
         conv *= 1.0 / m ** 3
     except MemoryError as exc:
-        size = m ** 3 * 8 / 2 ** 30
+        nbytes = m * m * (n + 1) * 16
         raise MemoryError(
-            f"doubled grid ({m}^3, about {size:.1f} GiB per array) does "
-            "not fit in memory") from exc
+            f"doubled grid ({m}^3): its {m} x {m} x {n + 1} complex "
+            f"workspace ({nbytes:,} bytes) does not fit in memory") from exc
     return Field3D(grid, conv, guard=False)
 
 

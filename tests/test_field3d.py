@@ -1,6 +1,8 @@
 """Tests for the 3-D cube grid, free-space Poisson solver, and energies."""
 
 import math
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -109,7 +111,8 @@ def _reference_poisson(source):
 
 
 class _RecordingFFT:
-    """Stands in for ``scipy.fft``; logs (name, input shape, output shape)."""
+    """Stands in for ``scipy.fft``; logs (name, input shape, output shape,
+    whether the output shares the input's memory)."""
 
     def __init__(self):
         self.calls = []
@@ -119,13 +122,14 @@ class _RecordingFFT:
 
         def recorded(x, *args, **kwargs):
             out = func(x, *args, **kwargs)
-            self.calls.append((name, np.shape(x), np.shape(out)))
+            self.calls.append((name, np.shape(x), np.shape(out),
+                               np.shares_memory(x, out)))
             return out
         return recorded
 
 
 class TestPrunedPoisson:
-    @pytest.mark.parametrize("n", [4, 6, 10, 14, 16])
+    @pytest.mark.parametrize("n", [4, 6, 10, 14, 16, 32, 48])
     def test_bit_identical_to_unpruned_solve(self, n):
         grid = Grid3D(5.0, n)
         ax = grid.axis()
@@ -153,12 +157,47 @@ class TestPrunedPoisson:
         c2r = [c[2] for c in rec.calls if c[0] == "irfft"]
         assert len(c2r) == 1 and math.prod(c2r[0][:-1]) == n * n
 
+    def test_complex_stages_run_in_the_workspace(self, monkeypatch):
+        # the first stage's result is not kept: the solve needs scipy to
+        # honour overwrite_x on a strided view of the workspace
+        grid = Grid3D(4.0, 8)
+        f3d._coulomb_kernel_hat(grid.key)
+        rec = _RecordingFFT()
+        monkeypatch.setattr(f3d, "sfft", rec)
+        poisson_freespace(_gaussian3(grid))
+        c2c = [c for c in rec.calls if c[0] in ("fft", "ifft")]
+        assert len(c2c) == 4 and all(c[3] for c in c2c)
+
+    def test_one_workspace_bounds_the_peak_memory(self):
+        n = 16
+        grid = Grid3D(5.0, n)
+        src = _gaussian3(grid)
+        poisson_freespace(src)  # warm the kernel cache and FFT plans
+        tracemalloc.start()
+        try:
+            poisson_freespace(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * (2 * n) ** 2 * (n + 1) * 16
+
     def test_memory_error_in_a_later_stage_names_the_grid(self, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(f3d.sfft, "ifft", no_memory)
         with pytest.raises(MemoryError, match=r"^doubled grid \(16\^3"):
+            poisson_freespace(_gaussian3(Grid3D(4.0, 8)))
+
+    def test_memory_error_in_the_first_stage_states_the_workspace(
+            self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f3d.sfft, "rfft", no_memory)
+        with pytest.raises(MemoryError, match=r"^doubled grid \(16\^3\): "
+                           r"its 16 x 16 x 9 complex workspace \(36,864 "
+                           r"bytes\)"):
             poisson_freespace(_gaussian3(Grid3D(4.0, 8)))
 
 
@@ -314,6 +353,24 @@ class TestFieldIO3D:
         assert v.grid.n == 16
         assert_allclose(v.grid.L, 6.0)
         assert np.array_equal(v.values, u.values)
+
+    @pytest.mark.parametrize("case", ["truncated", "extra-bytes", "huge-n",
+                                      "short-header"])
+    def test_malformed_binary_is_rejected(self, tmp_path, case):
+        grid = Grid3D(6.0, 8)
+        path = tmp_path / "u.bin"
+        _gaussian3(grid).to_bin(path)
+        raw = path.read_bytes()
+        head = len(Field3D._MAGIC) + 17
+        huge = Field3D._MAGIC + struct.pack("<dqB", 6.0, 2 ** 40, 0)
+        found = {"truncated": raw[:-8], "extra-bytes": raw + b"\0" * 8,
+                 "huge-n": huge + raw[head:],
+                 "short-header": raw[:head - 1]}[case]
+        path.write_bytes(found)
+        match = ("header is truncated" if case == "short-header"
+                 else f"has {len(found) - head} bytes")
+        with pytest.raises(DiscretizationError, match=match):
+            Field3D.from_bin(path)
 
     def test_slice_csv(self, tmp_path):
         grid = Grid3D(6.0, 16)
