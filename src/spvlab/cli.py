@@ -71,7 +71,6 @@ class ScenarioConfig:
     options: Dict[str, object]
     seed: int
     out_dir: str
-    grid_scale: str
     inputs_echo: Dict[str, object] = field(repr=False, default_factory=dict)
 
 
@@ -81,18 +80,34 @@ def _check_keys(doc: dict, allowed: Sequence[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
-def _build_model(doc: Optional[dict]) -> NonlinearityModel:
-    if doc is None:
-        doc = {}
-    _check_keys(doc, ["kind", "q", "a_q", "a2", "p", "csv"], "model")
+def _section(doc: dict, key: str, allowed: Sequence[str]) -> dict:
+    """The JSON object at doc[key], unknown keys rejected; an absent or
+    null section is empty."""
+    sec = doc.get(key)
+    if sec is None:
+        return {}
+    if not isinstance(sec, dict):
+        raise ConfigError(f"config section {key} must be a JSON object")
+    _check_keys(sec, allowed, key)
+    return dict(sec)
+
+
+def _required(doc: dict, key: str, where: str):
+    if key not in doc:
+        raise ConfigError(f"missing key {key} in {where}")
+    return doc[key]
+
+
+def _build_model(doc: dict) -> NonlinearityModel:
     kind = doc.get("kind", "pure-power")
     if kind == "pure-power":
         model = NonlinearityModel.pure_power(float(doc.get("q", 2.5)),
                                              float(doc.get("a_q", 1.0)))
     elif kind == "asymptotically-linear":
-        model = NonlinearityModel.asymptotically_linear(float(doc["a2"]))
+        model = NonlinearityModel.asymptotically_linear(
+            float(_required(doc, "a2", "model")))
     elif kind == "table":
-        model = NonlinearityModel.from_csv(doc["csv"])
+        model = NonlinearityModel.from_csv(_required(doc, "csv", "model"))
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
     p = float(doc.get("p", model.q if 2.0 < model.q < 3.0 else 2.5))
@@ -103,15 +118,15 @@ def _build_model(doc: Optional[dict]) -> NonlinearityModel:
         return model.with_constants(p)
 
 
-def _build_profile(doc: Optional[dict]) -> Optional[ChargeProfile]:
-    if doc is None:
-        return None
-    _check_keys(doc, ["kind", "value", "rho0", "rho_inf", "eps"], "profile")
+def _build_profile(doc: dict) -> ChargeProfile:
     kind = doc.get("kind")
     if kind == "constant":
-        prof = ChargeProfile.constant(float(doc["value"]))
+        prof = ChargeProfile.constant(
+            float(_required(doc, "value", "profile")))
     elif kind == "rational":
-        prof = ChargeProfile.rational(float(doc["rho0"]), float(doc["rho_inf"]))
+        prof = ChargeProfile.rational(
+            float(_required(doc, "rho0", "profile")),
+            float(_required(doc, "rho_inf", "profile")))
     else:
         raise ConfigError(f"unknown profile kind {kind!r}")
     eps = float(doc.get("eps", 1.0))
@@ -144,19 +159,17 @@ def load_config(scenario: str, config_path: Optional[str] = None,
     if grid_scale not in GRID_SCALES:
         raise ConfigError(f"unknown grid scale {grid_scale!r}")
 
-    rg = dict(doc.get("radial_grid") or {})
-    _check_keys(rg, ["r_max", "n"], "radial_grid")
-    cg = dict(doc.get("cube_grid") or {})
-    _check_keys(cg, ["L", "n"], "cube_grid")
-    solver = dict(doc.get("solver") or {})
-    _check_keys(solver, ["tol_grad", "tol_grad_abs", "max_iter", "n_starts"],
-                "solver")
-    options = dict(doc.get("options") or {})
-    _check_keys(options, ["R0", "bump_counts", "eps_sweep", "bump_offset",
-                          "n_fields", "refine_n"], "options")
+    rg = _section(doc, "radial_grid", ["r_max", "n"])
+    cg = _section(doc, "cube_grid", ["L", "n"])
+    solver = _section(doc, "solver",
+                      ["tol_grad", "tol_grad_abs", "max_iter", "n_starts"])
+    options = _section(doc, "options", ["R0", "bump_counts", "eps_sweep",
+                                        "bump_offset", "n_fields", "refine_n"])
 
-    model = _build_model(doc.get("model"))
-    profile = _build_profile(doc.get("profile"))
+    model = _build_model(
+        _section(doc, "model", ["kind", "q", "a_q", "a2", "p", "csv"]))
+    profile = (None if doc.get("profile") is None else _build_profile(
+        _section(doc, "profile", ["kind", "value", "rho0", "rho_inf", "eps"])))
     lam = doc.get("lambda")
     resolved_seed = int(seed if seed is not None else doc.get("seed", 0))
     resolved_out = out_dir or doc.get("out_dir") or os.path.join(
@@ -184,7 +197,6 @@ def load_config(scenario: str, config_path: Optional[str] = None,
         options=options,
         seed=resolved_seed,
         out_dir=resolved_out,
-        grid_scale=grid_scale,
         inputs_echo={
             "scenario": scenario,
             "model": doc.get("model") or {"kind": "pure-power", "q": 2.5,
@@ -283,6 +295,15 @@ def _resolve_lambda(cfg: ScenarioConfig, bounds: lsc.LambdaBounds,
     return 2.0 * bounds.lambdabar0_upper
 
 
+def _option_list(cfg: ScenarioConfig, key: str, default: list,
+                 convert: Callable) -> list:
+    """A non-empty list option, each entry converted."""
+    raw = cfg.options.get(key, default)
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"options.{key} must be a non-empty list")
+    return [convert(v) for v in raw]
+
+
 def _random_fields(grid: rad.RadialGrid, count: int, seed: int
                    ) -> List[rad.RadialField]:
     """Deterministic family of smooth decaying radial fields."""
@@ -298,11 +319,10 @@ def _random_fields(grid: rad.RadialGrid, count: int, seed: int
     return out
 
 
-def _tapered_ball_start(grid: rad.RadialGrid, radius: float,
-                        amplitude: float = 13.0,
-                        sigma: float = 1.65) -> rad.RadialField:
+def _tapered_ball_start(grid: rad.RadialGrid,
+                        radius: float) -> rad.RadialField:
     """Gaussian bump smoothly cut to zero at the given support radius."""
-    return _taper_to_support(rad.RadialField.gaussian(grid, amplitude, sigma),
+    return _taper_to_support(rad.RadialField.gaussian(grid, 13.0, 1.65),
                              0.5 * radius, radius)
 
 
@@ -310,8 +330,7 @@ def _taper_to_support(u: rad.RadialField, r0: float,
                       r1: float) -> rad.RadialField:
     """Smoothly cut a radial field to zero beyond r1 (smoothstep on
     [r0, r1]) so it can be embedded in a finite box."""
-    x = np.clip((u.grid.r - r0) / (r1 - r0), 0.0, 1.0)
-    return rad.RadialField(u.grid, u.values * (1.0 - x * x * (3.0 - 2.0 * x)))
+    return rad.RadialField(u.grid, u.values * lsc.smoothstep(u.grid.r, r0, r1))
 
 
 def _trilinear_resample(values: np.ndarray, grid_from: f3d.Grid3D,
@@ -591,13 +610,13 @@ def _scenario_ground_state(cfg: ScenarioConfig):
 
 
 def _scenario_multibump(cfg: ScenarioConfig):
+    R0 = float(cfg.options.get("R0", 3.5))
+    counts = _option_list(cfg, "bump_counts", [1, 2, 3, 4, 5], int)
     grid = _radial_grid(cfg)
     model = cfg.model
     bounds = lsc.estimate_lambda_bounds(model, grid)
     lam = _resolve_lambda(cfg, bounds, "below-energy-threshold")
     profile = cfg.profile or ChargeProfile.rational(0.04, 2.0).scaled(1.0 / 16.0)
-    R0 = float(cfg.options.get("R0", 3.5))
-    counts = [int(n) for n in cfg.options.get("bump_counts", [1, 2, 3, 4, 5])]
 
     start = _tapered_ball_start(grid, R0)
     bump = slv.minimize(start, ChargeProfile.constant(math.sqrt(lam)),
@@ -652,6 +671,14 @@ def _scenario_multibump(cfg: ScenarioConfig):
 
 
 def _scenario_symmetry_breaking(cfg: ScenarioConfig):
+    eps_sweep = _option_list(
+        cfg, "eps_sweep", [0.05, 0.025, 0.0125, 0.00625, 0.003125], float)
+    if any(e <= 0.0 for e in eps_sweep) or eps_sweep != sorted(
+            eps_sweep, reverse=True):
+        raise ConfigError("options.eps_sweep must be positive and decreasing")
+    offset = float(cfg.options.get("bump_offset", 7.0))
+    n_starts = int(cfg.solver.get("n_starts", 4))
+
     grid = _radial_grid(cfg)
     model = cfg.model
     bounds = lsc.estimate_lambda_bounds(model, grid)
@@ -660,22 +687,13 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
     profile = cfg.profile or ChargeProfile.rational(0.9 * sqrt_lam, 2.0)
     cond = validate_conditions(profile, model, lam)
 
-    eps_sweep = [float(e) for e in cfg.options.get(
-        "eps_sweep", [0.05, 0.025, 0.0125, 0.00625, 0.003125])]
-    if any(e <= 0.0 for e in eps_sweep) or list(eps_sweep) != sorted(
-            eps_sweep, reverse=True):
-        raise ConfigError("eps_sweep must be positive and decreasing")
-    offset = float(cfg.options.get("bump_offset", 7.0))
-    n_starts = int(cfg.solver.get("n_starts", 4))
-
     def radial_theta(prof_eps):
         starts = [rad.RadialField.gaussian(grid, 30.0, 1.2)]
         if bounds.witness_a0 is not None:
             starts.append(bounds.witness_a0)
         starts += slv.radial_gaussian_starts(grid, n_starts, seed=cfg.seed)
         best, _ = slv.multistart_minimize(starts, prof_eps, model,
-                                          _opts(cfg, tol_grad_abs=1e-6),
-                                          level="theta")
+                                          _opts(cfg, tol_grad_abs=1e-6))
         return best
 
     # semi-analytic sweep: for each eps, the radial level theta_eps and an
@@ -705,7 +723,7 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
                 and est_alpha
                 < theta_quick.energy - 0.05 * abs(theta_quick.energy)):
             chosen = (eps, local)
-    if chosen is None and sweep_rows:
+    if chosen is None:
         chosen = (eps_sweep[-1], None)
     eps, local = chosen
     prof_eps = profile.scaled(eps)
@@ -733,8 +751,7 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
     # relaxation steps keeps the scenario inside its time budget
     opts3 = _opts(cfg, tol_grad=1e-3,
                   max_iter=int(cfg.solver.get("max_iter", 120)))
-    _, results3 = slv.multistart_minimize(starts3, prof_eps, model,
-                                          opts3, level="alpha")
+    _, results3 = slv.multistart_minimize(starts3, prof_eps, model, opts3)
     # the iteration cap can stop a descent before the gradient
     # tolerance; the energy of any admissible field still bounds the
     # full-space minimum from above, so rank by energy alone here
@@ -891,16 +908,16 @@ def run(cfg: ScenarioConfig) -> ExperimentReport:
     return report
 
 
-def emit_plot_data(report: ExperimentReport, out_dir: str) -> List[str]:
-    """Write plot-ready CSV projections of a report; deterministic bytes."""
+def emit_plot_data(report: ExperimentReport, out_dir: str) -> None:
+    """Write the plot-ready CSV projection of a report, if it has one;
+    deterministic bytes."""
     table = _PLOT_TABLES.get(report.scenario)
     if table is None or table[0] not in report.attachments:
-        return []
+        return
     key, name, header = table
-    path = os.path.join(out_dir, name)
-    np.savetxt(path, np.asarray(report.attachments[key], dtype=float),
+    np.savetxt(os.path.join(out_dir, name),
+               np.asarray(report.attachments[key], dtype=float),
                delimiter=",", fmt="%.17g", header=header, comments="")
-    return [path]
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,6 @@ class Field3D:
                     f"(edge peak {edge:.3e}, interior peak {peak:.3e})",
                     RuntimeWarning, stacklevel=3)
 
-    @staticmethod
-    def zero(grid: Grid3D) -> "Field3D":
-        return Field3D(grid, np.zeros((grid.n,) * 3))
-
     # -- flat binary serialization -------------------------------------------
     # header: magic "SPV3D1\0", float64 L, int64 n, uint8 element kind
     # (0 = float64), then row-major little-endian values.
@@ -144,10 +140,9 @@ class Field3D:
         data = np.frombuffer(payload, dtype="<f8").reshape((n, n, n))
         return Field3D(grid, data.copy())
 
-    def slice_csv(self, path, axis: int = 2) -> None:
-        """Lossy CSV export of the mid-plane perpendicular to ``axis``."""
-        n = self.grid.n
-        plane = np.take(self.values, n // 2, axis=axis)
+    def slice_csv(self, path) -> None:
+        """Lossy CSV export of the mid-plane perpendicular to the z axis."""
+        plane = self.values[:, :, self.grid.n // 2]
         ax = self.grid.axis()
         a, b = np.meshgrid(ax, ax, indexing="ij")
         np.savetxt(path, np.column_stack([a.ravel(), b.ravel(), plane.ravel()]),
@@ -281,16 +276,8 @@ def _h1_inner(grid: Grid3D, a: np.ndarray, b: np.ndarray) -> float:
     return grid.cell_volume * total / grid.n ** 3
 
 
-def _rho_values(profile: ChargeProfile, grid: Grid3D) -> np.ndarray:
-    if profile.is_radial:
-        return profile.at_radius(grid.radius())
-    ax = grid.axis()
-    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    return profile(np.stack([X, Y, Z], axis=-1))
-
-
 def nonlocal_term_3d(u: Field3D, profile: ChargeProfile) -> float:
-    rho = _rho_values(profile, u.grid)
+    rho = profile.at_radius(u.grid.radius())
     src = Field3D(u.grid, rho * u.values ** 2)
     phi = poisson_freespace(src)
     return u.grid.integrate(rho * u.values ** 2 * phi.values)
@@ -334,7 +321,7 @@ class CubeDisc(Disc):
                  model: NonlinearityModel):
         self.grid = grid
         self.model = model
-        self.rho = _rho_values(profile, grid)
+        self.rho = profile.at_radius(grid.radius())
         self.k2, self.pw = _spectral(grid.key)
 
     def wrap(self, values: np.ndarray) -> Field3D:
@@ -387,12 +374,13 @@ class CubeDisc(Disc):
 # Radial embedding
 # ---------------------------------------------------------------------------
 
-def support_radius(u: RadialField, rel: float = DECAY_GUARD_REL) -> float:
-    """Largest radius where |u| exceeds rel * max|u| (0 for the zero field)."""
+def support_radius(u: RadialField) -> float:
+    """Largest radius where |u| exceeds DECAY_GUARD_REL * max|u| (0 for
+    the zero field)."""
     peak = float(np.max(np.abs(u.values)))
     if peak == 0.0:
         return 0.0
-    idx = np.flatnonzero(np.abs(u.values) > rel * peak)
+    idx = np.flatnonzero(np.abs(u.values) > DECAY_GUARD_REL * peak)
     return float(u.grid.r[idx[-1]])
 
 

@@ -29,15 +29,17 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import optimize
 
-from .models import ChargeProfile, ModelError, NonlinearityModel, eval_F, eval_f
+from .models import (ChargeProfile, ModelError, NonlinearityModel, eval_F,
+                     eval_f, fit_cubic_bound, fit_nehari_cubic_bound)
 from .radial import (FOUR_PI, DiscretizationError, RadialField, RadialGrid,
-                     energy_radial, h1_norm_sq, nonlocal_term, poisson_radial)
+                     energy_radial, h1_norm_sq, nonlocal_term)
+
+_UNIT_CHARGE = ChargeProfile.constant(1.0)
 
 
 def coulomb_self_energy(u: RadialField) -> float:
     """int phi_u u^2 with unit charge: the bare Coulomb self-interaction."""
-    phi = poisson_radial(RadialField(u.grid, u.values ** 2))
-    return u.grid.integrate(u.values ** 2 * phi.values)
+    return nonlocal_term(u, _UNIT_CHARGE)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,6 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
     if bounds is not None:
         _BOUNDS_MEMO.move_to_end(key)
         return bounds
-    from .models import fit_cubic_bound, fit_nehari_cubic_bound
     c1 = model.C1 if model.C1 is not None else fit_cubic_bound(model)
     cbar = fit_nehari_cubic_bound(model)
     ranked = _rank_family(model, grid, sigmas, ts)
@@ -257,8 +258,14 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
 # Cutoff and truncation
 # ---------------------------------------------------------------------------
 
+def smoothstep(r, r0: float, r1: float):
+    """C^1 cubic smoothstep in r: 1 on [0, r0], 0 on [r1, inf)."""
+    x = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
+    return 1.0 - x * x * (3.0 - 2.0 * x)
+
+
 def cutoff_psi(R: float) -> Callable:
-    """C^1 cubic smoothstep: 1 on [0, R/2], 0 on [R, inf), slope <= 3/R.
+    """The smoothstep from R/2 to R; slope <= 3/R.
 
     R below 6 is rejected so the slope bound 3/R stays safely below 1.
     """
@@ -267,8 +274,8 @@ def cutoff_psi(R: float) -> Callable:
 
     def psi(r):
         r = np.asarray(r, dtype=float)
-        x = np.clip((r - R / 2.0) / (R / 2.0), 0.0, 1.0)
-        out = 1.0 - x * x * (3.0 - 2.0 * x)
+        # R - R/2 is exactly R/2 in floating point
+        out = smoothstep(r, R / 2.0, R)
         return out if r.ndim else float(out)
 
     return psi
@@ -286,7 +293,6 @@ class TruncationRow:
     R: float
     h1_norm_sq: float
     f_integral: float
-    coulomb: float
     energy: float
 
 
@@ -307,7 +313,6 @@ def truncation_sweep(v: RadialField, lam: float, model: NonlinearityModel,
         rows.append(TruncationRow(
             R=float(R), h1_norm_sq=h1_norm_sq(uR),
             f_integral=uR.grid.integrate(eval_F(model, uR.values)),
-            coulomb=coulomb_self_energy(uR),
             energy=energy_radial(uR, prof, model)))
     return rows
 
@@ -392,7 +397,6 @@ class MultibumpReport:
     spec: MultibumpSpec
     energy: float
     single_energy: float          # autonomous energy of one truncated bump
-    diagonal_coulomb: float
     cross_coulomb: float          # kernel-weighted, enters energy / 4
     cross_quadratic: float        # bare double integral, no 1/(4 pi)
     printed_bound: float          # (N^2 - N) / (N^3 - 2 R0) * (int u^2)^2
@@ -413,8 +417,6 @@ def multibump_energy(spec: MultibumpSpec, u_R0: RadialField,
     4 pi distance.  Requires the rescaled charge to stay below
     sqrt(lambda) on the ball containing all bumps.
     """
-    if not profile.is_radial:
-        raise ModelError("multibump assembly needs a radial charge profile")
     grid = u_R0.grid
     if spec.R0 > grid.r_max + 1e-12:
         raise DiscretizationError("bump support exceeds the radial grid")
@@ -470,8 +472,8 @@ def multibump_energy(spec: MultibumpSpec, u_R0: RadialField,
 
     return MultibumpReport(
         spec=spec, energy=energy, single_energy=single_energy,
-        diagonal_coulomb=diag, cross_coulomb=cross_coulomb,
-        cross_quadratic=cross_quadratic, printed_bound=printed,
+        cross_coulomb=cross_coulomb, cross_quadratic=cross_quadratic,
+        printed_bound=printed,
         printed_bound_holds=bool(cross_quadratic <= printed * (1 + 1e-12)),
         sharper_bound_holds=bool(
             cross_coulomb <= printed / (FOUR_PI * 0.9) * (1 + 1e-12)),

@@ -19,6 +19,7 @@ coercivity floor obtained by integrating m over the sublevel set
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -28,7 +29,7 @@ from scipy import integrate, optimize
 SQRT8 = math.sqrt(8.0)
 
 _MODEL_KINDS = ("pure-power", "asymptotically-linear", "table")
-_PROFILE_KINDS = ("constant", "radial", "table", "general")
+_PROFILE_KINDS = ("constant", "radial", "table")
 
 
 class ModelError(ValueError):
@@ -130,7 +131,7 @@ class NonlinearityModel:
         c1 = fit_cubic_bound(self)
         return replace(self, p=p, C0=c0, C1=c1)
 
-    def validate(self, quad_tol: float = 1e-8) -> dict:
+    def validate(self) -> dict:
         """Numeric sanity checks on the growth hypotheses.
 
         Returns a dict of named pass/fail booleans: vanishing on negatives,
@@ -149,7 +150,7 @@ class NonlinearityModel:
         fq = np.array([integrate.quad(lambda t: float(self.f(t)), 0.0, s)[0]
                        for s in sgrid])
         checks["antiderivative_consistent"] = bool(
-            np.max(np.abs(self.F(sgrid) - fq)) < quad_tol * (1.0 + np.max(np.abs(fq))))
+            np.max(np.abs(self.F(sgrid) - fq)) < 1e-8 * (1.0 + np.max(np.abs(fq))))
         checks["ok"] = all(v for k, v in checks.items()
                            if isinstance(v, bool))
         return checks
@@ -204,40 +205,31 @@ def _table_antiderivative(model: NonlinearityModel) -> Callable:
 # ---------------------------------------------------------------------------
 
 def _sup_ratio(numerator: Callable, exponent: float,
-               tail_limit: Optional[float],
-               n_grid: int = 10_000) -> float:
+               tail_limit: float) -> float:
     """sup over s > 0 of max(numerator(s), 0) / s^exponent.
 
     Coarse log-grid scan on [1e-6, 1e6] followed by golden-section
     refinement around the grid argmax.  ``tail_limit`` is the analytic
-    value of the ratio as s -> infinity (None when it diverges).
+    value of the ratio as s -> infinity; every caller's ratio converges
+    there.
     """
-    s = np.logspace(-6.0, 6.0, n_grid)
+    s = np.logspace(-6.0, 6.0, 10_000)
     ratio = np.maximum(numerator(s), 0.0) / s ** exponent
     i = int(np.argmax(ratio))
     best = float(ratio[i])
 
-    if i == n_grid - 1 and ratio[-1] > ratio[-2]:
+    if i == len(s) - 1 and ratio[-1] > ratio[-2]:
         # supremum approached at infinity
-        if tail_limit is None:
-            raise ModelError(
-                "growth-bound ratio diverges as s -> infinity; "
-                "the bound exponent is too small for this nonlinearity")
         return max(best, tail_limit)
 
     lo = s[max(i - 1, 0)]
-    hi = s[min(i + 1, n_grid - 1)]
+    hi = s[min(i + 1, len(s) - 1)]
     res = optimize.minimize_scalar(
         lambda t: -max(float(numerator(np.exp(t))), 0.0) / math.exp(t * exponent),
         bounds=(math.log(lo), math.log(hi)), method="bounded",
         options={"xatol": 1e-14})
     best = max(best, -float(res.fun))
-    if tail_limit is not None:
-        best = max(best, tail_limit)
-    # re-verify on a fresh grid; the returned constant must dominate it
-    sv = np.logspace(-6.0, 6.0, n_grid)
-    best = max(best, float(np.max(np.maximum(numerator(sv), 0.0) / sv ** exponent)))
-    return best
+    return max(best, tail_limit)
 
 
 def fit_growth_bound(model: NonlinearityModel, p: float) -> float:
@@ -251,7 +243,6 @@ def fit_growth_bound(model: NonlinearityModel, p: float) -> float:
     if p < model.q:
         raise ModelError(f"bound exponent p={p} below the growth exponent "
                          f"q={model.q}: the ratio diverges")
-    import warnings
     if p == model.q:
         warnings.warn("p equals the growth exponent q; the bound constant is "
                       "only attained in the limit s -> infinity", stacklevel=2)
@@ -367,9 +358,8 @@ def pointwise_energy_floor(rho_x: float, c0: float, p: float) -> float:
 class ChargeProfile:
     """A positive charge density rho on R^3.
 
-    All catalogue profiles are radial (or constant); ``general`` wraps an
-    arbitrary positive function of position for which radial symmetry is
-    not claimed.  ``eps`` records the rescaling rho_eps(x) = rho(eps x).
+    Every profile is radial: ``func`` is a vectorized function of the
+    radius r >= 0.  ``eps`` records the rescaling rho_eps(x) = rho(eps x).
     """
 
     kind: str
@@ -394,16 +384,16 @@ class ChargeProfile:
             np.asarray(r, dtype=float), value), rho_min=value, rho_inf=value)
 
     @staticmethod
-    def radial(func: Callable, rho_inf: Optional[float] = None,
-               scan_radius: float = 1e6) -> "ChargeProfile":
-        """Radial profile from a vectorized function of r >= 0."""
-        rgrid = np.concatenate([[0.0], np.logspace(-6, math.log10(scan_radius), 4000)])
+    def radial(func: Callable) -> "ChargeProfile":
+        """Radial profile from a vectorized function of r >= 0; its limit
+        is read off at r = 1e6."""
+        rgrid = np.concatenate([[0.0], np.logspace(-6, 6, 4000)])
         vals = np.asarray(func(rgrid), dtype=float)
         if np.any(vals <= 0.0):
             raise ModelError("rho must be positive everywhere")
-        inf_val = float(rho_inf) if rho_inf is not None else float(vals[-1])
         return ChargeProfile(kind="radial", func=func,
-                             rho_min=float(np.min(vals)), rho_inf=inf_val)
+                             rho_min=float(np.min(vals)),
+                             rho_inf=float(vals[-1]))
 
     @staticmethod
     def rational(rho0: float, rho_inf: float) -> "ChargeProfile":
@@ -428,33 +418,13 @@ class ChargeProfile:
                              rho_min=float(np.min(values)),
                              rho_inf=float(values[-1]))
 
-    @staticmethod
-    def general(func_xyz: Callable, rho_min: float,
-                rho_inf: float) -> "ChargeProfile":
-        """Non-radial profile; func takes a position array of shape (..., 3)."""
-        return ChargeProfile(kind="general", func=func_xyz,
-                             rho_min=rho_min, rho_inf=rho_inf)
-
     # -- evaluation ---------------------------------------------------------
 
-    @property
-    def is_radial(self) -> bool:
-        return self.kind in ("constant", "radial", "table")
-
     def at_radius(self, r):
-        """rho at radius r (radial profiles only); applies the eps scaling."""
-        if not self.is_radial:
-            raise ModelError("profile is not radial")
+        """rho at radius r; applies the eps scaling."""
         r = np.asarray(r, dtype=float)
         out = np.asarray(self.func(self.eps * r), dtype=float)
         return out if r.ndim else float(out)
-
-    def __call__(self, x):
-        """rho at position x (3-vector or array of shape (..., 3))."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "general":
-            return self.func(self.eps * x)
-        return self.at_radius(np.sqrt(np.sum(x ** 2, axis=-1)))
 
     def scaled(self, eps: float) -> "ChargeProfile":
         """The profile rho_eps(x) = rho(eps x)."""
@@ -488,8 +458,6 @@ def coercivity_floor(profile: ChargeProfile, c0: float,
             return CoercivityFloor(floor=0.0, measure=0.0, degenerate=True)
         raise ModelError("constant charge below d0: sublevel set is all of "
                          "space and the floor integral diverges")
-    if not profile.is_radial:
-        raise ModelError("coercivity floor is implemented for radial profiles")
     if profile.rho_inf <= d0:
         raise ModelError("rho_inf <= d0: the sublevel set {rho < d0} is "
                          "unbounded and the floor integral may diverge")
@@ -543,51 +511,33 @@ class ConditionReport:
     rho_origin: float
     d0: float
     sqrt_lambda: float
-    settle_radius: Optional[float]
-
-    def all_of(self, *names: str) -> bool:
-        return all(getattr(self, n) for n in names)
 
 
 def validate_conditions(profile: ChargeProfile, model: NonlinearityModel,
-                        lam: float, settle_tol: float = 1e-3) -> ConditionReport:
+                        lam: float) -> ConditionReport:
     """Check the structural hypotheses for a given coupling lambda.
 
     Requires a model with fitted constants (C0, p) so d0 is defined.
+    Every profile is radial, so ``d4_radial`` holds by construction.
     """
     if model.C0 is None or model.p is None:
         raise ModelError("model constants not fitted; call with_constants(p)")
     d0 = critical_charge_threshold(model.C0, model.p)
     sqrt_lam = math.sqrt(lam)
 
-    if profile.is_radial:
-        rgrid = np.concatenate([[0.0], np.logspace(-3, 6, 2000)])
-        vals = profile.at_radius(rgrid)
-        positive = bool(np.all(vals > 0.0))
-        settled = np.abs(vals - profile.rho_inf) < settle_tol * max(profile.rho_inf, 1.0)
-        settle_radius = None
-        # report the radius beyond which rho stays within tol of its limit
-        idx = np.flatnonzero(~settled)
-        if len(idx) == 0:
-            settle_radius = 0.0
-        elif idx[-1] + 1 < len(rgrid):
-            settle_radius = float(rgrid[idx[-1] + 1])
-        d1 = positive and settle_radius is not None
-        rho_origin = float(profile.at_radius(0.0))
-    else:
-        d1 = profile.rho_min > 0.0
-        settle_radius = None
-        rho_origin = float(profile(np.zeros(3)))
+    vals = profile.at_radius(np.concatenate([[0.0], np.logspace(-3, 6, 2000)]))
+    # positive, and within 1e-3 of its limit at the end of the scan
+    d1 = (np.all(vals > 0.0) and abs(vals[-1] - profile.rho_inf)
+          < 1e-3 * max(profile.rho_inf, 1.0))
+    rho_origin = float(profile.at_radius(0.0))
 
     d2 = profile.rho_min < d0 < profile.rho_inf
-    d4 = profile.is_radial
     d5 = (0.0 < rho_origin < min(d0, sqrt_lam)
           and max(d0, sqrt_lam) < profile.rho_inf)
     return ConditionReport(
         d1_positive_with_limit=bool(d1),
         d2_threshold_ordering=bool(d2),
-        d4_radial=bool(d4),
+        d4_radial=True,
         d5_origin_window=bool(d5),
         rho_min=profile.rho_min, rho_inf=profile.rho_inf,
-        rho_origin=rho_origin, d0=d0, sqrt_lambda=sqrt_lam,
-        settle_radius=settle_radius)
+        rho_origin=rho_origin, d0=d0, sqrt_lambda=sqrt_lam)

@@ -100,10 +100,6 @@ class RadialField:
                 RuntimeWarning, stacklevel=3)
 
     @staticmethod
-    def zero(grid: RadialGrid) -> "RadialField":
-        return RadialField(grid, np.zeros(grid.n + 1))
-
-    @staticmethod
     def gaussian(grid: RadialGrid, amplitude: float = 1.0,
                  sigma: float = 1.0) -> "RadialField":
         return RadialField(grid, amplitude * np.exp(-grid.r ** 2 / (2.0 * sigma ** 2)))
@@ -131,10 +127,6 @@ class PoissonPotential:
     grid: RadialGrid
     values: np.ndarray
     total_charge: float
-
-    def far_field(self, r):
-        """Analytic 1/r tail Q/(4 pi r), valid beyond the source support."""
-        return self.total_charge / (FOUR_PI * np.asarray(r, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +233,6 @@ def potential_gradient_energy(phi: PoissonPotential) -> float:
 
 def nonlocal_term(u: RadialField, profile: ChargeProfile) -> float:
     """int rho phi_{rho,u} u^2 dV, the Coulomb self-interaction energy."""
-    if not profile.is_radial:
-        raise ModelError("radial operations need a radial or constant profile")
     rho = profile.at_radius(u.grid.r)
     src = RadialField(u.grid, rho * u.values ** 2)
     phi = poisson_radial(src)
@@ -285,19 +275,18 @@ def nehari_residual(u: RadialField, profile: ChargeProfile,
     return disc.nehari_residual(u.values, disc.potential(u.values))
 
 
-def strauss_check(u: RadialField, profile: ChargeProfile,
-                  slack: float = 1e-6):
+def strauss_check(u: RadialField, profile: ChargeProfile):
     """Lions-type interpolation inequality for the Coulomb term.
 
     lhs = (1/sqrt8) int rho |u|^3, rhs = 1/4 int |grad u|^2
-    + 1/8 int rho phi u^2; returns (lhs, rhs, lhs <= rhs * (1 + slack)).
+    + 1/8 int rho phi u^2; returns (lhs, rhs, lhs <= rhs * (1 + 1e-6)).
     """
     rho = profile.at_radius(u.grid.r)
     lhs = u.grid.integrate(rho * np.abs(u.values) ** 3) / SQRT8
     du = np.diff(u.values) / u.grid.h
     grad_sq = float(_cell_volumes(u.grid) @ du ** 2)
     rhs = 0.25 * grad_sq + 0.125 * nonlocal_term(u, profile)
-    holds = lhs <= rhs * (1.0 + slack) + 1e-300
+    holds = lhs <= rhs * (1.0 + 1e-6) + 1e-300
     return lhs, rhs, bool(holds)
 
 

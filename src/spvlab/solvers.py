@@ -85,11 +85,12 @@ class TracePoint:
 class SolveResult:
     """A critical-point candidate with its certificates.
 
+    ``gradient_norm`` is the H^1 norm of the Riesz gradient at ``field``;
     ``nehari_residual`` is the derivative of the energy along the iterate
     itself, relative to the squared H^1 norm; ``classification`` is one of
-    ``zero | minimizer | mountain-pass | non-converged``; ``level`` tags
-    which variational level the search targeted (``alpha`` full-space
-    infimum, ``theta`` radial infimum, ``beta`` mountain-pass level).
+    ``zero | minimizer | mountain-pass | non-converged``; ``converged``
+    tells whether the gradient norm reached the tolerance; ``trace``
+    holds the accepted steps.
     """
 
     field: FieldLike
@@ -98,9 +99,7 @@ class SolveResult:
     nehari_residual: float
     iterations: int
     classification: str
-    level: str
     converged: bool
-    clamped: bool
     trace: List[TracePoint]
 
 
@@ -140,15 +139,14 @@ def _kernel(proto: FieldLike, profile: ChargeProfile,
 
 def minimize(init: FieldLike, profile: ChargeProfile,
              model: NonlinearityModel, opts: Optional[SolveOptions] = None,
-             level: str = "alpha",
              support_radius: Optional[float] = None) -> SolveResult:
     """Projected Sobolev-gradient descent with Armijo backtracking.
 
     Negative values are clamped to zero at every step (the nonlinearity
-    vanishes on negatives and the sought solutions are nonnegative);
-    whether clamping was active at the last accepted step is reported.
+    vanishes on negatives and the sought solutions are nonnegative).
     The accepted-step energy sequence is strictly decreasing.  A run that
-    exhausts ``max_iter`` is flagged non-converged, not raised.
+    exhausts ``max_iter`` is flagged non-converged, not raised; a run
+    whose Armijo search stalls first is finished by the residual polish.
 
     ``support_radius`` restricts the search to fields vanishing outside
     the ball of that radius (a Dirichlet-in-a-ball minimization), which
@@ -164,14 +162,13 @@ def minimize(init: FieldLike, profile: ChargeProfile,
     trace = [TracePoint(0, J, gnorm, 0.0, ws.h1_norm_sq(u))]
     t = STEP0
     converged = gnorm <= tol
-    clamped = False
     it = 0
     while not converged and it < opts.max_iter:
         it += 1
         step = _armijo_step(ws, u, J, g, min(2.0 * t, 1e6))
         if step is None:
             break
-        t, u, J, phi, clamped = step
+        t, u, J, phi = step
         g, gnorm = ws.gradient(u, phi)
         trace.append(TracePoint(it, J, gnorm, t, ws.h1_norm_sq(u)))
         converged = gnorm <= tol
@@ -181,34 +178,31 @@ def minimize(init: FieldLike, profile: ChargeProfile,
         # directly and is not limited by cancellations in the energy
         u, gnorm, J, phi = _polish_residual(ws, u, tol)
         converged = gnorm <= tol
-    return _finish(ws, u, J, phi, gnorm, it, converged, clamped, level,
-                   opts, trace)
+    return _finish(ws, u, J, phi, gnorm, it, converged, opts, trace)
 
 
 def _armijo_step(ws: rad.Disc, u: np.ndarray, J: float, d: np.ndarray,
                  t: float):
     """Projected Armijo backtracking from u along -d, first trial step t.
 
-    Returns (t, u_new, J(u_new), phi(u_new), clamped) for the first step
-    whose projected point decreases J sufficiently, where ``clamped``
-    tells whether the projection was active; None when the step size
+    Returns (t, u_new, J(u_new), phi(u_new)) for the first step whose
+    projected point decreases J sufficiently; None when the step size
     underflows or the projection stops moving u.
     """
     while t > 1e-16:
-        raw = u - t * d
-        cand = ws.project(raw)
+        cand = ws.project(u - t * d)
         dn2 = ws.h1_norm_sq(cand - u)
         if dn2 <= 0.0:
             return None
         Jc, phic = ws.energy(cand)
         if Jc < J and Jc <= J - ARMIJO_C * dn2 / t:
-            return t, cand, Jc, phic, bool(np.any(raw < 0.0))
+            return t, cand, Jc, phic
         t *= BACKTRACK
     return None
 
 
-def _finish(ws: rad.Disc, u, J, phi, gnorm, iterations, converged, clamped,
-            level, opts, trace, probes=()) -> SolveResult:
+def _finish(ws: rad.Disc, u, J, phi, gnorm, iterations, converged, opts,
+            trace, probes=()) -> SolveResult:
     """Classify a search's last iterate and package it as a result.
 
     ``probes`` are fields whose directions join the random curvature
@@ -225,8 +219,7 @@ def _finish(ws: rad.Disc, u, J, phi, gnorm, iterations, converged, clamped,
     return SolveResult(
         field=ws.wrap(u), energy=J, gradient_norm=gnorm,
         nehari_residual=ws.nehari_relative(u, phi), iterations=iterations,
-        classification=cls, level=level, converged=converged,
-        clamped=clamped, trace=trace)
+        classification=cls, converged=converged, trace=trace)
 
 
 def _classify(ws: rad.Disc, u: np.ndarray, J0: float, unorm: float,
@@ -258,8 +251,7 @@ def _classify(ws: rad.Disc, u: np.ndarray, J0: float, unorm: float,
 
 def multistart_minimize(starts: Sequence[FieldLike], profile: ChargeProfile,
                         model: NonlinearityModel,
-                        opts: Optional[SolveOptions] = None,
-                        level: str = "alpha"
+                        opts: Optional[SolveOptions] = None
                         ) -> Tuple[SolveResult, List[SolveResult]]:
     """Run ``minimize`` from every start; return (best, all results).
 
@@ -274,7 +266,7 @@ def multistart_minimize(starts: Sequence[FieldLike], profile: ChargeProfile,
     results = []
     for k, start in enumerate(starts):
         results.append(minimize(start, profile, model,
-                                replace(opts, seed=opts.seed + k), level=level))
+                                replace(opts, seed=opts.seed + k)))
     pool = [(r.energy, r.gradient_norm, k) for k, r in enumerate(results)
             if r.converged]
     if not pool:
@@ -283,34 +275,16 @@ def multistart_minimize(starts: Sequence[FieldLike], profile: ChargeProfile,
     return best, results
 
 
-def radial_gaussian_starts(grid: rad.RadialGrid, n_starts: int, seed: int = 0,
-                           amp_range=(0.5, 80.0),
-                           sigma_range=(0.6, 3.0)) -> List[rad.RadialField]:
-    """Deterministic family of scaled radial Gaussians (log-uniform draws)."""
+def radial_gaussian_starts(grid: rad.RadialGrid, n_starts: int,
+                           seed: int = 0) -> List[rad.RadialField]:
+    """Deterministic family of scaled radial Gaussians: amplitude in
+    [0.5, 80] and width in [0.6, 3], each drawn log-uniformly."""
     rng = np.random.default_rng(seed)
     starts = []
     for _ in range(n_starts):
-        amp = math.exp(rng.uniform(math.log(amp_range[0]), math.log(amp_range[1])))
-        sig = math.exp(rng.uniform(math.log(sigma_range[0]), math.log(sigma_range[1])))
+        amp = math.exp(rng.uniform(math.log(0.5), math.log(80.0)))
+        sig = math.exp(rng.uniform(math.log(0.6), math.log(3.0)))
         starts.append(rad.RadialField.gaussian(grid, amplitude=amp, sigma=sig))
-    return starts
-
-
-def cube_gaussian_starts(grid: f3d.Grid3D, n_starts: int, seed: int = 0,
-                         amp_range=(0.5, 80.0), sigma_range=(0.6, 3.0),
-                         shift_scale: float = 0.0) -> List[f3d.Field3D]:
-    """Scaled (optionally off-center) Gaussian bumps on the cube."""
-    rng = np.random.default_rng(seed)
-    ax = grid.axis()
-    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
-    starts = []
-    for _ in range(n_starts):
-        amp = math.exp(rng.uniform(math.log(amp_range[0]), math.log(amp_range[1])))
-        sig = math.exp(rng.uniform(math.log(sigma_range[0]), math.log(sigma_range[1])))
-        c = rng.uniform(-shift_scale, shift_scale, size=3) if shift_scale else np.zeros(3)
-        vals = amp * np.exp(-(((X - c[0]) ** 2 + (Y - c[1]) ** 2
-                               + (Z - c[2]) ** 2) / (2.0 * sig ** 2)))
-        starts.append(f3d.Field3D(grid, vals))
     return starts
 
 
@@ -352,7 +326,6 @@ def mountain_pass(u_low: FieldLike, profile: ChargeProfile,
     trace: List[TracePoint] = []
     t = STEP0
     it = 0
-    u = nodes[int(np.argmax(energies[1:-1])) + 1]
     while it < opts.max_iter:
         it += 1
         i = int(np.argmax(energies[1:-1])) + 1
@@ -377,7 +350,7 @@ def mountain_pass(u_low: FieldLike, profile: ChargeProfile,
         step = _armijo_step(ws, u, J_i, d, min(2.0 * t, 1e3))
         if step is None:
             break
-        t, nodes[i], energies[i], _, _ = step
+        t, nodes[i], energies[i], _ = step
         if it % 5 == 0:
             # the endpoints stay fixed, and so do their energies
             nodes = _respread(ws, nodes)
@@ -387,8 +360,8 @@ def mountain_pass(u_low: FieldLike, profile: ChargeProfile,
     u, gnorm, J, phi = _polish_residual(ws, u, target)
     # the anchor and the saddle itself are the likeliest descent
     # directions, so they are probed first
-    return _finish(ws, u, J, phi, gnorm, it, gnorm <= target, False, "beta",
-                   opts, trace, probes=(anchor, u))
+    return _finish(ws, u, J, phi, gnorm, it, gnorm <= target, opts, trace,
+                   probes=(anchor, u))
 
 
 def _respread(ws: rad.Disc, nodes: List[np.ndarray]) -> List[np.ndarray]:

@@ -180,7 +180,7 @@ def test_criterion_04_inequality_suites():
         for _ in range(100):
             u = rad.RadialField.gaussian(grid, rng.uniform(0.2, 20.0),
                                          rng.uniform(0.6, 2.5))
-            lhs, bound, holds = rad.strauss_check(u, rho_unit, slack=1e-6)
+            lhs, bound, holds = rad.strauss_check(u, rho_unit)
             strauss_ok += int(holds)
 
     # coercivity floor along every trajectory of a multistart run with a
@@ -262,6 +262,7 @@ def test_criterion_07_multibump_ladder(tmp_path):
             f"uniform constant {q['excess_constant']:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_08_symmetry_breaking(tmp_path):
     report = run(load_config("symmetry-breaking",
                              out_dir=str(tmp_path / "out")))

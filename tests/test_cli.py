@@ -175,6 +175,29 @@ class TestRunAndMain:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("scenario, doc, key", [
+        ("verify-lemmas", {"model": {"kind": "asymptotically-linear"}}, "a2"),
+        ("verify-lemmas", {"model": {"kind": "table"}}, "csv"),
+        ("verify-lemmas", {"profile": {"kind": "constant"}}, "value"),
+        ("verify-lemmas", {"profile": {"kind": "rational", "rho0": 0.05}},
+         "rho_inf"),
+        ("verify-lemmas", {"model": 5}, "model"),
+        ("verify-lemmas", {"radial_grid": 5}, "radial_grid"),
+        ("verify-lemmas", {"solver": [1]}, "solver"),
+        ("symmetry-breaking", {"options": {"eps_sweep": []}}, "eps_sweep"),
+        ("multibump", {"options": {"bump_counts": 3}}, "bump_counts"),
+    ])
+    def test_main_rejects_malformed_config(self, tmp_path, capsys, scenario,
+                                           doc, key):
+        path = _write(tmp_path, {"schema": SCHEMA_VERSION, **doc})
+        code = main([scenario, "--config", path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and key in err["message"]
+
     def test_main_reports_failing_verdicts(self, tmp_path, monkeypatch,
                                             capsys):
         import spvlab.cli as cli
