@@ -40,6 +40,9 @@ SCHEMA_VERSION = 1
 SCENARIOS = ("verify-lemmas", "autonomous", "uniqueness-scan",
              "ground-state", "multibump", "symmetry-breaking")
 
+# x-planes per slab of the refine resample
+_RESAMPLE_SLAB = 8
+
 # grid sizes per --grid-scale
 GRID_SCALES = {
     "desk": {"radial_n": 4096, "cube_n": 128},
@@ -98,19 +101,48 @@ def _required(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _number(value, name: str, convert: Callable):
+    """``convert(value)``, int or float, for the config entry ``name``;
+    a JSON value that is not a number raises ConfigError naming it."""
+    if not isinstance(value, bool):
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+
+
+# the scalar entries of the solver and options sections, with their types
+_SOLVER_KEYS = {"tol_grad": float, "tol_grad_abs": float, "max_iter": int,
+                "n_starts": int}
+_OPTION_SCALARS = {"R0": float, "bump_offset": float, "n_fields": int,
+                   "refine_n": int}
+
+
+def _numbers(sec: dict, types: Dict[str, Callable], where: str) -> dict:
+    """The section with each entry named in ``types`` converted by
+    ``_number``; a null entry counts as absent."""
+    out = {k: v for k, v in sec.items() if k not in types}
+    out.update({k: _number(v, f"{where}.{k}", types[k])
+                for k, v in sec.items() if k in types and v is not None})
+    return out
+
+
 def _build_model(doc: dict) -> NonlinearityModel:
     kind = doc.get("kind", "pure-power")
     if kind == "pure-power":
-        model = NonlinearityModel.pure_power(float(doc.get("q", 2.5)),
-                                             float(doc.get("a_q", 1.0)))
+        model = NonlinearityModel.pure_power(
+            _number(doc.get("q", 2.5), "model.q", float),
+            _number(doc.get("a_q", 1.0), "model.a_q", float))
     elif kind == "asymptotically-linear":
         model = NonlinearityModel.asymptotically_linear(
-            float(_required(doc, "a2", "model")))
+            _number(_required(doc, "a2", "model"), "model.a2", float))
     elif kind == "table":
         model = NonlinearityModel.from_csv(_required(doc, "csv", "model"))
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
-    p = float(doc.get("p", model.q if 2.0 < model.q < 3.0 else 2.5))
+    p = _number(doc.get("p", model.q if 2.0 < model.q < 3.0 else 2.5),
+                "model.p", float)
     with warnings.catch_warnings():
         # p == q is the natural choice for pure powers; the fit warns that
         # the bound is only attained asymptotically, which is fine here
@@ -122,14 +154,15 @@ def _build_profile(doc: dict) -> ChargeProfile:
     kind = doc.get("kind")
     if kind == "constant":
         prof = ChargeProfile.constant(
-            float(_required(doc, "value", "profile")))
+            _number(_required(doc, "value", "profile"), "profile.value", float))
     elif kind == "rational":
         prof = ChargeProfile.rational(
-            float(_required(doc, "rho0", "profile")),
-            float(_required(doc, "rho_inf", "profile")))
+            _number(_required(doc, "rho0", "profile"), "profile.rho0", float),
+            _number(_required(doc, "rho_inf", "profile"), "profile.rho_inf",
+                    float))
     else:
         raise ConfigError(f"unknown profile kind {kind!r}")
-    eps = float(doc.get("eps", 1.0))
+    eps = _number(doc.get("eps", 1.0), "profile.eps", float)
     return prof.scaled(eps) if eps != 1.0 else prof
 
 
@@ -161,17 +194,17 @@ def load_config(scenario: str, config_path: Optional[str] = None,
 
     rg = _section(doc, "radial_grid", ["r_max", "n"])
     cg = _section(doc, "cube_grid", ["L", "n"])
-    solver = _section(doc, "solver",
-                      ["tol_grad", "tol_grad_abs", "max_iter", "n_starts"])
-    options = _section(doc, "options", ["R0", "bump_counts", "eps_sweep",
-                                        "bump_offset", "n_fields", "refine_n"])
+    solver = _section(doc, "solver", list(_SOLVER_KEYS))
+    options = _section(doc, "options", list(_OPTION_SCALARS)
+                       + ["bump_counts", "eps_sweep"])
 
     model = _build_model(
         _section(doc, "model", ["kind", "q", "a_q", "a2", "p", "csv"]))
     profile = (None if doc.get("profile") is None else _build_profile(
         _section(doc, "profile", ["kind", "value", "rho0", "rho_inf", "eps"])))
     lam = doc.get("lambda")
-    resolved_seed = int(seed if seed is not None else doc.get("seed", 0))
+    resolved_seed = (seed if seed is not None
+                     else _number(doc.get("seed", 0), "seed", int))
     resolved_out = out_dir or doc.get("out_dir") or os.path.join(
         "runs", scenario)
     scale = GRID_SCALES[grid_scale]
@@ -179,22 +212,26 @@ def load_config(scenario: str, config_path: Optional[str] = None,
     # default coupling each bump spans a radius-12 ball, so this scenario
     # needs a box large enough to hold two of them side by side
     default_extent = 18.0 if scenario == "symmetry-breaking" else 12.0
-    radial_grid = {"r_max": float(rg.get("r_max", default_extent)),
-                   "n": int(rg.get("n", scale["radial_n"]))}
-    cube_grid = {"L": float(cg.get("L", default_extent)),
-                 "n": int(cg.get("n", scale["cube_n"]))}
+    radial_grid = {
+        "r_max": _number(rg.get("r_max", default_extent), "radial_grid.r_max",
+                         float),
+        "n": _number(rg.get("n", scale["radial_n"]), "radial_grid.n", int)}
+    cube_grid = {"L": _number(cg.get("L", default_extent), "cube_grid.L",
+                              float),
+                 "n": _number(cg.get("n", scale["cube_n"]), "cube_grid.n",
+                              int)}
 
     return ScenarioConfig(
         scenario=scenario,
         model=model,
         profile=profile,
-        lam=None if lam is None else float(lam),
+        lam=None if lam is None else _number(lam, "lambda", float),
         radial_r_max=radial_grid["r_max"],
         radial_n=radial_grid["n"],
         cube_L=cube_grid["L"],
         cube_n=cube_grid["n"],
-        solver=solver,
-        options=options,
+        solver=_numbers(solver, _SOLVER_KEYS, "solver"),
+        options=_numbers(options, _OPTION_SCALARS, "options"),
         seed=resolved_seed,
         out_dir=resolved_out,
         inputs_echo={
@@ -277,8 +314,6 @@ def _opts(cfg: ScenarioConfig, **overrides) -> slv.SolveOptions:
         if key in cfg.solver:
             kw[key] = cfg.solver[key]
     kw.update(overrides)
-    if "max_iter" in kw:
-        kw["max_iter"] = int(kw["max_iter"])
     return slv.SolveOptions(**kw)
 
 
@@ -301,7 +336,7 @@ def _option_list(cfg: ScenarioConfig, key: str, default: list,
     raw = cfg.options.get(key, default)
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"options.{key} must be a non-empty list")
-    return [convert(v) for v in raw]
+    return [_number(v, f"options.{key}", convert) for v in raw]
 
 
 def _random_fields(grid: rad.RadialGrid, count: int, seed: int
@@ -335,13 +370,29 @@ def _taper_to_support(u: rad.RadialField, r0: float,
 
 def _trilinear_resample(values: np.ndarray, grid_from: f3d.Grid3D,
                         grid_to: f3d.Grid3D) -> np.ndarray:
+    """Trilinear interpolant of ``values`` at the nodes of ``grid_to``,
+    zero outside ``grid_from``.
+
+    The interpolant is evaluated on slabs of ``_RESAMPLE_SLAB`` x-planes,
+    so the point arrays stay a small fraction of the output.  Each point's
+    value is computed on its own, so the result is bit-identical to one
+    evaluation at all points.
+    """
     ax_from = grid_from.axis()
     interp = RegularGridInterpolator((ax_from, ax_from, ax_from), values,
                                      bounds_error=False, fill_value=0.0)
     ax_to = grid_to.axis()
-    X, Y, Z = np.meshgrid(ax_to, ax_to, ax_to, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-    return interp(pts).reshape(grid_to.n, grid_to.n, grid_to.n)
+    n = grid_to.n
+    Y, Z = np.meshgrid(ax_to, ax_to, indexing="ij")
+    out = np.empty((n, n, n))
+    for i in range(0, n, _RESAMPLE_SLAB):
+        xs = ax_to[i:i + _RESAMPLE_SLAB]
+        pts = np.empty((len(xs), n, n, 3))
+        pts[..., 0] = xs[:, None, None]
+        pts[..., 1] = Y
+        pts[..., 2] = Z
+        out[i:i + len(xs)] = interp(pts)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +421,7 @@ def _scenario_verify_lemmas(cfg: ScenarioConfig):
         sign_rows.append({"factor": factor, "bracket_min": m, "ok": ok})
 
     grid = _radial_grid(cfg)
-    n_fields = int(cfg.options.get("n_fields", 100))
+    n_fields = cfg.options.get("n_fields", 100)
     fields = _random_fields(grid, n_fields, cfg.seed)
     unit_profile = ChargeProfile.constant(1.0)
     above = ChargeProfile.constant(1.1 * d0)
@@ -421,7 +472,7 @@ def _scenario_autonomous(cfg: ScenarioConfig):
     lam = _resolve_lambda(cfg, bounds, "below-energy-threshold")
     profile = cfg.profile or ChargeProfile.constant(math.sqrt(lam))
 
-    n_starts = int(cfg.solver.get("n_starts", 8))
+    n_starts = cfg.solver.get("n_starts", 8)
     starts: List[rad.RadialField] = []
     if bounds.witness_a0 is not None:
         starts.append(bounds.witness_a0)
@@ -509,7 +560,7 @@ def _scenario_uniqueness_scan(cfg: ScenarioConfig):
             "non-autonomous profile must stay above the certified "
             "derivative threshold (rho_min > sqrt(lambdabar0_upper))")
 
-    n_starts = int(cfg.solver.get("n_starts", 20))
+    n_starts = cfg.solver.get("n_starts", 20)
     opts = _opts(cfg, tol_grad_abs=1e-8, max_iter=2000)
 
     def scan(profile):
@@ -557,7 +608,7 @@ def _scenario_ground_state(cfg: ScenarioConfig):
     cond = validate_conditions(profile, model, lam_for_check)
     floor = coercivity_floor(profile, model.C0, model.p)
 
-    n_starts = int(cfg.solver.get("n_starts", 8))
+    n_starts = cfg.solver.get("n_starts", 8)
     starts = [rad.RadialField.gaussian(grid, 30.0, 1.2)]
     starts += slv.radial_gaussian_starts(grid, max(n_starts - 1, 1),
                                          seed=cfg.seed)
@@ -610,7 +661,7 @@ def _scenario_ground_state(cfg: ScenarioConfig):
 
 
 def _scenario_multibump(cfg: ScenarioConfig):
-    R0 = float(cfg.options.get("R0", 3.5))
+    R0 = cfg.options.get("R0", 3.5)
     counts = _option_list(cfg, "bump_counts", [1, 2, 3, 4, 5], int)
     grid = _radial_grid(cfg)
     model = cfg.model
@@ -676,8 +727,8 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
     if any(e <= 0.0 for e in eps_sweep) or eps_sweep != sorted(
             eps_sweep, reverse=True):
         raise ConfigError("options.eps_sweep must be positive and decreasing")
-    offset = float(cfg.options.get("bump_offset", 7.0))
-    n_starts = int(cfg.solver.get("n_starts", 4))
+    offset = cfg.options.get("bump_offset", 7.0)
+    n_starts = cfg.solver.get("n_starts", 4)
 
     grid = _radial_grid(cfg)
     model = cfg.model
@@ -750,7 +801,7 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
     # already sits below the radial level; a modest number of 3-D
     # relaxation steps keeps the scenario inside its time budget
     opts3 = _opts(cfg, tol_grad=1e-3,
-                  max_iter=int(cfg.solver.get("max_iter", 120)))
+                  max_iter=cfg.solver.get("max_iter", 120))
     _, results3 = slv.multistart_minimize(starts3, prof_eps, model, opts3)
     # the iteration cap can stop a descent before the gradient
     # tolerance; the energy of any admissible field still bounds the
@@ -762,7 +813,7 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
     alpha_cube = best3.energy
 
     # discretization error: re-evaluate both fields on a refined cube
-    n_ref = int(cfg.options.get("refine_n", cfg.cube_n + 32))
+    n_ref = cfg.options.get("refine_n", cfg.cube_n + 32)
     grid_ref = f3d.Grid3D(cfg.cube_L, n_ref)
     alpha_ref = f3d.energy_3d(
         f3d.Field3D(grid_ref, _trilinear_resample(

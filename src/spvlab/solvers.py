@@ -18,6 +18,8 @@ optimality measure.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -259,20 +261,72 @@ def multistart_minimize(starts: Sequence[FieldLike], profile: ChargeProfile,
     broken by lowest energy, then lowest gradient norm, then earliest
     start index.  When no start converges the best non-converged result
     is returned (flagged by its ``converged`` field).
+
+    3-D starts run concurrently when the process may use more than one
+    CPU: start 0 on the calling thread, the others on a thread pool of
+    one worker fewer than min(starts, CPUs), created for this call.  The
+    cube kernel spends its time in FFTs and array loops over whole grids,
+    which release the interpreter lock.  Each descent builds its own
+    kernel, and each transform still runs with one worker, so every
+    result is bit-identical to the serial loop's.  The results are read
+    in start order, so the list, and the exception when starts fail (that
+    of the lowest failing index, with its own type), are those of the
+    serial loop.  Radial starts run one after another on the calling
+    thread: their many short kernel calls contend for the interpreter
+    lock, and two threads ran slower than one.
     """
     if len(starts) < 1:
         raise SolverError("multistart needs at least one start field")
     opts = opts or SolveOptions()
-    results = []
-    for k, start in enumerate(starts):
-        results.append(minimize(start, profile, model,
-                                replace(opts, seed=opts.seed + k)))
+    seeded = [replace(opts, seed=opts.seed + k) for k in range(len(starts))]
+    workers = min(len(starts), _usable_cpus()) - 1
+    if workers > 0 and all(isinstance(s, f3d.Field3D) for s in starts):
+        results = _minimize_concurrently(starts, profile, model, seeded,
+                                         workers)
+    else:
+        results = [minimize(start, profile, model, o)
+                   for start, o in zip(starts, seeded)]
     pool = [(r.energy, r.gradient_norm, k) for k, r in enumerate(results)
             if r.converged]
     if not pool:
         pool = [(r.energy, r.gradient_norm, k) for k, r in enumerate(results)]
     best = results[min(pool)[2]]
     return best, results
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _minimize_concurrently(starts: Sequence[f3d.Field3D],
+                           profile: ChargeProfile, model: NonlinearityModel,
+                           seeded: Sequence[SolveOptions],
+                           workers: int) -> List[SolveResult]:
+    """``minimize`` of start k under ``seeded[k]``, start 0 on this thread.
+
+    The per-grid caches of start 0's grid are filled here first, so the
+    threads only read them.  Start 0 runs on the calling thread because
+    every pool thread gets its own malloc arena, which holds memory after
+    the arrays are freed.  When a start raises, the starts not yet begun
+    are cancelled and the pool waits for the running ones before the
+    error propagates.
+    """
+    grid = starts[0].grid
+    f3d.CubeDisc(grid, profile, model)
+    f3d._coulomb_kernel_hat(grid.key)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(minimize, start, profile, model, o)
+                   for start, o in zip(starts[1:], seeded[1:])]
+        try:
+            results = [minimize(starts[0], profile, model, seeded[0])]
+            results += [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()
+    return results
 
 
 def radial_gaussian_starts(grid: rad.RadialGrid, n_starts: int,

@@ -8,8 +8,13 @@ import warnings
 import pytest
 
 import spvlab
+import numpy as np
+from scipy.interpolate import RegularGridInterpolator
+
+import spvlab.field3d as f3d
 from spvlab.cli import (GRID_SCALES, SCENARIOS, SCHEMA_VERSION, ConfigError,
-                        ExperimentReport, Verdict, load_config, main, run)
+                        ExperimentReport, Verdict, _trilinear_resample,
+                        load_config, main, run)
 from spvlab.models import ModelError
 from spvlab.radial import DiscretizationError
 from spvlab.solvers import SolverError
@@ -106,11 +111,48 @@ class TestLoadConfig:
         assert cfg.seed == 11
         assert cfg.out_dir == str(tmp_path / "out")
 
+    def test_numeric_entries_are_converted(self, tmp_path):
+        path = _write(tmp_path, {
+            "schema": SCHEMA_VERSION,
+            "solver": {"max_iter": 500.0, "tol_grad": 1, "tol_grad_abs": None},
+            "options": {"n_fields": 12.0, "R0": 4, "eps_sweep": [0.1]},
+        })
+        cfg = load_config("verify-lemmas", config_path=path)
+        assert cfg.solver == {"max_iter": 500, "tol_grad": 1.0}
+        assert type(cfg.solver["max_iter"]) is int
+        assert cfg.options == {"n_fields": 12, "R0": 4.0, "eps_sweep": [0.1]}
+        assert type(cfg.options["R0"]) is float
+        # the report echoes the document as written
+        assert cfg.inputs_echo["solver"]["max_iter"] == 500.0
+        assert cfg.inputs_echo["solver"]["tol_grad_abs"] is None
+
     def test_symmetry_breaking_gets_roomier_default_box(self):
         cfg = load_config("symmetry-breaking")
         assert cfg.radial_r_max == 18.0
         assert cfg.cube_L == 18.0
         assert load_config("autonomous").cube_L == 12.0
+
+
+def _one_shot_resample(values, grid_from, grid_to):
+    """The refine resample evaluated at all points at once."""
+    ax_from = grid_from.axis()
+    interp = RegularGridInterpolator((ax_from, ax_from, ax_from), values,
+                                     bounds_error=False, fill_value=0.0)
+    ax_to = grid_to.axis()
+    X, Y, Z = np.meshgrid(ax_to, ax_to, ax_to, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
+    return interp(pts).reshape(grid_to.n, grid_to.n, grid_to.n)
+
+
+@pytest.mark.parametrize("n_from, n_to", [(16, 48), (32, 64), (16, 30)])
+def test_slab_resample_matches_one_shot(n_from, n_to):
+    grid_from, grid_to = f3d.Grid3D(18.0, n_from), f3d.Grid3D(18.0, n_to)
+    radius = grid_from.radius()
+    values = (np.exp(-radius ** 2 / 8.0)
+              + np.random.default_rng(n_to).random(radius.shape))
+    out = _trilinear_resample(values, grid_from, grid_to)
+    assert np.array_equal(out, _one_shot_resample(values, grid_from,
+                                                  grid_to))
 
 
 class TestReport:
@@ -186,6 +228,17 @@ class TestRunAndMain:
         ("verify-lemmas", {"solver": [1]}, "solver"),
         ("symmetry-breaking", {"options": {"eps_sweep": []}}, "eps_sweep"),
         ("multibump", {"options": {"bump_counts": 3}}, "bump_counts"),
+        ("verify-lemmas", {"seed": [1]}, "seed"),
+        ("verify-lemmas", {"radial_grid": {"n": [1]}}, "radial_grid.n"),
+        ("verify-lemmas", {"options": {"n_fields": []}}, "options.n_fields"),
+        ("verify-lemmas", {"solver": {"max_iter": "many"}}, "solver.max_iter"),
+        ("verify-lemmas", {"cube_grid": {"n": True}}, "cube_grid.n"),
+        ("verify-lemmas", {"lambda": {"value": 1.0}}, "lambda"),
+        ("verify-lemmas", {"model": {"q": [2.5]}}, "model.q"),
+        ("verify-lemmas", {"profile": {"kind": "constant", "value": "x"}},
+         "profile.value"),
+        ("symmetry-breaking", {"options": {"eps_sweep": [0.1, None]}},
+         "options.eps_sweep"),
     ])
     def test_main_rejects_malformed_config(self, tmp_path, capsys, scenario,
                                            doc, key):

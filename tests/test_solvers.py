@@ -1,7 +1,11 @@
 """Tests for Sobolev descent, classification, and the saddle search."""
 
 import math
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -130,6 +134,109 @@ class TestMultistart:
     def test_requires_starts(self):
         with pytest.raises(SolverError):
             multistart_minimize([], _rho(), _model())
+
+
+def _cube_starts(count, n=12):
+    """Gaussians of different heights and centres on a small cube."""
+    grid = Grid3D(6.0, n)
+    ax = grid.axis()
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+    return [Field3D(grid, (10.0 + 2.0 * k) * np.exp(
+        -((X - 0.3 * k) ** 2 + Y ** 2 + (Z + 0.2 * k) ** 2) / 1.5))
+        for k in range(count)]
+
+
+def _record_threads(monkeypatch, fail=None):
+    """Wrap ``slv.minimize`` to record (seed, thread id) of each call.
+
+    ``fail`` maps a seed to (exception, delay): that call sleeps for the
+    delay, then raises the exception.
+    """
+    seen = []
+    original = slv.minimize
+
+    def recorded(init, profile, model, opts, **kw):
+        seen.append((opts.seed, threading.get_ident()))
+        if fail and opts.seed in fail:
+            exc, delay = fail[opts.seed]
+            time.sleep(delay)
+            raise exc
+        return original(init, profile, model, opts, **kw)
+
+    monkeypatch.setattr(slv, "minimize", recorded)
+    return seen
+
+
+def _in_thread(fn):
+    """Run fn on a fresh thread; its result, or its exception, within a
+    time limit."""
+    with ThreadPoolExecutor(max_workers=1) as runner:
+        return runner.submit(fn).result(timeout=300)
+
+
+class TestConcurrentMultistart:
+    def test_cube_results_match_serial_descents(self, monkeypatch):
+        starts = _cube_starts(4)
+        opts = SolveOptions(tol_grad=1e-3, max_iter=15, seed=5)
+        serial = [minimize(u, _rho(), _model(), SolveOptions(
+            tol_grad=1e-3, max_iter=15, seed=5 + k))
+            for k, u in enumerate(starts)]
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: 1)
+        best_serial, _ = multistart_minimize(starts, _rho(), _model(), opts)
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: 4)
+        seen = _record_threads(monkeypatch)
+        caller = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def call():
+                caller.append(threading.get_ident())
+                return multistart_minimize(starts, _rho(), _model(), opts)
+            best, results = _in_thread(call)
+        finally:
+            sys.setswitchinterval(interval)
+        threads = dict(seen)
+        assert sorted(threads) == [5, 6, 7, 8]
+        assert threads[5] == caller[0]
+        assert len(set(threads.values())) > 1
+        assert len(results) == len(serial)
+        for r, ref in zip(results, serial):
+            assert np.array_equal(r.field.values, ref.field.values)
+            assert r.energy == ref.energy
+            assert r.gradient_norm == ref.gradient_norm
+            assert r.iterations == ref.iterations
+            assert r.classification == ref.classification
+            assert r.trace == ref.trace
+        assert np.array_equal(best.field.values, best_serial.field.values)
+
+    @pytest.mark.parametrize("fail, expected", [
+        # start 2 fails first in time; start 1, the lower index, wins
+        ({1: (SolverError("start 1"), 0.3), 2: (ValueError("start 2"), 0.0)},
+         SolverError),
+        ({0: (MemoryError("start 0"), 0.2), 3: (SolverError("start 3"), 0.0)},
+         MemoryError),
+    ], ids=["pool-starts", "calling-thread-start"])
+    def test_lowest_failing_start_raises(self, monkeypatch, fail, expected):
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: 4)
+        _record_threads(monkeypatch, fail)
+        k = min(fail)
+        with pytest.raises(expected, match=f"start {k}"):
+            _in_thread(lambda: multistart_minimize(
+                _cube_starts(4), _rho(), _model(),
+                SolveOptions(max_iter=3)))
+
+    @pytest.mark.parametrize("kind, cpus", [("radial", 4), ("cube", 1)])
+    def test_serial_on_the_calling_thread(self, monkeypatch, kind, cpus):
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: cpus)
+        if kind == "radial":
+            grid = RadialGrid(12.0, 512)
+            starts = radial_gaussian_starts(grid, 3, seed=0)
+        else:
+            starts = _cube_starts(3)
+        seen = _record_threads(monkeypatch)
+        multistart_minimize(starts, _rho(), _model(),
+                            SolveOptions(tol_grad=1e-3, max_iter=10))
+        assert seen == [(k, threading.get_ident()) for k in range(3)]
 
 
 class TestMountainPass:
