@@ -7,16 +7,17 @@ The library studies critical points of the functional
 on H^1(R^3), where phi_{rho,u} solves -Delta phi = rho u^2 and F grows
 subcritically.  Modules:
 
-- ``models``: nonlinearities, charge profiles, fitted growth constants,
-  the critical charge threshold, coercivity floors, hypothesis checks.
+- ``models``: nonlinearities, constant and rational charge profiles,
+  fitted growth constants, the critical charge threshold, coercivity
+  floors, hypothesis checks.
 - ``radial``: radially symmetric discretization with an O(n) Newtonian
   potential and exact discrete energy gradients, and its solver kernel.
 - ``field3d``: full 3-D cube discretization with FFT free-space Poisson
   solves and spectral H^1 machinery, and its solver kernel.
 - ``solvers``: Sobolev-gradient descent, multistart global search,
   path-deformation saddle search, critical-point classification.
-- ``landscape``: coupling-threshold bounds with stored witnesses,
-  truncation to compact support, semi-analytic multibump energies.
+- ``landscape``: coupling-threshold bounds with stored witnesses, a
+  smooth cutoff to compact support, semi-analytic multibump energies.
 - ``cli``: named, reproducible experiment scenarios with JSON configs
   and machine-readable reports.
 

@@ -113,8 +113,7 @@ def _number(value, name: str, convert: Callable):
 
 
 # the scalar entries of the solver and options sections, with their types
-_SOLVER_KEYS = {"tol_grad": float, "tol_grad_abs": float, "max_iter": int,
-                "n_starts": int}
+_SOLVER_KEYS = {"tol_grad_abs": float, "max_iter": int, "n_starts": int}
 _OPTION_SCALARS = {"R0": float, "bump_offset": float, "n_fields": int,
                    "refine_n": int}
 
@@ -310,7 +309,7 @@ def _radial_grid(cfg: ScenarioConfig) -> rad.RadialGrid:
 
 def _opts(cfg: ScenarioConfig, **overrides) -> slv.SolveOptions:
     kw = {"seed": cfg.seed}
-    for key in ("tol_grad", "tol_grad_abs", "max_iter"):
+    for key in ("tol_grad_abs", "max_iter"):
         if key in cfg.solver:
             kw[key] = cfg.solver[key]
     kw.update(overrides)

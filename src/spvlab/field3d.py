@@ -40,7 +40,7 @@ from scipy import fft as sfft
 
 from .models import ChargeProfile, ModelError, NonlinearityModel, eval_F, eval_f
 from .radial import (_GRID_CACHE_SIZE, FOUR_PI, DECAY_GUARD_REL,
-                     DiscretizationError, Disc, RadialField, RadialGrid)
+                     DiscretizationError, Disc, RadialField)
 
 # mean of 1/|x| over the unit cube [-1/2, 1/2]^3
 _CUBE_COULOMB_AVG = 2.3800773639795536
@@ -303,13 +303,6 @@ def sobolev_gradient_3d(u: Field3D, profile: ChargeProfile,
     return Field3D(u.grid, disc.riesz(u.values, disc.potential(u.values)))
 
 
-def nehari_residual_3d(u: Field3D, profile: ChargeProfile,
-                       model: NonlinearityModel) -> float:
-    """||u||_H1^2 + int rho phi u^2 - int f(u) u  (the derivative along u)."""
-    disc = CubeDisc(u.grid, profile, model)
-    return disc.nehari_residual(u.values, disc.potential(u.values))
-
-
 # ---------------------------------------------------------------------------
 # Raw-array evaluation kernel for the critical-point searches
 # ---------------------------------------------------------------------------
@@ -403,17 +396,3 @@ def embed_radial(u: RadialField, grid: Grid3D,
     dist = np.sqrt(X ** 2 + Y ** 2 + Z ** 2)
     vals = np.interp(dist, u.grid.r, u.values, right=0.0)
     return Field3D(grid, vals)
-
-
-def radial_average(u: Field3D, rgrid: RadialGrid) -> RadialField:
-    """Spherical average of a 3-D field onto a radial grid (bin means)."""
-    dist = u.grid.radius().ravel()
-    vals = u.values.ravel()
-    h = rgrid.h
-    bins = np.clip(np.round(dist / h).astype(int), 0, rgrid.n)
-    sums = np.bincount(bins, weights=vals, minlength=rgrid.n + 1)
-    counts = np.bincount(bins, minlength=rgrid.n + 1)
-    inside = counts > 0
-    out = np.zeros(rgrid.n + 1)
-    out[inside] = sums[inside] / counts[inside]
-    return RadialField(rgrid, out)

@@ -10,10 +10,10 @@ bounds from explicit witness fields (a two-parameter family of scaled
 Gaussians by default), upper bounds from the fitted cubic growth
 constants.
 
-The second half of the module implements the compact-support machinery:
-a C^1 cutoff, truncation of a negative-energy state with re-tuning of
-the truncation radius, and the assembly of N-bump trial fields whose
-energy is evaluated semi-analytically (exact for disjoint supports).
+The second half of the module holds the compact-support machinery: a
+C^1 cutoff that tapers a field to a ball, and the assembly of N-bump
+trial fields from one compactly supported bump, whose energy is
+evaluated semi-analytically (exact for disjoint supports).
 Widely separated bumps under a flattening charge rescaling drive the
 energy infimum toward minus infinity, which is the mechanism behind
 non-radial ground states.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -255,95 +255,14 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
 
 
 # ---------------------------------------------------------------------------
-# Cutoff and truncation
+# Cutoff
 # ---------------------------------------------------------------------------
 
 def smoothstep(r, r0: float, r1: float):
-    """C^1 cubic smoothstep in r: 1 on [0, r0], 0 on [r1, inf)."""
+    """C^1 cubic smoothstep in r: 1 on [0, r0], 0 on [r1, inf), slope at
+    most 1.5 / (r1 - r0)."""
     x = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
     return 1.0 - x * x * (3.0 - 2.0 * x)
-
-
-def cutoff_psi(R: float) -> Callable:
-    """The smoothstep from R/2 to R; slope <= 3/R.
-
-    R below 6 is rejected so the slope bound 3/R stays safely below 1.
-    """
-    if R < 6.0:
-        raise ModelError(f"cutoff radius {R} below 6: slope bound at risk")
-
-    def psi(r):
-        r = np.asarray(r, dtype=float)
-        # R - R/2 is exactly R/2 in floating point
-        out = smoothstep(r, R / 2.0, R)
-        return out if r.ndim else float(out)
-
-    return psi
-
-
-def apply_cutoff(u: RadialField, R: float) -> RadialField:
-    """Pointwise product with the cutoff; compactly supported in [0, R]."""
-    return RadialField(u.grid, u.values * cutoff_psi(R)(u.grid.r))
-
-
-@dataclass(frozen=True)
-class TruncationRow:
-    """Diagnostics for one truncation radius in the tuning sweep."""
-
-    R: float
-    h1_norm_sq: float
-    f_integral: float
-    energy: float
-
-
-@dataclass(frozen=True)
-class TruncationResult:
-    R0: float
-    field: RadialField
-    sweep: List[TruncationRow]
-
-
-def truncation_sweep(v: RadialField, lam: float, model: NonlinearityModel,
-                     radii: Sequence[float]) -> List[TruncationRow]:
-    """Evaluate the truncated field's invariants along a radius sweep."""
-    prof = ChargeProfile.constant(math.sqrt(lam))
-    rows = []
-    for R in radii:
-        uR = apply_cutoff(v, R)
-        rows.append(TruncationRow(
-            R=float(R), h1_norm_sq=h1_norm_sq(uR),
-            f_integral=uR.grid.integrate(eval_F(model, uR.values)),
-            energy=energy_radial(uR, prof, model)))
-    return rows
-
-
-def truncate_and_tune(v: RadialField, lam: float,
-                      model: NonlinearityModel) -> TruncationResult:
-    """Smallest doubling radius R0 with negative truncated energy.
-
-    Starts at R = 6 and doubles until the energy of v * psi_R drops below
-    zero; errors out when R would exceed the grid (enlarge the domain) or
-    when v itself has nonnegative energy (nothing to truncate toward).
-    """
-    prof = ChargeProfile.constant(math.sqrt(lam))
-    if energy_radial(v, prof, model) >= 0.0:
-        raise ModelError("truncation needs a negative-energy field")
-    radii = []
-    R = 6.0
-    while R <= v.grid.r_max + 1e-12:
-        radii.append(R)
-        R *= 2.0
-    if not radii:
-        raise DiscretizationError("grid too small for the minimal cutoff "
-                                  "radius 6; enlarge r_max")
-    sweep = truncation_sweep(v, lam, model, radii)
-    for row in sweep:
-        if row.energy < 0.0:
-            return TruncationResult(R0=row.R, field=apply_cutoff(v, row.R),
-                                    sweep=sweep)
-    raise DiscretizationError(
-        "no truncation radius up to the grid size gives negative energy; "
-        "enlarge r_max")
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ that define a Schrodinger-Poisson energy functional
     J(u) = 1/2 ||u||_H1^2 + 1/4 int rho(x) phi u^2 dx - int F(u) dx,
 
 where F is the antiderivative of f and phi solves -Delta phi = rho u^2.
-This module houses the model catalogue (pure-power and asymptotically
-linear nonlinearities, constant/radial/tabulated charges), the fitting of
-the growth constants C0 and C1, and the threshold machinery built from
-them: the bracket function 1/8 + (d/sqrt8) s - (C0/p) s^(p-2), its
-stationary point, the critical charge threshold d0 at which the bracket's
-minimum touches zero, the pointwise energy floor m(x), and the global
-coercivity floor obtained by integrating m over the sublevel set
-{rho < d0}.
+This module houses the model catalogue (pure-power, asymptotically
+linear and tabulated nonlinearities; constant and rational radial
+charges), the fitting of the growth constants C0 and C1, and the
+threshold machinery built from them: the bracket function
+1/8 + (d/sqrt8) s - (C0/p) s^(p-2), its stationary point, the critical
+charge threshold d0 at which the bracket's minimum touches zero, the
+pointwise energy floor m(x), and the global coercivity floor obtained by
+integrating m over the sublevel set {rho < d0}.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from scipy import integrate, optimize
 SQRT8 = math.sqrt(8.0)
 
 _MODEL_KINDS = ("pure-power", "asymptotically-linear", "table")
-_PROFILE_KINDS = ("constant", "radial", "table")
+_PROFILE_KINDS = ("constant", "radial")
 
 
 class ModelError(ValueError):
@@ -115,45 +115,11 @@ class NonlinearityModel:
         a_q = float(np.exp(icpt)) if q > 2.0 else max(float(np.exp(icpt)), np.nextafter(1.0, 2.0))
         return NonlinearityModel.from_table(s, fs, q=q, a_q=a_q)
 
-    # -- evaluation ---------------------------------------------------------
-
-    def f(self, s):
-        """Evaluate f pointwise; zero on s <= 0.  Accepts scalars or arrays."""
-        return eval_f(self, s)
-
-    def F(self, s):
-        """Antiderivative of f with F(0) = 0."""
-        return eval_F(self, s)
-
     def with_constants(self, p: float) -> "NonlinearityModel":
         """Return a copy with the fitted constants p, C0, C1 filled in."""
         c0 = fit_growth_bound(self, p)
         c1 = fit_cubic_bound(self)
         return replace(self, p=p, C0=c0, C1=c1)
-
-    def validate(self) -> dict:
-        """Numeric sanity checks on the growth hypotheses.
-
-        Returns a dict of named pass/fail booleans: vanishing on negatives,
-        f -> 0 at 0+, and the asymptotic ratio f(s)/s^(q-1) approaching a_q
-        with decreasing relative deviation at s = 1e2, 1e3, 1e4.
-        """
-        checks = {}
-        sneg = np.array([-10.0, -1.0, -1e-8])
-        checks["vanishes_on_negatives"] = bool(np.all(self.f(sneg) == 0.0))
-        checks["vanishes_at_origin"] = bool(abs(self.f(1e-9)) < 1e-6)
-        svals = np.array([1e2, 1e3, 1e4])
-        dev = np.abs(self.f(svals) / svals ** (self.q - 1.0) - self.a_q) / self.a_q
-        checks["asymptote_deviation_decreasing"] = bool(np.all(np.diff(dev) <= 0))
-        checks["asymptote_deviation"] = [float(d) for d in dev]
-        sgrid = np.linspace(0.0, 10.0, 11)
-        fq = np.array([integrate.quad(lambda t: float(self.f(t)), 0.0, s)[0]
-                       for s in sgrid])
-        checks["antiderivative_consistent"] = bool(
-            np.max(np.abs(self.F(sgrid) - fq)) < 1e-8 * (1.0 + np.max(np.abs(fq))))
-        checks["ok"] = all(v for k, v in checks.items()
-                           if isinstance(v, bool))
-        return checks
 
 
 def eval_f(model: NonlinearityModel, s):
@@ -384,18 +350,6 @@ class ChargeProfile:
             np.asarray(r, dtype=float), value), rho_min=value, rho_inf=value)
 
     @staticmethod
-    def radial(func: Callable) -> "ChargeProfile":
-        """Radial profile from a vectorized function of r >= 0; its limit
-        is read off at r = 1e6."""
-        rgrid = np.concatenate([[0.0], np.logspace(-6, 6, 4000)])
-        vals = np.asarray(func(rgrid), dtype=float)
-        if np.any(vals <= 0.0):
-            raise ModelError("rho must be positive everywhere")
-        return ChargeProfile(kind="radial", func=func,
-                             rho_min=float(np.min(vals)),
-                             rho_inf=float(vals[-1]))
-
-    @staticmethod
     def rational(rho0: float, rho_inf: float) -> "ChargeProfile":
         """rho(r) = rho0 + (rho_inf - rho0) r^2 / (1 + r^2)."""
         def func(r):
@@ -404,19 +358,6 @@ class ChargeProfile:
         return ChargeProfile(kind="radial", func=func,
                              rho_min=min(rho0, rho_inf),
                              rho_inf=rho_inf)
-
-    @staticmethod
-    def from_table(r: np.ndarray, values: np.ndarray) -> "ChargeProfile":
-        r = np.asarray(r, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if np.any(np.diff(r) <= 0):
-            raise ModelError("table radii must be strictly increasing")
-        if np.any(values <= 0.0):
-            raise ModelError("rho must be positive everywhere")
-        func = lambda x: np.interp(np.asarray(x, dtype=float), r, values)
-        return ChargeProfile(kind="table", func=func,
-                             rho_min=float(np.min(values)),
-                             rho_inf=float(values[-1]))
 
     # -- evaluation ---------------------------------------------------------
 

@@ -172,19 +172,11 @@ def h1_norm_sq(u: RadialField) -> float:
     """int (|u'|^2 + u^2) dV, derivative by cell-wise differences.
 
     Equals u^T M u with the Gram matrix used by the Riesz solves, so the
-    norm, the inner product, and the gradients are mutually consistent.
+    norm and the gradients are mutually consistent.
     """
     du = np.diff(u.values) / u.grid.h
     return float(_cell_volumes(u.grid) @ du ** 2
                  + u.grid.w @ u.values ** 2)
-
-
-def h1_inner(u: RadialField, v: RadialField) -> float:
-    """H^1 inner product consistent with h1_norm_sq."""
-    du = np.diff(u.values) / u.grid.h
-    dv = np.diff(v.values) / v.grid.h
-    return float(_cell_volumes(u.grid) @ (du * dv)
-                 + u.grid.w @ (u.values * v.values))
 
 
 def l2_norm_sq(u: RadialField) -> float:
@@ -240,7 +232,7 @@ def nonlocal_term(u: RadialField, profile: ChargeProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Energy, gradient, residuals
+# Energy and the interpolation inequality
 # ---------------------------------------------------------------------------
 
 def energy_radial(u: RadialField, profile: ChargeProfile,
@@ -254,25 +246,6 @@ def energy_radial(u: RadialField, profile: ChargeProfile,
     return (0.5 * h1_norm_sq(u)
             + 0.25 * nonlocal_term(u, profile)
             - u.grid.integrate(eval_F(model, u.values)))
-
-
-def sobolev_gradient_radial(u: RadialField, profile: ChargeProfile,
-                            model: NonlinearityModel) -> RadialField:
-    """H^1-Riesz representative of the energy derivative at u.
-
-    Solves M g = grad_h J(u) with the discrete H^1 Gram matrix M; the
-    right-hand side is the exact gradient of the discrete energy, so
-    <g, v>_H1 equals the directional derivative of the discrete J exactly.
-    """
-    disc = RadialDisc(u.grid, profile, model)
-    return RadialField(u.grid, disc.riesz(u.values, disc.potential(u.values)))
-
-
-def nehari_residual(u: RadialField, profile: ChargeProfile,
-                    model: NonlinearityModel) -> float:
-    """||u||_H1^2 + int rho phi u^2 - int f(u) u  (the derivative along u)."""
-    disc = RadialDisc(u.grid, profile, model)
-    return disc.nehari_residual(u.values, disc.potential(u.values))
 
 
 def strauss_check(u: RadialField, profile: ChargeProfile):
@@ -307,9 +280,8 @@ class Disc:
     that need the gradient but not J; ``energy`` returns the potential
     with J so the gradient at the same iterate reuses the Poisson solve,
     which dominates the per-iteration cost in 3-D, and ``energy_at``
-    evaluates J from a potential already solved for.  The module-level
-    ``sobolev_gradient_*`` and ``nehari_residual*`` helpers of a
-    discretization are thin calls into its kernel.
+    evaluates J from a potential already solved for.
+    ``field3d.sobolev_gradient_3d`` is a thin call into the cube kernel.
     """
 
     def project(self, values: np.ndarray) -> np.ndarray:

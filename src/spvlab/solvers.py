@@ -53,11 +53,10 @@ class SolverError(RuntimeError):
 class SolveOptions:
     """Knobs for the critical-point searches.
 
-    ``tol_grad`` is relative to the initial gradient norm; set
-    ``tol_grad_abs`` for an absolute stopping threshold (the larger of
-    the two wins).  ``seed`` drives the curvature probes in the
-    classification step and any randomized start families built from the
-    same options.
+    ``tol_grad`` is relative to the initial gradient norm of a descent;
+    a set ``tol_grad_abs`` replaces it with an absolute threshold, the
+    only one the mountain-pass search reads (1e-5 when unset).
+    ``seed`` drives the curvature probes in the classification step.
     """
 
     tol_grad: float = 1e-6

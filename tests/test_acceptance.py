@@ -120,13 +120,14 @@ def test_criterion_03_gradient_correctness():
     rng = np.random.default_rng(7)
 
     grid = rad.RadialGrid(12.0, 2048)
+    disc = rad.RadialDisc(grid, rho, model)
     worst_rad = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for _ in range(10):
             u = rad.RadialField.gaussian(grid, rng.uniform(0.5, 5.0),
                                          rng.uniform(0.7, 2.0))
-            g = rad.sobolev_gradient_radial(u, rho, model)
+            g = disc.riesz(u.values, disc.potential(u.values))
             for _ in range(10):
                 v = rad.RadialField.gaussian(grid, rng.uniform(0.1, 1.0),
                                              rng.uniform(0.7, 2.0))
@@ -136,7 +137,7 @@ def test_criterion_03_gradient_correctness():
                 fd = (rad.energy_radial(up, rho, model)
                       - rad.energy_radial(dn, rho, model)) / (2 * eps)
                 worst_rad = max(worst_rad,
-                                abs(rad.h1_inner(g, v) / fd - 1.0))
+                                abs(disc.h1_inner(g, v.values) / fd - 1.0))
 
     grid3 = f3d.Grid3D(6.0, 32)
     ax = grid3.axis()

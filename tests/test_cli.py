@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import warnings
 
 import pytest
@@ -64,7 +65,7 @@ class TestLoadConfig:
             "lambda": 0.003,
             "radial_grid": {"r_max": 10.0, "n": 1024},
             "cube_grid": {"L": 10.0, "n": 64},
-            "solver": {"tol_grad": 1e-4, "max_iter": 500},
+            "solver": {"tol_grad_abs": 1e-4, "max_iter": 500},
             "seed": 7,
         })
         cfg = load_config("autonomous", config_path=path)
@@ -94,9 +95,11 @@ class TestLoadConfig:
         {"schema": SCHEMA_VERSION, "radial_grid": {"r_max": 12.0,
                                                    "spacing": 0.1}},
         {"schema": SCHEMA_VERSION, "cube_grid": {"n": 64, "shape": "box"}},
-        {"schema": SCHEMA_VERSION, "solver": {"tol_grad": 1e-5,
+        {"schema": SCHEMA_VERSION, "solver": {"tol_grad_abs": 1e-5,
                                               "momentum": 0.9}},
         {"schema": SCHEMA_VERSION, "options": {"R0": 3.5, "verbose": True}},
+        # no scenario reads a relative gradient tolerance
+        {"schema": SCHEMA_VERSION, "solver": {"tol_grad": 1e-6}},
     ])
     def test_unknown_keys_rejected_everywhere(self, tmp_path, doc):
         path = _write(tmp_path, doc)
@@ -114,17 +117,26 @@ class TestLoadConfig:
     def test_numeric_entries_are_converted(self, tmp_path):
         path = _write(tmp_path, {
             "schema": SCHEMA_VERSION,
-            "solver": {"max_iter": 500.0, "tol_grad": 1, "tol_grad_abs": None},
+            "solver": {"max_iter": 500.0, "tol_grad_abs": 1, "n_starts": None},
             "options": {"n_fields": 12.0, "R0": 4, "eps_sweep": [0.1]},
         })
         cfg = load_config("verify-lemmas", config_path=path)
-        assert cfg.solver == {"max_iter": 500, "tol_grad": 1.0}
+        assert cfg.solver == {"max_iter": 500, "tol_grad_abs": 1.0}
         assert type(cfg.solver["max_iter"]) is int
+        assert type(cfg.solver["tol_grad_abs"]) is float
         assert cfg.options == {"n_fields": 12, "R0": 4.0, "eps_sweep": [0.1]}
         assert type(cfg.options["R0"]) is float
         # the report echoes the document as written
         assert cfg.inputs_echo["solver"]["max_iter"] == 500.0
-        assert cfg.inputs_echo["solver"]["tol_grad_abs"] is None
+        assert cfg.inputs_echo["solver"]["n_starts"] is None
+
+    def test_readme_example_loads(self, tmp_path):
+        with open(os.path.join(ROOT, "README.md")) as fh:
+            blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+        assert len(blocks) == 1
+        doc = json.loads(blocks[0])
+        cfg = load_config(doc["scenario"], config_path=_write(tmp_path, doc))
+        assert cfg.scenario == doc["scenario"]
 
     def test_symmetry_breaking_gets_roomier_default_box(self):
         cfg = load_config("symmetry-breaking")

@@ -13,9 +13,8 @@ from scipy import fft as sfft
 import spvlab.field3d as f3d
 from spvlab.field3d import (DiscretizationError, Field3D, Grid3D,
                             embed_radial, energy_3d, h1_inner_3d,
-                            h1_norm_sq_3d, nehari_residual_3d,
-                            nonlocal_term_3d, poisson_freespace,
-                            radial_average, sobolev_gradient_3d,
+                            h1_norm_sq_3d, nonlocal_term_3d,
+                            poisson_freespace, sobolev_gradient_3d,
                             support_radius)
 from spvlab.models import ChargeProfile, NonlinearityModel, eval_f
 from spvlab.radial import RadialField, RadialGrid
@@ -263,8 +262,10 @@ class TestEnergies3D:
         u = _gaussian3(grid, 2.0, 1.0)
         expected = (h1_norm_sq_3d(u) + nonlocal_term_3d(u, rho)
                     - grid.integrate(eval_f(model, u.values) * u.values))
-        assert_allclose(nehari_residual_3d(u, rho, model), expected,
-                        rtol=1e-10)
+        disc = f3d.CubeDisc(grid, rho, model)
+        assert_allclose(disc.nehari_residual(u.values,
+                                             disc.potential(u.values)),
+                        expected, rtol=1e-10)
 
     def test_helpers_are_the_kernel(self):
         grid = Grid3D(6.0, 16)
@@ -276,8 +277,6 @@ class TestEnergies3D:
         phi = disc.potential(u.values)
         assert np.array_equal(sobolev_gradient_3d(u, rho, model).values,
                               disc.riesz(u.values, phi))
-        assert (nehari_residual_3d(u, rho, model)
-                == disc.nehari_residual(u.values, phi))
         assert h1_inner_3d(u, v) == disc.h1_inner(u.values, v.values)
 
 
@@ -293,22 +292,23 @@ def test_grid_caches_are_bounded(cached):
 
 
 class TestEmbedding:
-    def test_embed_and_average_round_trip(self):
+    def test_embed_matches_closed_form(self):
         rgrid = RadialGrid(12.0, 2048)
         grid = Grid3D(12.0, 96)
+        amp, sig = 2.0, 1.2
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            u_rad = RadialField.gaussian(rgrid, 2.0, 1.2)
-        u3 = embed_radial(u_rad, grid)
-        # average onto a radial grid coarser than the cube spacing so
-        # every bin holds cube samples (bin means, not interpolants)
-        coarse = RadialGrid(12.0, 48)
-        back = radial_average(u3, coarse)
-        exact = np.interp(coarse.r, rgrid.r, u_rad.values)
-        core = (coarse.r > 0.4) & (coarse.r < 6.0)
-        # bin means sit slightly below the center values on a convex
-        # profile; the bias is O(h^2) at this spacing
-        assert np.max(np.abs(back.values - exact)[core]) < 0.06
+            u_rad = RadialField.gaussian(rgrid, amp, sig)
+        ax = grid.axis()
+        # centred, and off-centre at a point off the cube nodes
+        for center in [(0.0, 0.0, 0.0), (1.3, -0.7, 2.9)]:
+            u3 = embed_radial(u_rad, grid, center=center)
+            X, Y, Z = np.meshgrid(ax - center[0], ax - center[1],
+                                  ax - center[2], indexing="ij")
+            exact = amp * np.exp(-(X ** 2 + Y ** 2 + Z ** 2)
+                                 / (2.0 * sig ** 2))
+            # linear interpolation in r: error below h_r^2 |u''| / 8
+            assert np.max(np.abs(u3.values - exact)) < 1e-5
 
     def test_embed_off_center(self):
         rgrid = RadialGrid(12.0, 2048)

@@ -1,4 +1,4 @@
-"""Tests for threshold bounds, truncation, and multibump assembly."""
+"""Tests for threshold bounds, the cutoff, and multibump assembly."""
 
 import math
 import warnings
@@ -12,14 +12,12 @@ from scipy import optimize
 
 import spvlab.landscape as lsc
 from spvlab.landscape import (LambdaBounds, MultibumpSpec, a0_ratio,
-                              abar0_ratio, apply_cutoff, coulomb_self_energy,
-                              cutoff_psi, estimate_lambda_bounds,
-                              membership_A0, membership_Abar0,
-                              multibump_energy, multibump_sweep,
-                              truncate_and_tune, truncation_sweep)
+                              abar0_ratio, coulomb_self_energy,
+                              estimate_lambda_bounds, membership_A0,
+                              membership_Abar0, multibump_energy,
+                              multibump_sweep, smoothstep)
 from spvlab.models import ChargeProfile, ModelError, NonlinearityModel
-from spvlab.radial import (DiscretizationError, RadialField, RadialGrid,
-                           energy_radial)
+from spvlab.radial import RadialField, RadialGrid
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -271,60 +269,16 @@ class TestBoundsMemo:
 
 
 class TestCutoff:
-    def test_rejects_small_radius(self):
-        with pytest.raises(ModelError):
-            cutoff_psi(5.9)
-
     def test_plateau_and_support(self):
-        psi = cutoff_psi(8.0)
-        assert psi(0.0) == 1.0
-        assert psi(4.0) == 1.0
-        assert psi(8.0) == 0.0
-        assert psi(10.0) == 0.0
+        r0, r1 = 4.0, 8.0
+        assert np.all(smoothstep(np.linspace(0.0, r0, 101), r0, r1) == 1.0)
+        assert np.all(smoothstep(np.linspace(r1, 20.0, 101), r0, r1) == 0.0)
 
     def test_slope_bound(self):
-        R = 8.0
-        psi = cutoff_psi(R)
-        r = np.linspace(0.0, R, 20001)
-        slope = np.max(np.abs(np.diff(psi(r)) / np.diff(r)))
-        assert slope <= 3.0 / R + 1e-6
-
-    def test_apply_cutoff_support(self):
-        grid = _grid()
-        u = RadialField.gaussian(grid, 5.0, 2.0)
-        uc = apply_cutoff(u, 8.0)
-        assert np.all(uc.values[grid.r > 8.0] == 0.0)
-        assert_allclose(uc.values[grid.r < 3.9], u.values[grid.r < 3.9])
-
-
-class TestTruncation:
-    def test_tune_finds_negative_radius(self):
-        grid = _grid()
-        model = _model()
-        v = RadialField.gaussian(grid, 30.0, 1.2)
-        assert energy_radial(v, ChargeProfile.constant(math.sqrt(LAM)),
-                             model) < 0.0
-        result = truncate_and_tune(v, LAM, model)
-        assert result.R0 in (6.0, 12.0)
-        assert np.all(result.field.values[grid.r > result.R0] == 0.0)
-        assert result.sweep[0].R == 6.0
-
-    def test_tune_rejects_positive_energy(self):
-        grid = _grid()
-        model = _model()
-        v = RadialField.gaussian(grid, 0.5, 1.0)
-        with pytest.raises(ModelError):
-            truncate_and_tune(v, LAM, model)
-
-    def test_sweep_rows(self):
-        grid = _grid()
-        model = _model()
-        v = RadialField.gaussian(grid, 30.0, 1.2)
-        rows = truncation_sweep(v, LAM, model, [6.0, 12.0])
-        assert [row.R for row in rows] == [6.0, 12.0]
-        # enlarging the cutoff radius keeps more of the potential mass
-        # (the H1 norm is not monotone: the cutoff slope adds gradient)
-        assert rows[1].f_integral >= rows[0].f_integral
+        r0, r1 = 4.0, 8.0
+        r = np.linspace(0.0, r1, 20001)
+        slope = np.max(np.abs(np.diff(smoothstep(r, r0, r1)) / np.diff(r)))
+        assert slope <= 1.5 / (r1 - r0) + 1e-6
 
 
 class TestMultibumpSpec:
