@@ -14,11 +14,14 @@ zero and 7/8 of the inverse output is discarded, so the solve transforms
 one axis at a time and skips both.  It keeps pocketfft's axis order and
 its single final scaling, so every 1-D transform sees the same input as
 in a full ``rfftn``/``irfftn`` and the potential is bit-identical to the
-unpruned solve.  One solve allocates one complex (2n, 2n, n+1) workspace,
-uninitialised; it clears each zero pad just before the stage that reads
-it and runs the complex stages in place, so the stages allocate no
-outputs of their own.  In-place transforms compute the same 1-D
-transforms of the same inputs, so the bits do not change.
+unpruned solve.  The stages between the first and the last transform
+never mix two k-planes (axis 2), so they run on a chunk of c k-planes at
+a time, in one reusable complex workspace of c planes of (2n, 2n); the
+real transforms run on slabs of i-planes, and the Coulomb symbol is
+built the same way.  Each chunk and slab holds about ``_CHUNK_BYTES``,
+so besides the cached symbol one solve holds the compact (n, n, n+1)
+half spectrum, its (n, n, n) result and one chunk, whatever n.  The
+order of the arithmetic does not change, so neither do the bits.
 
 H^1 quantities and the Riesz solve for the energy gradient use the
 periodic spectral Laplacian.  This periodicization is an approximation
@@ -44,6 +47,9 @@ from .radial import (_GRID_CACHE_SIZE, FOUR_PI, DECAY_GUARD_REL,
 
 # mean of 1/|x| over the unit cube [-1/2, 1/2]^3
 _CUBE_COULOMB_AVG = 2.3800773639795536
+# bytes of each temporary of the Poisson solve and the symbol build: one
+# chunk of k-planes of the doubled grid, or one slab of real-transform rows
+_CHUNK_BYTES = 4 << 20
 
 @dataclass(frozen=True, eq=False)
 class Grid3D:
@@ -95,8 +101,10 @@ class Field3D:
         if not np.all(np.isfinite(vals)):
             raise DiscretizationError("field contains non-finite values")
         object.__setattr__(self, "values", vals)
+        if not self.guard:
+            return
         peak = float(np.max(np.abs(vals)))
-        if self.guard and peak > 0.0:
+        if peak > 0.0:
             edge = max(np.max(np.abs(vals[0])), np.max(np.abs(vals[-1])),
                        np.max(np.abs(vals[:, 0])), np.max(np.abs(vals[:, -1])),
                        np.max(np.abs(vals[:, :, 0])), np.max(np.abs(vals[:, :, -1])))
@@ -163,21 +171,42 @@ def _cached_radius(key):
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _coulomb_kernel_hat(key) -> np.ndarray:
-    """rfftn of the Coulomb kernel on the doubled (2n)^3 grid."""
+    """rfftn of the Coulomb kernel on the doubled (2n)^3 grid.
+
+    The kernel is sampled and transformed along its real axis 2 one slab
+    of i-planes at a time, straight into the symbol, which is then
+    transformed on axes 0 and 1 in place: pocketfft's own ``rfftn``
+    order, so the symbol is bit-identical to ``rfftn`` of the dense
+    kernel, which is never formed.  The (2n, 2n, n+1) result is a view of
+    a k-major array, so that a chunk of k-planes is contiguous.
+    """
     L, n = key
     h = 2.0 * L / n
     m = 2 * n
     idx = np.arange(m)
     off = np.where(idx < n, idx, idx - m).astype(float)  # offsets -n..n-1
     OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij", sparse=True)
-    # one m^3 array: distance, then 4 pi |x|, then h^2 / (4 pi |x|)
-    kern = OX ** 2 + OY ** 2 + OZ ** 2
-    np.sqrt(kern, out=kern)
-    np.multiply(FOUR_PI, kern, out=kern)
-    with np.errstate(divide="ignore"):
-        np.divide(h ** 2, kern, out=kern)
-    kern[0, 0, 0] = h ** 2 * _CUBE_COULOMB_AVG / FOUR_PI
-    return sfft.rfftn(kern)
+    step = max(1, _CHUNK_BYTES // (m * m * 16))
+    try:
+        planes = np.empty((n + 1, m, m), dtype=complex)  # [k, i, j]
+        for i in range(0, m, step):
+            # one slab: distance, then 4 pi |x|, then h^2 / (4 pi |x|)
+            kern = OX[i:i + step] ** 2 + OY ** 2 + OZ ** 2
+            np.sqrt(kern, out=kern)
+            np.multiply(FOUR_PI, kern, out=kern)
+            with np.errstate(divide="ignore"):
+                np.divide(h ** 2, kern, out=kern)
+            if i == 0:
+                kern[0, 0, 0] = h ** 2 * _CUBE_COULOMB_AVG / FOUR_PI
+            planes[:, i:i + step] = sfft.rfft(kern, axis=2).transpose(2, 0, 1)
+        sfft.fft(planes, axis=1, overwrite_x=True)
+        sfft.fft(planes, axis=2, overwrite_x=True)
+    except MemoryError as exc:
+        raise MemoryError(
+            f"doubled grid ({m}^3): its {m} x {m} x {n + 1} complex Coulomb "
+            f"symbol ({m * m * (n + 1) * 16:,} bytes) does not fit in "
+            "memory") from exc
+    return planes.transpose(1, 2, 0)
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -214,12 +243,18 @@ def poisson_freespace(source: Field3D) -> Field3D:
     each 1-D transform sees the same input as in the full ``rfftn`` and
     ``irfftn`` and the potential is bit-identical to theirs.
 
-    One solve uses one complex (2n, 2n, n+1) workspace.  The half
-    spectrum of the source fills its [:n, :n] corner; each zero pad is
-    cleared just before the stage that reads it, and the complex stages
-    transform the workspace, or a view of it, in place.  The first of them
-    transforms a strided view and relies on ``overwrite_x`` being honoured
-    (a test pins this); the others use the arrays the transforms return.
+    Memory stays bounded.  The real transforms run on slabs of i-planes:
+    the forward one into the compact (n, n, n+1) half spectrum, the
+    inverse one out of it straight into the (n, n, n) result.  The five
+    complex stages in between run on one chunk of c k-planes at a time,
+    in place in a reusable k-major (c, 2n, 2n) workspace, so they meet
+    the symbol's k-major planes in the same layout: the chunk's half
+    spectrum fills the [:n, :n] corner of each plane, each zero pad is
+    cleared just before the stage that reads it, and the kept corner goes
+    back into the half spectrum.  The transforms act on views and their
+    results are not kept, so the solve relies on ``overwrite_x`` being
+    honoured (a test pins this).  Slabs and chunks hold about
+    ``_CHUNK_BYTES`` each.
     """
     g = source.values
     if np.any(g < 0.0):
@@ -227,26 +262,37 @@ def poisson_freespace(source: Field3D) -> Field3D:
     grid = source.grid
     n = grid.n
     m = 2 * n
+    rows = max(1, _CHUNK_BYTES // (n * m * 16))
+    c = min(n + 1, max(1, _CHUNK_BYTES // (m * m * 16)))
+    planes = _coulomb_kernel_hat(grid.key).transpose(2, 0, 1)  # [k, i, j]
     try:
-        khat = _coulomb_kernel_hat(grid.key)
-        spec = np.empty((m, m, n + 1), dtype=complex)
-        spec[:n, :n] = sfft.rfft(g, n=m, axis=2)
-        spec[n:, :n] = 0.0
-        # in place, result not kept (assigning it back copies even when it
-        # is this view); test_complex_stages_run_in_the_workspace pins it
-        sfft.fft(spec[:, :n], axis=0, overwrite_x=True)
-        spec[:, n:] = 0.0
-        spec = sfft.fft(spec, axis=1, overwrite_x=True)
-        spec *= khat
-        spec = sfft.ifft(spec, axis=0, norm="forward", overwrite_x=True)
-        spec = sfft.ifft(spec[:n], axis=1, norm="forward", overwrite_x=True)
-        conv = sfft.irfft(spec[:, :n], n=m, axis=2, norm="forward")[..., :n]
-        conv *= 1.0 / m ** 3
+        half = np.empty((n, n, n + 1), dtype=complex)
+        for i in range(0, n, rows):
+            half[i:i + rows] = sfft.rfft(g[i:i + rows], n=m, axis=2)
+        work = np.empty((c, m, m), dtype=complex)
+        for k in range(0, n + 1, c):
+            w = work[:n + 1 - k]
+            w[:, :n, :n] = half[:, :, k:k + c].transpose(2, 0, 1)
+            w[:, n:, :n] = 0.0
+            sfft.fft(w[:, :, :n], axis=1, overwrite_x=True)
+            w[:, :, n:] = 0.0
+            sfft.fft(w, axis=2, overwrite_x=True)
+            w *= planes[k:k + c]
+            sfft.ifft(w, axis=1, norm="forward", overwrite_x=True)
+            sfft.ifft(w[:, :n], axis=2, norm="forward", overwrite_x=True)
+            half[:, :, k:k + c] = w[:, :n, :n].transpose(1, 2, 0)
+        del w, work  # before the output is allocated
+        conv = np.empty((n, n, n))
+        for i in range(0, n, rows):
+            np.multiply(sfft.irfft(half[i:i + rows], n=m, axis=2,
+                                   norm="forward")[..., :n],
+                        1.0 / m ** 3, out=conv[i:i + rows])
     except MemoryError as exc:
-        nbytes = m * m * (n + 1) * 16
         raise MemoryError(
-            f"doubled grid ({m}^3): its {m} x {m} x {n + 1} complex "
-            f"workspace ({nbytes:,} bytes) does not fit in memory") from exc
+            f"doubled grid ({m}^3): its {n} x {n} x {n + 1} complex half "
+            f"spectrum ({n * n * (n + 1) * 16:,} bytes) and its chunk "
+            f"workspace of {c} complex {m} x {m} k-planes "
+            f"({c * m * m * 16:,} bytes) do not fit in memory") from exc
     return Field3D(grid, conv, guard=False)
 
 

@@ -105,13 +105,36 @@ def _reference_poisson(source):
     n = source.grid.n
     pad = np.zeros((2 * n,) * 3)
     pad[:n, :n, :n] = source.values
-    khat = f3d._coulomb_kernel_hat(source.grid.key)
-    return sfft.irfftn(sfft.rfftn(pad) * khat, s=pad.shape)[:n, :n, :n]
+    spec = sfft.rfftn(pad)
+    del pad
+    spec *= f3d._coulomb_kernel_hat(source.grid.key)
+    return sfft.irfftn(spec, s=(2 * n,) * 3)[:n, :n, :n]
+
+
+def _reference_kernel_hat(key):
+    """rfftn of the dense Coulomb kernel on the doubled grid."""
+    L, n = key
+    h = 2.0 * L / n
+    idx = np.arange(2 * n)
+    off = np.where(idx < n, idx, idx - 2 * n).astype(float)
+    OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij", sparse=True)
+    with np.errstate(divide="ignore"):
+        kern = h ** 2 / (FOUR_PI * np.sqrt(OX ** 2 + OY ** 2 + OZ ** 2))
+    kern[0, 0, 0] = h ** 2 * f3d._CUBE_COULOMB_AVG / FOUR_PI
+    return sfft.rfftn(kern)
+
+
+def _budget_planes(monkeypatch, n, planes):
+    """Set the chunk budget to `planes` complex k-planes of the doubled
+    grid (None keeps the default)."""
+    if planes is not None:
+        monkeypatch.setattr(f3d, "_CHUNK_BYTES", planes * (2 * n) ** 2 * 16)
 
 
 class _RecordingFFT:
     """Stands in for ``scipy.fft``; logs (name, input shape, output shape,
-    whether the output shares the input's memory)."""
+    whether the output shares the input's memory, shape of the array
+    that owns the input's memory)."""
 
     def __init__(self):
         self.calls = []
@@ -121,64 +144,133 @@ class _RecordingFFT:
 
         def recorded(x, *args, **kwargs):
             out = func(x, *args, **kwargs)
+            base = x if x.base is None else x.base
             self.calls.append((name, np.shape(x), np.shape(out),
-                               np.shares_memory(x, out)))
+                               np.shares_memory(x, out), base.shape))
             return out
         return recorded
+
+
+def _source(n):
+    grid = Grid3D(5.0, n)
+    ax = grid.axis()
+    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
+    blob = np.exp(-((x - 1.3) ** 2 + (y + 0.7) ** 2 + (z - 0.4) ** 2))
+    # exact zeros inside the cube, not only at its edge
+    shell = np.where(np.abs(np.sqrt(x ** 2 + y ** 2 + z ** 2) - 2.5)
+                     < 0.8, 1.0 + 0.1 * x, 0.0)
+    return [Field3D(grid, vals, guard=False) for vals in (blob, shell)]
 
 
 class TestPrunedPoisson:
     @pytest.mark.parametrize("n", [4, 6, 10, 14, 16, 32, 48])
     def test_bit_identical_to_unpruned_solve(self, n):
-        grid = Grid3D(5.0, n)
-        ax = grid.axis()
-        x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-        blob = np.exp(-((x - 1.3) ** 2 + (y + 0.7) ** 2 + (z - 0.4) ** 2))
-        # exact zeros inside the cube, not only at its edge
-        shell = np.where(np.abs(np.sqrt(x ** 2 + y ** 2 + z ** 2) - 2.5)
-                         < 0.8, 1.0 + 0.1 * x, 0.0)
-        for vals in (blob, shell):
-            src = Field3D(grid, vals, guard=False)
+        for src in _source(n):
             assert np.array_equal(poisson_freespace(src).values,
                                   _reference_poisson(src))
 
+    @pytest.mark.parametrize("n", [4, 6, 10, 14, 16, 32, 48])
+    def test_bit_identical_with_several_chunks(self, n, monkeypatch):
+        # 4 k-planes leave a partial last chunk at every n here, and from
+        # n = 10 on the real transforms run in several row slabs
+        _budget_planes(monkeypatch, n, 4)
+        for src in _source(n):
+            assert np.array_equal(poisson_freespace(src).values,
+                                  _reference_poisson(src))
+
+    @pytest.mark.slow
+    def test_bit_identical_at_desk_size(self):
+        # the default budget runs 33 chunks of 4 k-planes here
+        src = _source(128)[0]
+        assert np.array_equal(poisson_freespace(src).values,
+                              _reference_poisson(src))
+
+    # a budget of 3 planes builds the symbol in slabs of 3 i-planes, with a
+    # partial last slab at n = 4, 10, 16 and 32
+    @pytest.mark.parametrize("planes", [None, 3])
+    @pytest.mark.parametrize("n", [4, 6, 10, 16, 32, 48])
+    def test_symbol_bit_identical_to_dense_rfftn(self, n, planes,
+                                                 monkeypatch):
+        _budget_planes(monkeypatch, n, planes)
+        key = (5.0, n)
+        assert np.array_equal(f3d._coulomb_kernel_hat.__wrapped__(key),
+                              _reference_kernel_hat(key))
+
     def test_transforms_only_the_source_rows_and_kept_corner(self,
                                                               monkeypatch):
-        n = 8
+        n, m = 8, 16
         grid = Grid3D(4.0, n)
         f3d._coulomb_kernel_hat(grid.key)  # warm the kernel cache
+        _budget_planes(monkeypatch, n, 2)  # 2 + 2 + 2 + 2 + 1 k-planes
         rec = _RecordingFFT()
         monkeypatch.setattr(f3d, "sfft", rec)
         poisson_freespace(_gaussian3(grid))
         names = [c[0] for c in rec.calls]
         assert "rfftn" not in names and "irfftn" not in names
-        assert [c[1] for c in rec.calls if c[0] == "rfft"] == [(n, n, n)]
+        # the real transforms run on slabs of the n x n source rows
+        r2c = [c[1] for c in rec.calls if c[0] == "rfft"]
+        assert len(r2c) == 2 and all(s[1:] == (n, n) for s in r2c)
+        assert sum(s[0] for s in r2c) == n
         c2r = [c[2] for c in rec.calls if c[0] == "irfft"]
-        assert len(c2r) == 1 and math.prod(c2r[0][:-1]) == n * n
+        assert len(c2r) == 2 and all(s[1:] == (n, m) for s in c2r)
+        assert sum(s[0] for s in c2r) == n
+        # each chunk of [k, i, j] planes: fft along i of the columns j < n
+        # that hold the source, fft along j of every row, ifft along i,
+        # ifft along j of the kept rows i < n
+        widths = [2, 2, 2, 2, 1]
+        assert [c[0] for c in rec.calls if c[0] in ("fft", "ifft")] == \
+            ["fft", "fft", "ifft", "ifft"] * len(widths)
+        assert [c[1] for c in rec.calls if c[0] in ("fft", "ifft")] == [
+            s for c in widths
+            for s in ((c, m, n), (c, m, m), (c, m, m), (c, n, m))]
 
     def test_complex_stages_run_in_the_workspace(self, monkeypatch):
-        # the first stage's result is not kept: the solve needs scipy to
-        # honour overwrite_x on a strided view of the workspace
-        grid = Grid3D(4.0, 8)
+        # no result of a complex stage is kept: the solve needs scipy to
+        # honour overwrite_x on views of the chunk workspace
+        n = 8
+        grid = Grid3D(4.0, n)
         f3d._coulomb_kernel_hat(grid.key)
+        _budget_planes(monkeypatch, n, 4)
         rec = _RecordingFFT()
         monkeypatch.setattr(f3d, "sfft", rec)
         poisson_freespace(_gaussian3(grid))
         c2c = [c for c in rec.calls if c[0] in ("fft", "ifft")]
-        assert len(c2c) == 4 and all(c[3] for c in c2c)
+        assert len(c2c) == 4 * 3 and all(c[3] for c in c2c)
+        assert {c[4] for c in c2c} == {(4, 2 * n, 2 * n)}
+        # and no array of the unchunked workspace is made
+        assert all(shape not in (c[1], c[2], c[4]) for c in rec.calls
+                   for shape in ((2 * n, 2 * n, n + 1), (n + 1, 2 * n, 2 * n)))
 
-    def test_one_workspace_bounds_the_peak_memory(self):
-        n = 16
-        grid = Grid3D(5.0, n)
-        src = _gaussian3(grid)
+    def test_one_workspace_bounds_the_peak_memory(self, monkeypatch):
+        # one chunk workspace, reused: the peak is the half spectrum, the
+        # result and one chunk
+        n, m, planes = 32, 64, 8
+        src = _gaussian3(Grid3D(5.0, n))
         poisson_freespace(src)  # warm the kernel cache and FFT plans
+        _budget_planes(monkeypatch, n, planes)
         tracemalloc.start()
         try:
             poisson_freespace(src)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * (2 * n) ** 2 * (n + 1) * 16
+        half = n * n * (n + 1) * 16
+        out = n ** 3 * 8
+        chunk = m * m * planes * 16
+        # the unchunked (2n, 2n, n+1) workspace alone is 4 chunks here
+        assert peak < half + out + chunk + 0.1 * chunk
+
+    def test_symbol_slabs_bound_the_peak_memory(self, monkeypatch):
+        n, m = 32, 64
+        _budget_planes(monkeypatch, n, 4)
+        tracemalloc.start()
+        try:
+            f3d._coulomb_kernel_hat.__wrapped__((5.0, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense real (2n)^3 kernel alone would be 0.97 of the symbol
+        assert peak < 1.25 * m * m * (n + 1) * 16
 
     def test_memory_error_in_a_later_stage_names_the_grid(self, monkeypatch):
         def no_memory(*args, **kwargs):
@@ -193,11 +285,25 @@ class TestPrunedPoisson:
         def no_memory(*args, **kwargs):
             raise MemoryError
 
+        grid = Grid3D(4.0, 8)
+        f3d._coulomb_kernel_hat(grid.key)
         monkeypatch.setattr(f3d.sfft, "rfft", no_memory)
         with pytest.raises(MemoryError, match=r"^doubled grid \(16\^3\): "
-                           r"its 16 x 16 x 9 complex workspace \(36,864 "
-                           r"bytes\)"):
-            poisson_freespace(_gaussian3(Grid3D(4.0, 8)))
+                           r"its 8 x 8 x 9 complex half spectrum \(9,216 "
+                           r"bytes\) and its chunk workspace of 9 complex "
+                           r"16 x 16 k-planes \(36,864 bytes\) do not fit"):
+            poisson_freespace(_gaussian3(grid))
+
+    def test_memory_error_in_the_symbol_build_states_the_symbol(
+            self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f3d.sfft, "rfft", no_memory)
+        with pytest.raises(MemoryError, match=r"^doubled grid \(12\^3\): "
+                           r"its 12 x 12 x 7 complex Coulomb symbol "
+                           r"\(16,128 bytes\) does not fit"):
+            f3d._coulomb_kernel_hat.__wrapped__((4.0, 6))
 
 
 class TestEnergies3D:
