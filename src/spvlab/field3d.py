@@ -98,12 +98,15 @@ class Field3D:
         n = self.grid.n
         if vals.shape != (n, n, n):
             raise DiscretizationError("field shape does not match the grid")
-        if not np.all(np.isfinite(vals)):
+        # one max/min pair gives both the finiteness test (NaN and +-inf
+        # reach an extreme) and the peak |u|
+        hi, lo = vals.max(), vals.min()
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise DiscretizationError("field contains non-finite values")
         object.__setattr__(self, "values", vals)
         if not self.guard:
             return
-        peak = float(np.max(np.abs(vals)))
+        peak = float(max(hi, -lo))
         if peak > 0.0:
             edge = max(np.max(np.abs(vals[0])), np.max(np.abs(vals[-1])),
                        np.max(np.abs(vals[:, 0])), np.max(np.abs(vals[:, -1])),
@@ -257,7 +260,7 @@ def poisson_freespace(source: Field3D) -> Field3D:
     ``_CHUNK_BYTES`` each.
     """
     g = source.values
-    if np.any(g < 0.0):
+    if g.min() < 0.0:
         raise ModelError("Poisson source must be nonnegative")
     grid = source.grid
     n = grid.n

@@ -89,10 +89,13 @@ class RadialField:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.r.shape:
             raise DiscretizationError("field length does not match the grid")
-        if not np.all(np.isfinite(vals)):
+        # one max/min pair gives both the finiteness test (NaN and +-inf
+        # reach an extreme) and the peak |u|
+        hi, lo = vals.max(), vals.min()
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise DiscretizationError("field contains non-finite values")
         object.__setattr__(self, "values", vals)
-        peak = np.max(np.abs(vals))
+        peak = max(hi, -lo)
         if peak > 0.0 and abs(vals[-1]) > DECAY_GUARD_REL * peak:
             warnings.warn(
                 "field has not decayed at r_max; enlarge the domain "
@@ -195,19 +198,21 @@ def poisson_radial(source: RadialField) -> PoissonPotential:
     origin uses the cell average of 1/s over the first half-cell.
     """
     g = source.values
-    if np.any(g < 0.0):
+    if g.min() < 0.0:
         raise ModelError("Poisson source must be nonnegative")
     grid = source.grid
     r, w = grid.r, grid.w
     a = w * g
     inner = np.cumsum(a)                       # sum_{j <= i} w_j g_j
-    over_r = np.zeros_like(a)
-    over_r[1:] = a[1:] / r[1:]
-    tail = np.concatenate([np.cumsum(over_r[::-1])[::-1][1:], [0.0]])
+    # tail[i] = sum_{j > i} w_j g_j / r_j, summed from r_max inwards; the
+    # node at r_max has no tail
+    tail = np.cumsum(a[:0:-1] / r[:0:-1])[::-1]
     phi = np.empty_like(a)
-    phi[1:] = (inner[1:] / r[1:] + tail[1:]) / FOUR_PI
+    phi[1:] = inner[1:] / r[1:]
+    phi[1:-1] += tail[1:]
     # mean of 1/s over the origin cell [0, h/2] is 3/h
-    phi[0] = (a[0] * 3.0 / grid.h + tail[0]) / FOUR_PI
+    phi[0] = a[0] * 3.0 / grid.h + tail[0]
+    phi /= FOUR_PI
     return PoissonPotential(grid=grid, values=phi, total_charge=float(inner[-1]))
 
 

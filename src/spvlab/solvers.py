@@ -12,14 +12,20 @@ Both strategies work on either the radial or the full 3-D discretization
 through its evaluation kernel (``radial.RadialDisc``, ``radial.BallDisc``
 or ``field3d.CubeDisc``, chosen by field type) and certify convergence
 with the H^1 norm of the preconditioned residual, a metric-independent
-optimality measure.
+optimality measure.  ``multistart_minimize`` runs its descents in forked
+worker processes on Linux, with results bit-identical to a serial loop.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -261,27 +267,26 @@ def multistart_minimize(starts: Sequence[FieldLike], profile: ChargeProfile,
     start index.  When no start converges the best non-converged result
     is returned (flagged by its ``converged`` field).
 
-    3-D starts run concurrently when the process may use more than one
-    CPU: start 0 on the calling thread, the others on a thread pool of
-    one worker fewer than min(starts, CPUs), created for this call.  The
-    cube kernel spends its time in FFTs and array loops over whole grids,
-    which release the interpreter lock.  Each descent builds its own
-    kernel, and each transform still runs with one worker, so every
-    result is bit-identical to the serial loop's.  The results are read
-    in start order, so the list, and the exception when starts fail (that
-    of the lowest failing index, with its own type), are those of the
-    serial loop.  Radial starts run one after another on the calling
-    thread: their many short kernel calls contend for the interpreter
-    lock, and two threads ran slower than one.
+    Radial and 3-D starts run in forked worker processes when the
+    platform is Linux, the process may use more than one CPU and no
+    other thread runs in it (forking a threaded process can deadlock).
+    There are min(starts, CPUs) workers, created for this call.  Each
+    runs the unchanged ``minimize``, so every result is bit-identical to
+    the serial loop's, and the warnings the workers record are re-issued
+    here, in start order.  The results are read in start order, so the
+    list, and the exception when starts fail (that of the lowest failing
+    index, with its own type), are those of the serial loop.  Otherwise,
+    and for a single start, the starts run one after another in this
+    process.
     """
     if len(starts) < 1:
         raise SolverError("multistart needs at least one start field")
     opts = opts or SolveOptions()
     seeded = [replace(opts, seed=opts.seed + k) for k in range(len(starts))]
-    workers = min(len(starts), _usable_cpus()) - 1
-    if workers > 0 and all(isinstance(s, f3d.Field3D) for s in starts):
-        results = _minimize_concurrently(starts, profile, model, seeded,
-                                         workers)
+    workers = min(len(starts), _usable_cpus())
+    if (workers > 1 and hasattr(os, "fork") and sys.platform == "linux"
+            and threading.active_count() == 1):
+        results = _minimize_forked(starts, profile, model, seeded, workers)
     else:
         results = [minimize(start, profile, model, o)
                    for start, o in zip(starts, seeded)]
@@ -300,32 +305,104 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _minimize_concurrently(starts: Sequence[f3d.Field3D],
-                           profile: ChargeProfile, model: NonlinearityModel,
-                           seeded: Sequence[SolveOptions],
-                           workers: int) -> List[SolveResult]:
-    """``minimize`` of start k under ``seeded[k]``, start 0 on this thread.
+def _minimize_forked(starts: Sequence[FieldLike], profile: ChargeProfile,
+                     model: NonlinearityModel,
+                     seeded: Sequence[SolveOptions],
+                     workers: int) -> List[SolveResult]:
+    """``minimize`` of start k under ``seeded[k]``, in forked workers.
 
     The per-grid caches of start 0's grid are filled here first, so the
-    threads only read them.  Start 0 runs on the calling thread because
-    every pool thread gets its own malloc arena, which holds memory after
-    the arrays are freed.  When a start raises, the starts not yet begun
-    are cancelled and the pool waits for the running ones before the
-    error propagates.
+    workers inherit them and none factors or transforms them again.  The
+    workers share the starts through the fork; each is handed one start
+    index at a time, the next as soon as it sends back an outcome.  Once
+    a start fails no further start is handed out: every lower index has
+    already been.  Every worker is reaped before this returns or raises,
+    and one still busy then (the call was interrupted) is terminated.
     """
-    grid = starts[0].grid
-    f3d.CubeDisc(grid, profile, model)
-    f3d._coulomb_kernel_hat(grid.key)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(minimize, start, profile, model, o)
-                   for start, o in zip(starts[1:], seeded[1:])]
-        try:
-            results = [minimize(starts[0], profile, model, seeded[0])]
-            results += [f.result() for f in futures]
-        finally:
-            for f in futures:
-                f.cancel()
+    ws = _kernel(starts[0], profile, model)
+    if isinstance(ws, f3d.CubeDisc):
+        f3d._coulomb_kernel_hat(ws.grid.key)
+    ctx = multiprocessing.get_context("fork")
+    pipes = {}                   # our end of each worker's pipe -> worker
+    outcomes = {}                # start index -> (result or error, warnings)
+    todo = iter(range(len(starts)))
+    running = {}                 # pipe -> index of the start it runs
+    failed = finished = False
+    try:
+        for _ in range(workers):
+            ours, theirs = ctx.Pipe()
+            proc = ctx.Process(target=_serve, daemon=True,
+                               args=(theirs, [*pipes, ours], starts, profile,
+                                     model, seeded))
+            proc.start()
+            theirs.close()
+            pipes[ours] = proc
+            running[ours] = next(todo)
+            ours.send(running[ours])
+        while running:
+            for pipe in multiprocessing.connection.wait(list(running)):
+                k = running.pop(pipe)
+                try:
+                    outcomes[k] = pipe.recv()
+                except (EOFError, ConnectionError):
+                    proc = pipes[pipe]
+                    proc.join()
+                    outcomes[k] = (ChildProcessError(
+                        f"the worker process running start {k} ended "
+                        f"without a result (exit code {proc.exitcode})"), [])
+                failed = failed or not isinstance(outcomes[k][0],
+                                                  SolveResult)
+                k = None if failed else next(todo, None)
+                if k is not None:
+                    running[pipe] = k
+                    pipe.send(k)
+        finished = True
+    finally:
+        for pipe, proc in pipes.items():
+            pipe.close()
+            if not finished:
+                proc.terminate()
+            proc.join()
+    results = []
+    for k in sorted(outcomes):
+        outcome, caught = outcomes[k]
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if not isinstance(outcome, SolveResult):
+            raise outcome
+        results.append(outcome)
     return results
+
+
+def _serve(pipe, inherited, starts: Sequence[FieldLike],
+           profile: ChargeProfile, model: NonlinearityModel,
+           seeded: Sequence[SolveOptions]) -> None:
+    """Worker loop: run each start index that arrives on ``pipe`` and send
+    back its result, or its exception, with the warnings it raised.
+
+    ``inherited`` are the caller's pipe ends that the fork copied; they
+    are closed first, so ``pipe`` reads end of file once the caller's
+    end closes, and the worker then returns.  An interrupt is left to
+    the caller, which terminates its busy workers.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            k = pipe.recv()
+        except EOFError:
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                outcome = minimize(starts[k], profile, model, seeded[k])
+            except Exception as exc:  # noqa: BLE001 - re-raised by the caller
+                outcome = exc
+        try:
+            pipe.send((outcome, [(w.message, w.category, w.filename,
+                                  w.lineno) for w in caught]))
+        except BrokenPipeError:   # the caller is gone
+            return
 
 
 def radial_gaussian_starts(grid: rad.RadialGrid, n_starts: int,

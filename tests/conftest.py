@@ -1,6 +1,23 @@
 """Shared test fixtures."""
 
+import multiprocessing
+
 import pytest
+
+
+# pyproject.toml turns an exception escaping a thread into a failure of
+# the test that started it; this does the same for a child process that
+# outlives its test
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail any test after which a child process it started is alive."""
+    yield
+    alive = multiprocessing.active_children()
+    for proc in alive:
+        proc.terminate()
+        proc.join()
+    if alive:
+        pytest.fail(f"child processes still running after the test: {alive}")
 
 
 @pytest.fixture

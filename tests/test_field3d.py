@@ -497,6 +497,23 @@ class TestFieldIO3D:
             Field3D(grid, np.ones((16, 16, 16)))
         assert [w.filename for w in rec] == [__file__]
 
+    @pytest.mark.parametrize("guard", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_rejected(self, bad, guard):
+        vals = np.zeros((16, 16, 16))
+        vals[3, 4, 5] = bad
+        with pytest.raises(DiscretizationError, match="non-finite"):
+            Field3D(Grid3D(6.0, 16), vals, guard=guard)
+
+    def test_guard_text_names_the_peak_magnitude(self):
+        vals = np.full((16, 16, 16), 0.5)
+        vals[8, 8, 8] = -2.0
+        with pytest.warns(RuntimeWarning) as rec:
+            Field3D(Grid3D(6.0, 16), vals)
+        assert [str(w.message) for w in rec] == [
+            "field has not decayed at the box boundary; enlarge L "
+            "(edge peak 5.000e-01, interior peak 2.000e+00)"]
+
     def test_poisson_output_guard_disabled(self):
         grid = Grid3D(6.0, 32)
         u = _gaussian3(grid, 1.0, 0.8)

@@ -238,6 +238,24 @@ class TestFieldIO:
             RadialField(grid, np.ones(grid.n + 1))
         assert [w.filename for w in rec] == [__file__]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        grid = _grid(n=256)
+        vals = np.zeros(grid.n + 1)
+        vals[7] = bad
+        with pytest.raises(DiscretizationError, match="non-finite"):
+            RadialField(grid, vals)
+
+    def test_decay_guard_text_names_the_peak_magnitude(self):
+        grid = _grid(n=256)
+        vals = np.full(grid.n + 1, 0.5)
+        vals[3] = -2.0
+        with pytest.warns(RuntimeWarning) as rec:
+            RadialField(grid, vals)
+        assert [str(w.message) for w in rec] == [
+            "field has not decayed at r_max; enlarge the domain "
+            "(|u(r_max)| = 5.000e-01, peak 2.000e+00)"]
+
     def test_grid_validation(self):
         with pytest.raises(DiscretizationError):
             RadialGrid(-1.0, 256)

@@ -1,11 +1,11 @@
 """Tests for Sobolev descent, classification, and the saddle search."""
 
 import math
-import sys
+import os
+import signal
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -146,17 +146,23 @@ def _cube_starts(count, n=12):
         for k in range(count)]
 
 
-def _record_threads(monkeypatch, fail=None):
-    """Wrap ``slv.minimize`` to record (seed, thread id) of each call.
+def _radial_starts(count):
+    return radial_gaussian_starts(RadialGrid(12.0, 512), count, seed=0)
 
-    ``fail`` maps a seed to (exception, delay): that call sleeps for the
-    delay, then raises the exception.
+
+def _record_calls(monkeypatch, tmp_path, fail=None):
+    """Wrap ``slv.minimize`` to record the process of each call.
+
+    A list appended in a forked worker never reaches this process, so
+    each call writes its pid to ``<seed>.pid`` under ``tmp_path``; the
+    returned function reads them back as {seed: pid}.  ``fail`` maps a
+    seed to (exception, delay): that call sleeps for the delay, then
+    raises the exception.
     """
-    seen = []
     original = slv.minimize
 
     def recorded(init, profile, model, opts, **kw):
-        seen.append((opts.seed, threading.get_ident()))
+        (tmp_path / f"{opts.seed}.pid").write_text(str(os.getpid()))
         if fail and opts.seed in fail:
             exc, delay = fail[opts.seed]
             time.sleep(delay)
@@ -164,50 +170,105 @@ def _record_threads(monkeypatch, fail=None):
         return original(init, profile, model, opts, **kw)
 
     monkeypatch.setattr(slv, "minimize", recorded)
-    return seen
+    return lambda: {int(f.stem): int(f.read_text())
+                    for f in tmp_path.glob("*.pid")}
 
 
-def _in_thread(fn):
-    """Run fn on a fresh thread; its result, or its exception, within a
-    time limit."""
-    with ThreadPoolExecutor(max_workers=1) as runner:
-        return runner.submit(fn).result(timeout=300)
+def _count_forks(monkeypatch):
+    """Wrap ``os.fork`` to record the number of threads at each fork."""
+    threads = []
+    fork = os.fork
+
+    def counted():
+        threads.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return threads
+
+
+def _assert_reaped(pids):
+    """Every one of these processes has exited and been waited for."""
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 class TestConcurrentMultistart:
-    def test_cube_results_match_serial_descents(self, monkeypatch):
-        starts = _cube_starts(4)
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        """Fail, rather than hang, a call whose workers never answer."""
+        def expired(signum, frame):
+            raise TimeoutError("the test ran for more than 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def _check_matches_serial(self, monkeypatch, tmp_path, starts):
         opts = SolveOptions(tol_grad=1e-3, max_iter=15, seed=5)
         serial = [minimize(u, _rho(), _model(), SolveOptions(
             tol_grad=1e-3, max_iter=15, seed=5 + k))
             for k, u in enumerate(starts)]
         monkeypatch.setattr(slv, "_usable_cpus", lambda: 1)
         best_serial, _ = multistart_minimize(starts, _rho(), _model(), opts)
-        monkeypatch.setattr(slv, "_usable_cpus", lambda: 4)
-        seen = _record_threads(monkeypatch)
-        caller = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            def call():
-                caller.append(threading.get_ident())
-                return multistart_minimize(starts, _rho(), _model(), opts)
-            best, results = _in_thread(call)
-        finally:
-            sys.setswitchinterval(interval)
-        threads = dict(seen)
-        assert sorted(threads) == [5, 6, 7, 8]
-        assert threads[5] == caller[0]
-        assert len(set(threads.values())) > 1
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: 2)
+        seen = _record_calls(monkeypatch, tmp_path)
+        forks = _count_forks(monkeypatch)
+        best, results = multistart_minimize(starts, _rho(), _model(), opts)
+        pids = seen()
+        assert sorted(pids) == [5, 6, 7, 8]
+        assert len(set(pids.values())) == 2
+        assert os.getpid() not in pids.values()
+        assert forks == [1, 1]
+        _assert_reaped(set(pids.values()))
         assert len(results) == len(serial)
         for r, ref in zip(results, serial):
             assert np.array_equal(r.field.values, ref.field.values)
             assert r.energy == ref.energy
             assert r.gradient_norm == ref.gradient_norm
+            assert r.nehari_residual == ref.nehari_residual
             assert r.iterations == ref.iterations
             assert r.classification == ref.classification
+            assert r.converged == ref.converged
             assert r.trace == ref.trace
         assert np.array_equal(best.field.values, best_serial.field.values)
+
+    def test_cube_results_match_serial_descents(self, monkeypatch, tmp_path):
+        self._check_matches_serial(monkeypatch, tmp_path, _cube_starts(4))
+
+    def test_radial_results_match_serial_descents(self, monkeypatch,
+                                                  tmp_path):
+        self._check_matches_serial(monkeypatch, tmp_path, _radial_starts(4))
+
+    @pytest.mark.parametrize("kind", ["radial", "cube"])
+    def test_workers_inherit_the_grid_caches(self, monkeypatch, tmp_path,
+                                             kind):
+        caches = (rad._operators, f3d._spectral, f3d._cached_radius,
+                  f3d._coulomb_kernel_hat)
+        for cache in caches:
+            cache.cache_clear()
+        original = slv.minimize
+
+        def recorded(init, profile, model, opts, **kw):
+            before = [c.cache_info().misses for c in caches]
+            result = original(init, profile, model, opts, **kw)
+            after = [c.cache_info().misses for c in caches]
+            (tmp_path / f"{opts.seed}.misses").write_text(
+                f"{os.getpid()} {sum(after) - sum(before)}")
+            return result
+
+        monkeypatch.setattr(slv, "minimize", recorded)
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: 2)
+        starts = _radial_starts(3) if kind == "radial" else _cube_starts(3)
+        multistart_minimize(starts, _rho(), _model(),
+                            SolveOptions(tol_grad=1e-3, max_iter=3))
+        records = [f.read_text().split() for f in tmp_path.glob("*.misses")]
+        assert len(records) == 3
+        assert {int(pid) for pid, _ in records} - {os.getpid()}
+        assert [int(misses) for _, misses in records] == [0, 0, 0]
 
     @pytest.mark.parametrize("fail, expected", [
         # start 2 fails first in time; start 1, the lower index, wins
@@ -215,28 +276,111 @@ class TestConcurrentMultistart:
          SolverError),
         ({0: (MemoryError("start 0"), 0.2), 3: (SolverError("start 3"), 0.0)},
          MemoryError),
-    ], ids=["pool-starts", "calling-thread-start"])
-    def test_lowest_failing_start_raises(self, monkeypatch, fail, expected):
+    ], ids=["starts-1-and-2", "starts-0-and-3"])
+    def test_lowest_failing_start_raises(self, monkeypatch, tmp_path, fail,
+                                         expected):
         monkeypatch.setattr(slv, "_usable_cpus", lambda: 4)
-        _record_threads(monkeypatch, fail)
+        seen = _record_calls(monkeypatch, tmp_path, fail)
         k = min(fail)
         with pytest.raises(expected, match=f"start {k}"):
-            _in_thread(lambda: multistart_minimize(
-                _cube_starts(4), _rho(), _model(),
-                SolveOptions(max_iter=3)))
+            multistart_minimize(_cube_starts(4), _rho(), _model(),
+                                SolveOptions(max_iter=3))
+        pids = seen()
+        assert sorted(pids) == [0, 1, 2, 3]
+        _assert_reaped(set(pids.values()))
+
+    def test_no_start_is_handed_out_after_a_failure(self, monkeypatch,
+                                                    tmp_path):
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: 2)
+        seen = _record_calls(monkeypatch, tmp_path,
+                             {0: (SolverError("start 0"), 0.0)})
+        with pytest.raises(SolverError, match="start 0"):
+            multistart_minimize(_radial_starts(4), _rho(), _model(),
+                                SolveOptions(tol_grad=1e-3, max_iter=10))
+        assert sorted(seen()) == [0, 1]
+
+    def test_a_worker_that_dies_raises(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: 2)
+        original = slv.minimize
+
+        def dying(init, profile, model, opts, **kw):
+            if opts.seed == 1:
+                os._exit(3)
+            return original(init, profile, model, opts, **kw)
+
+        monkeypatch.setattr(slv, "minimize", dying)
+        with pytest.raises(ChildProcessError,
+                           match="start 1 .*exit code 3"):
+            multistart_minimize(_radial_starts(3), _rho(), _model(),
+                                SolveOptions(tol_grad=1e-3, max_iter=10))
+
+    def test_an_interrupted_call_terminates_busy_workers(self, monkeypatch,
+                                                         tmp_path):
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: 2)
+        seen = _record_calls(monkeypatch, tmp_path, {
+            0: (SolverError("start 0"), 60.0),
+            1: (SolverError("start 1"), 60.0)})
+
+        def interrupted(conns, timeout=None):
+            while len(seen()) < 2:   # both workers have started a descent
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(slv.multiprocessing.connection, "wait",
+                            interrupted)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            multistart_minimize(_radial_starts(2), _rho(), _model())
+        assert time.monotonic() - t0 < 30.0
+        _assert_reaped(set(seen().values()))
+
+    def test_worker_warnings_reach_the_caller_in_start_order(
+            self, monkeypatch):
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: 2)
+        original = slv.minimize
+
+        def warning(init, profile, model, opts, **kw):
+            time.sleep(0.2 if opts.seed == 0 else 0.0)
+            warnings.warn(f"start {opts.seed}", UserWarning)
+            return original(init, profile, model, opts, **kw)
+
+        monkeypatch.setattr(slv, "minimize", warning)
+        with pytest.warns(UserWarning) as rec:
+            multistart_minimize(_radial_starts(3), _rho(), _model(),
+                                SolveOptions(tol_grad=1e-3, max_iter=10))
+        ours = [w for w in rec if w.category is UserWarning]
+        assert [str(w.message) for w in ours] == ["start 0", "start 1",
+                                                   "start 2"]
+        assert {w.filename for w in ours} == {__file__}
 
     @pytest.mark.parametrize("kind, cpus", [("radial", 4), ("cube", 1)])
-    def test_serial_on_the_calling_thread(self, monkeypatch, kind, cpus):
+    def test_serial_on_the_calling_thread(self, monkeypatch, tmp_path, kind,
+                                          cpus):
+        # one usable CPU, or a platform without fork
         monkeypatch.setattr(slv, "_usable_cpus", lambda: cpus)
-        if kind == "radial":
-            grid = RadialGrid(12.0, 512)
-            starts = radial_gaussian_starts(grid, 3, seed=0)
-        else:
-            starts = _cube_starts(3)
-        seen = _record_threads(monkeypatch)
+        if cpus > 1:
+            monkeypatch.delattr(os, "fork")
+        starts = _radial_starts(3) if kind == "radial" else _cube_starts(3)
+        seen = _record_calls(monkeypatch, tmp_path)
         multistart_minimize(starts, _rho(), _model(),
                             SolveOptions(tol_grad=1e-3, max_iter=10))
-        assert seen == [(k, threading.get_ident()) for k in range(3)]
+        assert seen() == {k: os.getpid() for k in range(3)}
+
+    def test_serial_while_another_thread_runs(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: 4)
+        seen = _record_calls(monkeypatch, tmp_path)
+        forks = _count_forks(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            multistart_minimize(_radial_starts(3), _rho(), _model(),
+                                SolveOptions(tol_grad=1e-3, max_iter=10))
+        finally:
+            release.set()
+            other.join()
+        assert seen() == {k: os.getpid() for k in range(3)}
+        assert forks == []
 
 
 class TestMountainPass:
