@@ -4,9 +4,10 @@ Each scenario ties the library modules into one experiment per claim
 family: threshold machinery checks, the two-solution coupling regime,
 the uniqueness regime, non-autonomous ground states, the multibump
 energy ladder, and radial symmetry breaking.  A scenario consumes a
-JSON config (versioned schema, unknown keys rejected), runs fully
-deterministically under a fixed seed, and writes a machine-readable
-report plus solver traces, field snapshots, and plot-ready CSVs.
+JSON config (versioned schema; an entry the scenario does not read is
+rejected), runs fully deterministically under a fixed seed, and writes a
+machine-readable report plus solver traces, field snapshots, and
+plot-ready CSVs.
 
 Exit code 0 means every verdict in the report passed.
 """
@@ -37,8 +38,36 @@ from .models import (ChargeProfile, ModelError, NonlinearityModel,
 
 SCHEMA_VERSION = 1
 
-SCENARIOS = ("verify-lemmas", "autonomous", "uniqueness-scan",
-             "ground-state", "multibump", "symmetry-breaking")
+# the optional config entries each scenario reads, by dotted name, with
+# their types (a list is checked by the scenario body); a config entry
+# neither listed for its scenario nor in _READ_BY_ALL is rejected
+_SCENARIO_ENTRIES: Dict[str, Dict[str, Callable]] = {
+    "verify-lemmas": {"options.n_fields": int},
+    "autonomous": {"lambda": float, "solver.max_iter": int,
+                   "solver.n_starts": int},
+    "uniqueness-scan": {"lambda": float, "solver.n_starts": int},
+    "ground-state": {"lambda": float, "solver.max_iter": int,
+                     "solver.n_starts": int},
+    "multibump": {"lambda": float, "solver.max_iter": int,
+                  "options.R0": float, "options.bump_counts": list},
+    "symmetry-breaking": {"lambda": float, "cube_grid.L": float,
+                          "cube_grid.n": int, "solver.tol_grad_abs": float,
+                          "solver.max_iter": int, "solver.n_starts": int,
+                          "options.bump_offset": float,
+                          "options.refine_n": int, "options.eps_sweep": list},
+}
+SCENARIOS = tuple(_SCENARIO_ENTRIES)
+
+# the config entries every scenario reads, with their types (None: used
+# as written), and the sections that hold entries
+_READ_BY_ALL: Dict[str, Optional[Callable]] = {
+    "schema": None, "scenario": None, "seed": int, "out_dir": None,
+    "radial_grid.r_max": float, "radial_grid.n": int, "model.kind": None,
+    "model.q": float, "model.a_q": float, "model.a2": float, "model.p": float,
+    "model.csv": None, "profile.kind": None, "profile.value": float,
+    "profile.rho0": float, "profile.rho_inf": float, "profile.eps": float}
+_SECTIONS = ("model", "profile", "radial_grid", "cube_grid", "solver",
+             "options")
 
 # x-planes per slab of the refine resample
 _RESAMPLE_SLAB = 8
@@ -77,24 +106,6 @@ class ScenarioConfig:
     inputs_echo: Dict[str, object] = field(repr=False, default_factory=dict)
 
 
-def _check_keys(doc: dict, allowed: Sequence[str], where: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-
-
-def _section(doc: dict, key: str, allowed: Sequence[str]) -> dict:
-    """The JSON object at doc[key], unknown keys rejected; an absent or
-    null section is empty."""
-    sec = doc.get(key)
-    if sec is None:
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {key} must be a JSON object")
-    _check_keys(sec, allowed, key)
-    return dict(sec)
-
-
 def _required(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"missing key {key} in {where}")
@@ -112,36 +123,43 @@ def _number(value, name: str, convert: Callable):
     raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
 
 
-# the scalar entries of the solver and options sections, with their types
-_SOLVER_KEYS = {"tol_grad_abs": float, "max_iter": int, "n_starts": int}
-_OPTION_SCALARS = {"R0": float, "bump_offset": float, "n_fields": int,
-                   "refine_n": int}
-
-
-def _numbers(sec: dict, types: Dict[str, Callable], where: str) -> dict:
-    """The section with each entry named in ``types`` converted by
-    ``_number``; a null entry counts as absent."""
-    out = {k: v for k, v in sec.items() if k not in types}
-    out.update({k: _number(v, f"{where}.{k}", types[k])
-                for k, v in sec.items() if k in types and v is not None})
+def _entries(doc: dict, scenario: str) -> Dict[str, dict]:
+    """The entries of ``doc`` by section ("" for the top level), each
+    number converted to its type (a null entry or section counts as
+    absent); an entry the scenario does not read raises ConfigError."""
+    types = {**_READ_BY_ALL, **_SCENARIO_ENTRIES[scenario]}
+    given = {k: v for k, v in doc.items() if k not in _SECTIONS}
+    for key in _SECTIONS:
+        sec = {} if doc.get(key) is None else doc[key]
+        if not isinstance(sec, dict):
+            raise ConfigError(f"config section {key} must be a JSON object")
+        given.update((f"{key}.{k}", v) for k, v in sec.items())
+    unread = sorted(set(given) - set(types))
+    if unread:
+        raise ConfigError(f"scenario {scenario} does not read config "
+                          f"entries: {', '.join(unread)}")
+    out = {section: {} for section in ("",) + _SECTIONS}
+    for name, value in given.items():
+        if value is not None:
+            section, _, key = name.rpartition(".")
+            out[section][key] = (value if types[name] in (None, list)
+                                 else _number(value, name, types[name]))
     return out
 
 
 def _build_model(doc: dict) -> NonlinearityModel:
     kind = doc.get("kind", "pure-power")
     if kind == "pure-power":
-        model = NonlinearityModel.pure_power(
-            _number(doc.get("q", 2.5), "model.q", float),
-            _number(doc.get("a_q", 1.0), "model.a_q", float))
+        model = NonlinearityModel.pure_power(doc.get("q", 2.5),
+                                             doc.get("a_q", 1.0))
     elif kind == "asymptotically-linear":
         model = NonlinearityModel.asymptotically_linear(
-            _number(_required(doc, "a2", "model"), "model.a2", float))
+            _required(doc, "a2", "model"))
     elif kind == "table":
         model = NonlinearityModel.from_csv(_required(doc, "csv", "model"))
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
-    p = _number(doc.get("p", model.q if 2.0 < model.q < 3.0 else 2.5),
-                "model.p", float)
+    p = doc.get("p", model.q if 2.0 < model.q < 3.0 else 2.5)
     with warnings.catch_warnings():
         # p == q is the natural choice for pure powers; the fit warns that
         # the bound is only attained asymptotically, which is fine here
@@ -152,16 +170,13 @@ def _build_model(doc: dict) -> NonlinearityModel:
 def _build_profile(doc: dict) -> ChargeProfile:
     kind = doc.get("kind")
     if kind == "constant":
-        prof = ChargeProfile.constant(
-            _number(_required(doc, "value", "profile"), "profile.value", float))
+        prof = ChargeProfile.constant(_required(doc, "value", "profile"))
     elif kind == "rational":
-        prof = ChargeProfile.rational(
-            _number(_required(doc, "rho0", "profile"), "profile.rho0", float),
-            _number(_required(doc, "rho_inf", "profile"), "profile.rho_inf",
-                    float))
+        prof = ChargeProfile.rational(_required(doc, "rho0", "profile"),
+                                      _required(doc, "rho_inf", "profile"))
     else:
         raise ConfigError(f"unknown profile kind {kind!r}")
-    eps = _number(doc.get("eps", 1.0), "profile.eps", float)
+    eps = doc.get("eps", 1.0)
     return prof.scaled(eps) if eps != 1.0 else prof
 
 
@@ -175,9 +190,6 @@ def load_config(scenario: str, config_path: Optional[str] = None,
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
-        _check_keys(doc, ["schema", "scenario", "model", "profile", "lambda",
-                          "radial_grid", "cube_grid", "solver", "options",
-                          "seed", "out_dir"], "config")
         if doc.get("schema") != SCHEMA_VERSION:
             raise ConfigError(
                 f"config schema must be {SCHEMA_VERSION}, "
@@ -191,19 +203,13 @@ def load_config(scenario: str, config_path: Optional[str] = None,
     if grid_scale not in GRID_SCALES:
         raise ConfigError(f"unknown grid scale {grid_scale!r}")
 
-    rg = _section(doc, "radial_grid", ["r_max", "n"])
-    cg = _section(doc, "cube_grid", ["L", "n"])
-    solver = _section(doc, "solver", list(_SOLVER_KEYS))
-    options = _section(doc, "options", list(_OPTION_SCALARS)
-                       + ["bump_counts", "eps_sweep"])
+    entries = _entries(doc, scenario)
+    rg, cg = entries["radial_grid"], entries["cube_grid"]
 
-    model = _build_model(
-        _section(doc, "model", ["kind", "q", "a_q", "a2", "p", "csv"]))
-    profile = (None if doc.get("profile") is None else _build_profile(
-        _section(doc, "profile", ["kind", "value", "rho0", "rho_inf", "eps"])))
-    lam = doc.get("lambda")
-    resolved_seed = (seed if seed is not None
-                     else _number(doc.get("seed", 0), "seed", int))
+    model = _build_model(entries["model"])
+    profile = (None if doc.get("profile") is None
+               else _build_profile(entries["profile"]))
+    resolved_seed = seed if seed is not None else entries[""].get("seed", 0)
     resolved_out = out_dir or doc.get("out_dir") or os.path.join(
         "runs", scenario)
     scale = GRID_SCALES[grid_scale]
@@ -211,26 +217,23 @@ def load_config(scenario: str, config_path: Optional[str] = None,
     # default coupling each bump spans a radius-12 ball, so this scenario
     # needs a box large enough to hold two of them side by side
     default_extent = 18.0 if scenario == "symmetry-breaking" else 12.0
-    radial_grid = {
-        "r_max": _number(rg.get("r_max", default_extent), "radial_grid.r_max",
-                         float),
-        "n": _number(rg.get("n", scale["radial_n"]), "radial_grid.n", int)}
-    cube_grid = {"L": _number(cg.get("L", default_extent), "cube_grid.L",
-                              float),
-                 "n": _number(cg.get("n", scale["cube_n"]), "cube_grid.n",
-                              int)}
+    radial_grid = {"r_max": rg.get("r_max", default_extent),
+                   "n": rg.get("n", scale["radial_n"])}
+    # echoed by every report, as the default where the scenario has no cube
+    cube_grid = {"L": cg.get("L", default_extent),
+                 "n": cg.get("n", scale["cube_n"])}
 
     return ScenarioConfig(
         scenario=scenario,
         model=model,
         profile=profile,
-        lam=None if lam is None else _number(lam, "lambda", float),
+        lam=entries[""].get("lambda"),
         radial_r_max=radial_grid["r_max"],
         radial_n=radial_grid["n"],
         cube_L=cube_grid["L"],
         cube_n=cube_grid["n"],
-        solver=_numbers(solver, _SOLVER_KEYS, "solver"),
-        options=_numbers(options, _OPTION_SCALARS, "options"),
+        solver=entries["solver"],
+        options=entries["options"],
         seed=resolved_seed,
         out_dir=resolved_out,
         inputs_echo={
@@ -238,11 +241,11 @@ def load_config(scenario: str, config_path: Optional[str] = None,
             "model": doc.get("model") or {"kind": "pure-power", "q": 2.5,
                                           "a_q": 1.0, "p": 2.5},
             "profile": doc.get("profile"),
-            "lambda": lam,
+            "lambda": doc.get("lambda"),
             "radial_grid": radial_grid,
             "cube_grid": cube_grid,
-            "solver": solver,
-            "options": options,
+            "solver": doc.get("solver") or {},
+            "options": doc.get("options") or {},
             "seed": resolved_seed,
             "grid_scale": grid_scale,
         })
@@ -265,9 +268,8 @@ class Verdict:
 class ExperimentReport:
     """Self-contained record of one scenario run.
 
-    ``attachments`` carries in-memory arrays for plot emission and is not
-    serialized; ``runtime_seconds`` is written to a sidecar (meta.json) so
-    the main report stays byte-identical across runs with the same seed.
+    ``runtime_seconds`` is written to a sidecar (meta.json) so the main
+    report stays byte-identical across runs with the same seed.
     """
 
     scenario: str
@@ -276,7 +278,6 @@ class ExperimentReport:
     verdicts: List[Verdict]
     runtime_seconds: float
     artifacts: List[str]
-    attachments: Dict[str, object] = field(repr=False, default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -309,9 +310,8 @@ def _radial_grid(cfg: ScenarioConfig) -> rad.RadialGrid:
 
 def _opts(cfg: ScenarioConfig, **overrides) -> slv.SolveOptions:
     kw = {"seed": cfg.seed}
-    for key in ("tol_grad_abs", "max_iter"):
-        if key in cfg.solver:
-            kw[key] = cfg.solver[key]
+    if "max_iter" in cfg.solver:
+        kw["max_iter"] = cfg.solver["max_iter"]
     kw.update(overrides)
     return slv.SolveOptions(**kw)
 
@@ -800,6 +800,7 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
     # already sits below the radial level; a modest number of 3-D
     # relaxation steps keeps the scenario inside its time budget
     opts3 = _opts(cfg, tol_grad=1e-3,
+                  tol_grad_abs=cfg.solver.get("tol_grad_abs"),
                   max_iter=cfg.solver.get("max_iter", 120))
     _, results3 = slv.multistart_minimize(starts3, prof_eps, model, opts3)
     # the iteration cap can stop a descent before the gradient
@@ -937,7 +938,11 @@ def run(cfg: ScenarioConfig) -> ExperimentReport:
             artifacts.append(rel_slice)
         artifacts.append(rel)
     if cfg.scenario in _PLOT_TABLES:
-        artifacts.append(_PLOT_TABLES[cfg.scenario][1])
+        key, name, header = _PLOT_TABLES[cfg.scenario]
+        np.savetxt(os.path.join(cfg.out_dir, name),
+                   np.asarray(attachments[key], dtype=float),
+                   delimiter=",", fmt="%.17g", header=header, comments="")
+        artifacts.append(name)
 
     report = ExperimentReport(
         scenario=cfg.scenario,
@@ -945,10 +950,7 @@ def run(cfg: ScenarioConfig) -> ExperimentReport:
         quantities=quantities,
         verdicts=verdicts,
         runtime_seconds=time.perf_counter() - t0,
-        artifacts=sorted(artifacts),
-        attachments=attachments)
-
-    emit_plot_data(report, cfg.out_dir)
+        artifacts=sorted(artifacts))
     with open(os.path.join(cfg.out_dir, "report.json"), "w") as fh:
         fh.write(report.to_json())
     # runtime lives in a sidecar so the report is reproducible bytewise
@@ -956,18 +958,6 @@ def run(cfg: ScenarioConfig) -> ExperimentReport:
         json.dump({"runtime_seconds": report.runtime_seconds}, fh)
         fh.write("\n")
     return report
-
-
-def emit_plot_data(report: ExperimentReport, out_dir: str) -> None:
-    """Write the plot-ready CSV projection of a report, if it has one;
-    deterministic bytes."""
-    table = _PLOT_TABLES.get(report.scenario)
-    if table is None or table[0] not in report.attachments:
-        return
-    key, name, header = table
-    np.savetxt(os.path.join(out_dir, name),
-               np.asarray(report.attachments[key], dtype=float),
-               delimiter=",", fmt="%.17g", header=header, comments="")
 
 
 # ---------------------------------------------------------------------------

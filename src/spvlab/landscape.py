@@ -273,7 +273,7 @@ def smoothstep(r, r0: float, r1: float):
 class MultibumpSpec:
     """Geometry of an N-bump trial field.
 
-    Bumps of support radius R0 sit at centers i * N^3 * e for
+    Bumps of support radius R0 sit at centers (0, 0, i * N^3) for
     i = 1..N; the charge rescaling parameter is 1/(N^4 + R0), placing
     every bump inside the ball of radius N^4 + R0.  Disjoint supports
     require N^3 > 2 R0.
@@ -281,14 +281,8 @@ class MultibumpSpec:
 
     R0: float
     N: int
-    e: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
-        e = np.asarray(self.e, dtype=float)
-        if e.shape != (3,) or not math.isclose(float(e @ e), 1.0,
-                                               rel_tol=1e-12):
-            raise ModelError("bump direction must be a unit 3-vector")
-        object.__setattr__(self, "e", e)
         if self.N < 1:
             raise ModelError("need at least one bump")
         if self.R0 <= 0.0:
@@ -305,8 +299,8 @@ class MultibumpSpec:
 
     @property
     def centers(self) -> np.ndarray:
-        return np.array([i * self.N ** 3 * self.e
-                         for i in range(1, self.N + 1)])
+        return np.array([[0.0, 0.0, i * self.N ** 3]
+                         for i in range(1, self.N + 1)], dtype=float)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ worker processes on Linux, with results bit-identical to a serial loop.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import multiprocessing.connection
@@ -305,6 +306,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=None)
+def _libc_prctl():
+    """libc's ``prctl``, looked up at the first fork rather than at
+    import, so that importing this module does not load ctypes."""
+    import ctypes
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    return prctl
+
+
 def _minimize_forked(starts: Sequence[FieldLike], profile: ChargeProfile,
                      model: NonlinearityModel,
                      seeded: Sequence[SolveOptions],
@@ -332,8 +344,8 @@ def _minimize_forked(starts: Sequence[FieldLike], profile: ChargeProfile,
         for _ in range(workers):
             ours, theirs = ctx.Pipe()
             proc = ctx.Process(target=_serve, daemon=True,
-                               args=(theirs, [*pipes, ours], starts, profile,
-                                     model, seeded))
+                               args=(theirs, [*pipes, ours], _libc_prctl(),
+                                     starts, profile, model, seeded))
             proc.start()
             theirs.close()
             pipes[ours] = proc
@@ -374,17 +386,22 @@ def _minimize_forked(starts: Sequence[FieldLike], profile: ChargeProfile,
     return results
 
 
-def _serve(pipe, inherited, starts: Sequence[FieldLike],
+def _serve(pipe, inherited, prctl, starts: Sequence[FieldLike],
            profile: ChargeProfile, model: NonlinearityModel,
            seeded: Sequence[SolveOptions]) -> None:
     """Worker loop: run each start index that arrives on ``pipe`` and send
     back its result, or its exception, with the warnings it raised.
 
+    Through libc's ``prctl`` the worker is killed when the caller dies;
+    it returns at once if the caller died before that request.
     ``inherited`` are the caller's pipe ends that the fork copied; they
     are closed first, so ``pipe`` reads end of file once the caller's
     end closes, and the worker then returns.  An interrupt is left to
     the caller, which terminates its busy workers.
     """
+    prctl(1, signal.SIGKILL)    # PR_SET_PDEATHSIG
+    if os.getppid() != multiprocessing.parent_process().pid:
+        return
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in inherited:
         end.close()

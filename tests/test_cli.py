@@ -58,7 +58,7 @@ class TestLoadConfig:
     def test_full_document(self, tmp_path):
         path = _write(tmp_path, {
             "schema": SCHEMA_VERSION,
-            "scenario": "autonomous",
+            "scenario": "symmetry-breaking",
             "model": {"kind": "pure-power", "q": 2.5, "a_q": 1.0, "p": 2.5},
             "profile": {"kind": "rational", "rho0": 0.05, "rho_inf": 2.0,
                         "eps": 0.5},
@@ -68,10 +68,12 @@ class TestLoadConfig:
             "solver": {"tol_grad_abs": 1e-4, "max_iter": 500},
             "seed": 7,
         })
-        cfg = load_config("autonomous", config_path=path)
+        cfg = load_config("symmetry-breaking", config_path=path)
         assert cfg.lam == 0.003
         assert cfg.radial_r_max == 10.0
         assert cfg.radial_n == 1024
+        assert cfg.cube_L == 10.0 and cfg.cube_n == 64
+        assert cfg.solver == {"tol_grad_abs": 1e-4, "max_iter": 500}
         assert cfg.seed == 7
         assert cfg.profile is not None
 
@@ -94,17 +96,22 @@ class TestLoadConfig:
                                                "value": 1.0, "hue": 2}},
         {"schema": SCHEMA_VERSION, "radial_grid": {"r_max": 12.0,
                                                    "spacing": 0.1}},
-        {"schema": SCHEMA_VERSION, "cube_grid": {"n": 64, "shape": "box"}},
-        {"schema": SCHEMA_VERSION, "solver": {"tol_grad_abs": 1e-5,
-                                              "momentum": 0.9}},
-        {"schema": SCHEMA_VERSION, "options": {"R0": 3.5, "verbose": True}},
+        {"schema": SCHEMA_VERSION, "scenario": "symmetry-breaking",
+         "cube_grid": {"n": 64, "shape": "box"}},
+        {"schema": SCHEMA_VERSION, "scenario": "symmetry-breaking",
+         "solver": {"tol_grad_abs": 1e-5, "momentum": 0.9}},
+        {"schema": SCHEMA_VERSION, "scenario": "multibump",
+         "options": {"R0": 3.5, "verbose": True}},
         # no scenario reads a relative gradient tolerance
-        {"schema": SCHEMA_VERSION, "solver": {"tol_grad": 1e-6}},
+        {"schema": SCHEMA_VERSION, "scenario": "symmetry-breaking",
+         "solver": {"tol_grad": 1e-6}},
     ])
     def test_unknown_keys_rejected_everywhere(self, tmp_path, doc):
+        # each document is otherwise valid for its scenario
         path = _write(tmp_path, doc)
         with pytest.raises(ConfigError):
-            load_config("verify-lemmas", config_path=path)
+            load_config(doc.get("scenario", "verify-lemmas"),
+                        config_path=path)
 
     def test_flag_overrides(self, tmp_path):
         path = _write(tmp_path, {"schema": SCHEMA_VERSION, "seed": 3,
@@ -118,14 +125,17 @@ class TestLoadConfig:
         path = _write(tmp_path, {
             "schema": SCHEMA_VERSION,
             "solver": {"max_iter": 500.0, "tol_grad_abs": 1, "n_starts": None},
-            "options": {"n_fields": 12.0, "R0": 4, "eps_sweep": [0.1]},
+            "options": {"refine_n": 12.0, "bump_offset": 4,
+                        "eps_sweep": [0.1]},
         })
-        cfg = load_config("verify-lemmas", config_path=path)
+        cfg = load_config("symmetry-breaking", config_path=path)
         assert cfg.solver == {"max_iter": 500, "tol_grad_abs": 1.0}
         assert type(cfg.solver["max_iter"]) is int
         assert type(cfg.solver["tol_grad_abs"]) is float
-        assert cfg.options == {"n_fields": 12, "R0": 4.0, "eps_sweep": [0.1]}
-        assert type(cfg.options["R0"]) is float
+        assert cfg.options == {"refine_n": 12, "bump_offset": 4.0,
+                               "eps_sweep": [0.1]}
+        assert type(cfg.options["refine_n"]) is int
+        assert type(cfg.options["bump_offset"]) is float
         # the report echoes the document as written
         assert cfg.inputs_echo["solver"]["max_iter"] == 500.0
         assert cfg.inputs_echo["solver"]["n_starts"] is None
@@ -143,6 +153,73 @@ class TestLoadConfig:
         assert cfg.radial_r_max == 18.0
         assert cfg.cube_L == 18.0
         assert load_config("autonomous").cube_L == 12.0
+
+
+# a valid value for each optional config entry
+OPTIONAL_ENTRIES = {
+    "lambda": 0.003, "cube_grid.L": 12.0, "cube_grid.n": 16,
+    "solver.tol_grad_abs": 1e-5, "solver.max_iter": 100,
+    "solver.n_starts": 2, "options.n_fields": 10, "options.R0": 3.5,
+    "options.bump_counts": [1, 2], "options.bump_offset": 7.0,
+    "options.refine_n": 24, "options.eps_sweep": [0.05],
+}
+
+# the optional entries each scenario body reads
+READS = {
+    "verify-lemmas": {"options.n_fields"},
+    "autonomous": {"lambda", "solver.max_iter", "solver.n_starts"},
+    "uniqueness-scan": {"lambda", "solver.n_starts"},
+    "ground-state": {"lambda", "solver.max_iter", "solver.n_starts"},
+    "multibump": {"lambda", "solver.max_iter", "options.R0",
+                  "options.bump_counts"},
+    "symmetry-breaking": {"lambda", "cube_grid.L", "cube_grid.n",
+                          "solver.tol_grad_abs", "solver.max_iter",
+                          "solver.n_starts", "options.bump_offset",
+                          "options.refine_n", "options.eps_sweep"},
+}
+
+UNREAD = [(scenario, name) for scenario in SCENARIOS
+          for name in OPTIONAL_ENTRIES if name not in READS[scenario]]
+
+
+def _doc_setting(names):
+    """A config document that sets each of the dotted entries ``names``."""
+    doc = {"schema": SCHEMA_VERSION}
+    for name in names:
+        section, _, key = name.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[key] = \
+            OPTIONAL_ENTRIES[name]
+    return doc
+
+
+def test_every_unread_pair_is_listed():
+    assert len(UNREAD) == 50
+
+
+@pytest.mark.parametrize("scenario, name", UNREAD)
+def test_entry_the_scenario_does_not_read_exits_2(tmp_path, capsys,
+                                                  scenario, name):
+    path = _write(tmp_path, _doc_setting([name]))
+    assert main([scenario, "--config", path,
+                 "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError"
+    assert err["message"] == (f"scenario {scenario} does not read config "
+                              f"entries: {name}")
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_entry_the_scenario_reads_loads(tmp_path, scenario):
+    path = _write(tmp_path, _doc_setting(sorted(READS[scenario])))
+    cfg = load_config(scenario, config_path=path)
+    resolved = {"lambda": cfg.lam, "cube_grid.L": cfg.cube_L,
+                "cube_grid.n": cfg.cube_n,
+                **{f"solver.{k}": v for k, v in cfg.solver.items()},
+                **{f"options.{k}": v for k, v in cfg.options.items()}}
+    for name in READS[scenario]:
+        assert resolved[name] == OPTIONAL_ENTRIES[name], name
 
 
 def _one_shot_resample(values, grid_from, grid_to):
@@ -243,14 +320,15 @@ class TestRunAndMain:
         ("verify-lemmas", {"seed": [1]}, "seed"),
         ("verify-lemmas", {"radial_grid": {"n": [1]}}, "radial_grid.n"),
         ("verify-lemmas", {"options": {"n_fields": []}}, "options.n_fields"),
-        ("verify-lemmas", {"solver": {"max_iter": "many"}}, "solver.max_iter"),
-        ("verify-lemmas", {"cube_grid": {"n": True}}, "cube_grid.n"),
-        ("verify-lemmas", {"lambda": {"value": 1.0}}, "lambda"),
+        ("autonomous", {"solver": {"max_iter": "many"}}, "solver.max_iter"),
+        ("symmetry-breaking", {"cube_grid": {"n": True}}, "cube_grid.n"),
+        ("autonomous", {"lambda": {"value": 1.0}}, "lambda"),
         ("verify-lemmas", {"model": {"q": [2.5]}}, "model.q"),
         ("verify-lemmas", {"profile": {"kind": "constant", "value": "x"}},
          "profile.value"),
         ("symmetry-breaking", {"options": {"eps_sweep": [0.1, None]}},
          "options.eps_sweep"),
+        ("symmetry-breaking", {"solver": [1]}, "solver"),
     ])
     def test_main_rejects_malformed_config(self, tmp_path, capsys, scenario,
                                            doc, key):
@@ -324,11 +402,12 @@ class TestRunAndMain:
 
 def test_no_warning_reaches_the_caller(tmp_path):
     # small grids run every scenario, symmetry-breaking included, in seconds
-    path = _write(tmp_path, {"schema": SCHEMA_VERSION,
-                             "radial_grid": {"n": 512},
-                             "cube_grid": {"n": 16},
-                             "options": {"refine_n": 24}})
+    small = {"schema": SCHEMA_VERSION, "radial_grid": {"n": 512}}
+    cube = {"cube_grid": {"n": 16}, "options": {"refine_n": 24}}
     for scenario in SCENARIOS:
+        path = _write(tmp_path, {**small, **(
+            cube if scenario == "symmetry-breaking" else {})},
+            name=f"{scenario}.json")
         cfg = load_config(scenario, config_path=path,
                           out_dir=str(tmp_path / scenario))
         with warnings.catch_warnings(record=True) as caught:
@@ -339,7 +418,7 @@ def test_no_warning_reaches_the_caller(tmp_path):
 
 @pytest.mark.xfail(strict=True, reason=(
     "the finite-difference residual polish stalls at 1.012e-5 against the "
-    "1e-5 saddle tolerance; ROADMAP item 5 (exact Hessian action)"))
+    "1e-5 saddle tolerance; ROADMAP item 2 (exact Hessian action)"))
 def test_autonomous_saddle_converges_at_seed_1(tmp_path):
     report = run(load_config("autonomous", out_dir=str(tmp_path), seed=1))
     verdicts = {v.name: v for v in report.verdicts}

@@ -294,10 +294,6 @@ class TestMultibumpSpec:
         assert_allclose(np.linalg.norm(spec.centers[1] - spec.centers[0]),
                         8.0)
 
-    def test_direction_must_be_unit(self):
-        with pytest.raises(ModelError):
-            MultibumpSpec(R0=3.5, N=2, e=np.array([0.0, 0.0, 2.0]))
-
     def test_counts_and_radius_validated(self):
         with pytest.raises(ModelError):
             MultibumpSpec(R0=3.5, N=0)

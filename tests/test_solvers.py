@@ -3,6 +3,8 @@
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -194,6 +196,16 @@ def _assert_reaped(pids):
             os.kill(pid, 0)
 
 
+def _running(pid):
+    """The process exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            # the state follows the parenthesised command name
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestConcurrentMultistart:
     @pytest.fixture(autouse=True)
     def time_limit(self):
@@ -333,6 +345,46 @@ class TestConcurrentMultistart:
             multistart_minimize(_radial_starts(2), _rho(), _model())
         assert time.monotonic() - t0 < 30.0
         _assert_reaped(set(seen().values()))
+
+    def test_workers_die_with_a_terminated_caller(self):
+        # the caller is a separate process whose workers sleep in place of
+        # a descent; SIGTERM kills it without any cleanup of its own
+        script = (
+            "import os, time\n"
+            "import spvlab.solvers as slv\n"
+            "from spvlab.models import ChargeProfile, NonlinearityModel\n"
+            "from spvlab.radial import RadialGrid\n"
+            "def sleeping(init, profile, model, opts, **kw):\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(60)\n"
+            "slv.minimize = sleeping\n"
+            "slv._usable_cpus = lambda: 2\n"
+            "starts = slv.radial_gaussian_starts(RadialGrid(12.0, 512), 2)\n"
+            "slv.multistart_minimize(starts, ChargeProfile.constant(0.05),\n"
+            "    NonlinearityModel.pure_power(2.5).with_constants(2.5))\n")
+        src = os.path.dirname(os.path.dirname(slv.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        caller = subprocess.Popen([sys.executable, "-W", "ignore", "-c",
+                                   script], stdout=subprocess.PIPE,
+                                  text=True, env=env)
+        pids = []
+        try:
+            pids = [int(caller.stdout.readline()) for _ in range(2)]
+            caller.send_signal(signal.SIGTERM)
+            caller.wait()
+            deadline = time.monotonic() + 5.0
+            while (any(_running(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            caller.kill()
+            caller.wait()
+            caller.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_worker_warnings_reach_the_caller_in_start_order(
             self, monkeypatch):
