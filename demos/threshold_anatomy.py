@@ -10,9 +10,6 @@ for the default pure-power nonlinearity.
 Run:  python3 demos/threshold_anatomy.py
 """
 
-import math
-import warnings
-
 import numpy as np
 
 from spvlab.models import (NonlinearityModel, bracket_stationary_point,
@@ -22,9 +19,7 @@ from spvlab.models import (NonlinearityModel, bracket_stationary_point,
 
 
 def main():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        model = NonlinearityModel.pure_power(2.5).with_constants(2.5)
+    model = NonlinearityModel.pure_power(2.5).with_constants(2.5)
 
     d0 = critical_charge_threshold(model.C0, model.p)
     s0 = bracket_stationary_point(d0, model.C0, model.p)

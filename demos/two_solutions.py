@@ -22,9 +22,7 @@ from spvlab.solvers import SolveOptions, minimize, mountain_pass
 
 
 def main():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        model = NonlinearityModel.pure_power(2.5).with_constants(2.5)
+    model = NonlinearityModel.pure_power(2.5).with_constants(2.5)
     grid = RadialGrid(12.0, 4096)
 
     with warnings.catch_warnings():

@@ -114,13 +114,20 @@ def _required(doc: dict, key: str, where: str):
 
 def _number(value, name: str, convert: Callable):
     """``convert(value)``, int or float, for the config entry ``name``;
-    a JSON value that is not a number raises ConfigError naming it."""
-    if not isinstance(value, bool):
+    a JSON value that is not a finite number, or not an integral one
+    where ``convert`` is int, raises ConfigError naming it."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return convert(value)
-        except (TypeError, ValueError, OverflowError):
+            number = convert(value)
+        except (ValueError, OverflowError):
             pass
-    raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+        else:
+            # int() raises on NaN and inf but truncates 600.9 to 600
+            if (math.isfinite(number) if convert is float
+                    else number == value):
+                return number
+    what = "an integer" if convert is int else "a finite number"
+    raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
 
 
 def _entries(doc: dict, scenario: str) -> Dict[str, dict]:
@@ -160,11 +167,7 @@ def _build_model(doc: dict) -> NonlinearityModel:
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
     p = doc.get("p", model.q if 2.0 < model.q < 3.0 else 2.5)
-    with warnings.catch_warnings():
-        # p == q is the natural choice for pure powers; the fit warns that
-        # the bound is only attained asymptotically, which is fine here
-        warnings.simplefilter("ignore", UserWarning)
-        return model.with_constants(p)
+    return model.with_constants(p)
 
 
 def _build_profile(doc: dict) -> ChargeProfile:

@@ -60,8 +60,8 @@ class Grid3D:
     h: float = field(init=False)
 
     def __post_init__(self):
-        if self.L <= 0.0 or self.n < 4 or self.n % 2:
-            raise DiscretizationError("need L > 0 and even n >= 4")
+        if not 0.0 < self.L < math.inf or self.n < 4 or self.n % 2:
+            raise DiscretizationError("need finite L > 0 and even n >= 4")
         object.__setattr__(self, "h", 2.0 * self.L / self.n)
 
     @property

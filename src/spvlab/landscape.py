@@ -5,10 +5,10 @@ autonomous functional J(u) = 1/2 ||u||^2 + (lambda/4) int phi_u u^2
 - int F(u): below four times the first threshold nontrivial
 negative-energy states exist, above the second only the zero field
 solves the equation.  Both thresholds are suprema over
-infinite-dimensional sets, so only certified bounds are computed: lower
-bounds from explicit witness fields (a two-parameter family of scaled
-Gaussians by default), upper bounds from the fitted cubic growth
-constants.
+infinite-dimensional sets, so only certified bounds are computed: one
+lower bound for the energy threshold, from an explicit witness field (a
+two-parameter family of scaled Gaussians by default), and an upper bound
+for each threshold from the fitted cubic growth constants.
 
 The second half of the module holds the compact-support machinery: a
 C^1 cutoff that tapers a field to a ball, and the assembly of N-bump
@@ -30,7 +30,7 @@ import numpy as np
 from scipy import optimize
 
 from .models import (ChargeProfile, ModelError, NonlinearityModel, eval_F,
-                     eval_f, fit_cubic_bound, fit_nehari_cubic_bound)
+                     fit_cubic_bound, fit_nehari_cubic_bound)
 from .radial import (FOUR_PI, DiscretizationError, RadialField, RadialGrid,
                      energy_radial, h1_norm_sq, nonlocal_term)
 
@@ -43,7 +43,7 @@ def coulomb_self_energy(u: RadialField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Membership in the threshold sets and the witness ratios
+# Membership in the threshold set and the witness ratio
 # ---------------------------------------------------------------------------
 
 def membership_A0(u: RadialField, model: NonlinearityModel
@@ -57,25 +57,9 @@ def membership_A0(u: RadialField, model: NonlinearityModel
     return value, value > 0.0
 
 
-def membership_Abar0(u: RadialField, model: NonlinearityModel
-                     ) -> Tuple[float, bool]:
-    """Same predicate for the derivative form: int f(u) u - ||u||^2."""
-    value = (u.grid.integrate(eval_f(model, u.values) * u.values)
-             - h1_norm_sq(u))
-    return value, value > 0.0
-
-
 def a0_ratio(u: RadialField, model: NonlinearityModel) -> Optional[float]:
     """(int F(u) - 1/2 ||u||^2) / int phi_u u^2, or None outside the set."""
     excess, inside = membership_A0(u, model)
-    if not inside:
-        return None
-    return excess / coulomb_self_energy(u)
-
-
-def abar0_ratio(u: RadialField, model: NonlinearityModel) -> Optional[float]:
-    """(int f(u) u - ||u||^2) / int phi_u u^2, or None outside the set."""
-    excess, inside = membership_Abar0(u, model)
     if not inside:
         return None
     return excess / coulomb_self_energy(u)
@@ -85,17 +69,16 @@ def abar0_ratio(u: RadialField, model: NonlinearityModel) -> Optional[float]:
 class LambdaBounds:
     """Certified bounds on the two coupling thresholds.
 
-    Lower bounds are None when the trial family never enters the
-    corresponding admissible set; each present lower bound is witnessed
-    by a stored field whose ratio reproduces it exactly.
+    The energy threshold has a lower and an upper bound, the derivative
+    threshold an upper bound only.  The lower bound is None when the
+    trial family never enters the admissible set; when present it is
+    witnessed by a stored field whose ratio reproduces it exactly.
     """
 
     lambda0_lower: Optional[float]
     lambda0_upper: float
-    lambdabar0_lower: Optional[float]
     lambdabar0_upper: float
     witness_a0: Optional[RadialField] = field(repr=False, default=None)
-    witness_abar0: Optional[RadialField] = field(repr=False, default=None)
 
 
 # Amplitudes evaluated together in the ranking scan: a 4 x (n+1) block
@@ -110,17 +93,17 @@ _RANK_TOL = 1e-9
 
 def _rank_family(model: NonlinearityModel, grid: RadialGrid,
                  sigmas: Sequence[float], ts: np.ndarray):
-    """Both witness ratios over the family t * g_sigma, ranked cheaply.
+    """The witness ratio over the family t * g_sigma, ranked cheaply.
 
     Under u = t g the H^1 term scales exactly as t^2 and the Coulomb
     term as t^4, so each width needs one h1_norm_sq and one Poisson
-    solve; only int F(t g) and int f(t g) t g are evaluated per
-    amplitude, a block of amplitudes at a time.  Returns, for the A0
-    and the Abar0 ratio in turn, the ranked values and a bound on their
-    gap to the exact ratios, each of shape (len(sigmas), len(ts)).
+    solve; only int F(t g) is evaluated per amplitude, a block of
+    amplitudes at a time.  Returns the ranked values of the A0 ratio
+    and a bound on their gap to the exact ratios, each of shape
+    (len(sigmas), len(ts)).
     """
-    # int F, int |F|, int f u and int |f u| for every (sigma, t)
-    sums = np.empty((4, len(sigmas), len(ts)))
+    # int F and int |F| for every (sigma, t)
+    sums = np.empty((2, len(sigmas), len(ts)))
     h1 = np.empty(len(sigmas))
     coul = np.empty(len(sigmas))
     for i, sig in enumerate(sigmas):
@@ -128,27 +111,22 @@ def _rank_family(model: NonlinearityModel, grid: RadialGrid,
         h1[i] = h1_norm_sq(g)
         coul[i] = coulomb_self_energy(g)
         for j in range(0, len(ts), _RANK_BLOCK):
-            U = ts[j:j + _RANK_BLOCK, None] * g.values
-            F = eval_F(model, U)
-            fu = eval_f(model, U) * U
-            sums[:, i, j:j + _RANK_BLOCK] = (
-                np.stack([F, np.abs(F), fu, np.abs(fu)]) @ grid.w)
-    F, F_abs, fu, fu_abs = sums
+            F = eval_F(model, ts[j:j + _RANK_BLOCK, None] * g.values)
+            sums[:, i, j:j + _RANK_BLOCK] = np.stack([F, np.abs(F)]) @ grid.w
+    F, F_abs = sums
     t2 = ts * ts
-    quad = t2 * h1[:, None]
+    quad = 0.5 * t2 * h1[:, None]
     coulomb = t2 * t2 * coul[:, None]
     # t = 0 gives 0/0, a NaN that no comparison selects; its exact
-    # excess is 0, outside both sets
+    # excess is 0, outside the set
     with np.errstate(divide="ignore", invalid="ignore"):
-        return [((F - 0.5 * quad) / coulomb,
-                 _RANK_TOL * (F_abs + 0.5 * quad) / coulomb),
-                ((fu - quad) / coulomb,
-                 _RANK_TOL * (fu_abs + quad) / coulomb)]
+        return ((F - quad) / coulomb,
+                _RANK_TOL * (F_abs + quad) / coulomb)
 
 
 # Scans kept by ``estimate_lambda_bounds``, most recently used last.  A
 # scenario run asks for the same scan more than once; each entry holds
-# two witness fields, so a few entries cost little.
+# one witness field, so a few entries cost little.
 _BOUNDS_MEMO: "OrderedDict[tuple, LambdaBounds]" = OrderedDict()
 _BOUNDS_MEMO_SIZE = 8
 
@@ -169,7 +147,8 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
                            sigma_grid: Optional[np.ndarray] = None,
                            t_grid: Optional[np.ndarray] = None
                            ) -> LambdaBounds:
-    """Scan the family {t * gaussian(sigma)} for threshold lower bounds.
+    """Scan the family {t * gaussian(sigma)} for the energy threshold's
+    lower bound; add the closed-form upper bounds of both thresholds.
 
     The amplitude and width run over log grids with a bounded local
     refinement of the amplitude at the best width.  Upper bounds come
@@ -181,11 +160,11 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
     t^2 ||g||^2 and the Coulomb term t^4 int phi_g g^2, so one Poisson
     solve per width ranks every amplitude (``_rank_family``).  The
     ranked ratios differ from the exact ones by rounding alone, so the
-    exact ratio (``a0_ratio``/``abar0_ratio``) is re-evaluated at the
-    points whose rounding band reaches the best ranked value, usually
-    the winner alone.  The first strict maximum in (sigma, t) order
-    among them is the one a point-by-point scan of exact ratios would
-    keep, and the bounded refinement and the witness start from it.
+    exact ratio (``a0_ratio``) is re-evaluated at the points whose
+    rounding band reaches the best ranked value, usually the winner
+    alone.  The first strict maximum in (sigma, t) order among them is
+    the one a point-by-point scan of exact ratios would keep, and the
+    bounded refinement and the witness start from it.
 
     The last few results are kept, keyed by the values of the model,
     the grid and both scan grids, so a repeated scan is not redone;
@@ -206,28 +185,27 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
         return bounds
     c1 = model.C1 if model.C1 is not None else fit_cubic_bound(model)
     cbar = fit_nehari_cubic_bound(model)
-    ranked = _rank_family(model, grid, sigmas, ts)
+    ranked, gap = _rank_family(model, grid, sigmas, ts)
 
-    def scan(ratio_fn, ranked_ratio, gap):
-        # every exact maximizer's band reaches the floor, so it is
-        # among the candidates, which keep the (sigma, t) order
-        lo, hi = ranked_ratio - gap, ranked_ratio + gap
-        floor = np.max(lo, initial=0.0, where=~np.isnan(lo))
-        best_val, best_field = None, None
-        for i, j in zip(*np.nonzero(hi >= floor)):
-            sig, t = float(sigmas[i]), float(ts[j])
-            g = RadialField.gaussian(grid, 1.0, sig)
-            val = ratio_fn(RadialField(grid, t * g.values), model)
-            if val is not None and (best_val is None or val > best_val):
-                best_val, best_field = val, (sig, t)
-        if best_val is None:
-            return None, None
+    # every exact maximizer's band reaches the floor, so it is among
+    # the candidates, which keep the (sigma, t) order
+    lo, hi = ranked - gap, ranked + gap
+    floor = np.max(lo, initial=0.0, where=~np.isnan(lo))
+    best_val, best_field = None, None
+    for i, j in zip(*np.nonzero(hi >= floor)):
+        sig, t = float(sigmas[i]), float(ts[j])
+        g = RadialField.gaussian(grid, 1.0, sig)
+        val = a0_ratio(RadialField(grid, t * g.values), model)
+        if val is not None and (best_val is None or val > best_val):
+            best_val, best_field = val, (sig, t)
+    lower, witness = None, None
+    if best_val is not None:
         sig, t0 = best_field
         g = RadialField.gaussian(grid, 1.0, sig)
 
         def neg(logt):
             u = RadialField(grid, math.exp(logt) * g.values)
-            val = ratio_fn(u, model)
+            val = a0_ratio(u, model)
             return -val if val is not None else 0.0
 
         res = optimize.minimize_scalar(
@@ -235,19 +213,13 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
             method="bounded", options={"xatol": 1e-12})
         t_best = math.exp(res.x) if -res.fun > best_val else t0
         witness = RadialField(grid, t_best * g.values)
+        witness.values.flags.writeable = False
         # the stored bound is the witness's own ratio, so re-evaluation
         # reproduces it bit for bit
-        return ratio_fn(witness, model), witness
-
-    lower0, wit0 = scan(a0_ratio, *ranked[0])
-    lowerbar, witbar = scan(abar0_ratio, *ranked[1])
-    for wit in (wit0, witbar):
-        if wit is not None:
-            wit.values.flags.writeable = False
+        lower = a0_ratio(witness, model)
     bounds = LambdaBounds(
-        lambda0_lower=lower0, lambda0_upper=0.5 * c1 ** 2,
-        lambdabar0_lower=lowerbar, lambdabar0_upper=0.5 * cbar ** 2,
-        witness_a0=wit0, witness_abar0=witbar)
+        lambda0_lower=lower, lambda0_upper=0.5 * c1 ** 2,
+        lambdabar0_upper=0.5 * cbar ** 2, witness_a0=witness)
     _BOUNDS_MEMO[key] = bounds
     if len(_BOUNDS_MEMO) > _BOUNDS_MEMO_SIZE:
         _BOUNDS_MEMO.popitem(last=False)

@@ -19,7 +19,6 @@ integrating m over the sublevel set {rho < d0}.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -132,7 +131,6 @@ def eval_f(model: NonlinearityModel, s):
         out = model.a_q * pos ** 2 / (1.0 + pos)
     else:
         out = np.interp(pos, model.table_s, model.table_f, left=0.0)
-        out = np.where(pos > 0.0, out, 0.0)
     out = np.where(arr > 0.0, out, 0.0)
     return out if arr.ndim else float(out)
 
@@ -209,9 +207,6 @@ def fit_growth_bound(model: NonlinearityModel, p: float) -> float:
     if p < model.q:
         raise ModelError(f"bound exponent p={p} below the growth exponent "
                          f"q={model.q}: the ratio diverges")
-    if p == model.q:
-        warnings.warn("p equals the growth exponent q; the bound constant is "
-                      "only attained in the limit s -> infinity", stacklevel=2)
     tail = model.a_q if p == model.q else 0.0
     return _sup_ratio(lambda s: eval_f(model, s) - s / 4.0, p - 1.0, tail)
 

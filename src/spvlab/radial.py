@@ -56,8 +56,8 @@ class RadialGrid:
     w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.r_max <= 0.0 or self.n < 2:
-            raise DiscretizationError("need r_max > 0 and n >= 2")
+        if not 0.0 < self.r_max < math.inf or self.n < 2:
+            raise DiscretizationError("need finite r_max > 0 and n >= 2")
         h = self.r_max / self.n
         r = np.arange(self.n + 1) * h
         vol = FOUR_PI / 3.0 * r ** 3

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import re
 import warnings
@@ -31,6 +32,14 @@ def _write(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _readme_block(language):
+    """The one fenced block of ``language`` in the README."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(rf"```{language}\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 1
+    return blocks[0]
 
 
 class TestLoadConfig:
@@ -141,10 +150,7 @@ class TestLoadConfig:
         assert cfg.inputs_echo["solver"]["n_starts"] is None
 
     def test_readme_example_loads(self, tmp_path):
-        with open(os.path.join(ROOT, "README.md")) as fh:
-            blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
-        assert len(blocks) == 1
-        doc = json.loads(blocks[0])
+        doc = json.loads(_readme_block("json"))
         cfg = load_config(doc["scenario"], config_path=_write(tmp_path, doc))
         assert cfg.scenario == doc["scenario"]
 
@@ -329,6 +335,17 @@ class TestRunAndMain:
         ("symmetry-breaking", {"options": {"eps_sweep": [0.1, None]}},
          "options.eps_sweep"),
         ("symmetry-breaking", {"solver": [1]}, "solver"),
+        ("verify-lemmas", {"radial_grid": {"r_max": math.inf}},
+         "radial_grid.r_max"),
+        ("autonomous", {"lambda": math.nan}, "lambda"),
+        ("symmetry-breaking", {"options": {"eps_sweep": [0.1, -math.inf]}},
+         "options.eps_sweep"),
+        ("verify-lemmas", {"radial_grid": {"n": 600.9}}, "radial_grid.n"),
+        ("verify-lemmas", {"seed": 1.5}, "seed"),
+        ("autonomous", {"solver": {"n_starts": 2.7}}, "solver.n_starts"),
+        ("symmetry-breaking", {"cube_grid": {"n": math.inf}}, "cube_grid.n"),
+        ("multibump", {"options": {"bump_counts": [1, 2.5]}},
+         "options.bump_counts"),
     ])
     def test_main_rejects_malformed_config(self, tmp_path, capsys, scenario,
                                            doc, key):
@@ -447,6 +464,17 @@ def test_smoke_reports_match_the_benchmark_reference(tmp_path, workload):
     work.run()
     outcomes = work.outcomes()
     assert {key: outcomes.get(key) for key in stored} == stored
+
+
+def test_readme_quick_start_runs():
+    namespace = {}
+    # the decay-guard RuntimeWarning is ignored module-wide
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        exec(_readme_block("python"), namespace)
+    result = namespace["result"]
+    assert round(result.energy, 2) == -2901.57
+    assert result.classification == "minimizer"
 
 
 def test_package_exports_resolve():

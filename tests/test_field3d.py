@@ -26,9 +26,7 @@ GAUSSIAN_H1 = 2.5 * math.pi ** 1.5
 
 
 def _model():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return NonlinearityModel.pure_power(2.5).with_constants(2.5)
+    return NonlinearityModel.pure_power(2.5).with_constants(2.5)
 
 
 def _gaussian3(grid, amp=1.0, sigma=1.0):
@@ -46,8 +44,9 @@ class TestGrid3D:
             Grid3D(12.0, 127)
         with pytest.raises(DiscretizationError):
             Grid3D(12.0, 2)
-        with pytest.raises(DiscretizationError):
-            Grid3D(-1.0, 16)
+        for L in (-1.0, math.nan, math.inf):
+            with pytest.raises(DiscretizationError):
+                Grid3D(L, 16)
 
     def test_axis_and_cell(self):
         grid = Grid3D(6.0, 16)

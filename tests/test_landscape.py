@@ -1,7 +1,6 @@
 """Tests for threshold bounds, the cutoff, and multibump assembly."""
 
 import math
-import warnings
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -11,12 +10,12 @@ from numpy.testing import assert_allclose
 from scipy import optimize
 
 import spvlab.landscape as lsc
-from spvlab.landscape import (LambdaBounds, MultibumpSpec, a0_ratio,
-                              abar0_ratio, coulomb_self_energy,
+import spvlab.radial as rad
+from spvlab.landscape import (MultibumpSpec, a0_ratio, coulomb_self_energy,
                               estimate_lambda_bounds, membership_A0,
-                              membership_Abar0, multibump_energy,
-                              multibump_sweep, smoothstep)
-from spvlab.models import ChargeProfile, ModelError, NonlinearityModel
+                              multibump_energy, multibump_sweep, smoothstep)
+from spvlab.models import (ChargeProfile, ModelError, NonlinearityModel,
+                           eval_f)
 from spvlab.radial import RadialField, RadialGrid
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -26,9 +25,7 @@ LAM = 0.0031587563549145504
 
 
 def _model(q=2.5):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return NonlinearityModel.pure_power(q).with_constants(q)
+    return NonlinearityModel.pure_power(q).with_constants(q)
 
 
 def _grid(n=2048, r_max=12.0):
@@ -43,41 +40,36 @@ def _table_model():
 
 def _reference_bounds(model, grid, sigma_grid, t_grid):
     """The point-by-point scan: one exact ratio per (sigma, t) pair."""
-    def scan(ratio_fn):
-        best_val, best_field = None, None
-        for sig in sigma_grid:
-            g = RadialField.gaussian(grid, 1.0, float(sig))
-            for t in t_grid:
-                u = RadialField(grid, t * g.values)
-                val = ratio_fn(u, model)
-                if val is not None and (best_val is None or val > best_val):
-                    best_val, best_field = val, (float(sig), float(t))
-        if best_val is None:
-            return None, None
-        sig, t0 = best_field
-        g = RadialField.gaussian(grid, 1.0, sig)
+    best_val, best_field = None, None
+    for sig in sigma_grid:
+        g = RadialField.gaussian(grid, 1.0, float(sig))
+        for t in t_grid:
+            u = RadialField(grid, t * g.values)
+            val = a0_ratio(u, model)
+            if val is not None and (best_val is None or val > best_val):
+                best_val, best_field = val, (float(sig), float(t))
+    if best_val is None:
+        return None, None
+    sig, t0 = best_field
+    g = RadialField.gaussian(grid, 1.0, sig)
 
-        def neg(logt):
-            u = RadialField(grid, math.exp(logt) * g.values)
-            val = ratio_fn(u, model)
-            return -val if val is not None else 0.0
+    def neg(logt):
+        u = RadialField(grid, math.exp(logt) * g.values)
+        val = a0_ratio(u, model)
+        return -val if val is not None else 0.0
 
-        res = optimize.minimize_scalar(
-            neg, bounds=(math.log(t0) - 1.0, math.log(t0) + 1.0),
-            method="bounded", options={"xatol": 1e-12})
-        t_best = math.exp(res.x) if -res.fun > best_val else t0
-        witness = RadialField(grid, t_best * g.values)
-        return ratio_fn(witness, model), witness
-
-    return scan(a0_ratio) + scan(abar0_ratio)
+    res = optimize.minimize_scalar(
+        neg, bounds=(math.log(t0) - 1.0, math.log(t0) + 1.0),
+        method="bounded", options={"xatol": 1e-12})
+    t_best = math.exp(res.x) if -res.fun > best_val else t0
+    witness = RadialField(grid, t_best * g.values)
+    return a0_ratio(witness, model), witness
 
 
 def _assert_same_as_reference(bounds, model, grid, sigmas, ts):
-    low0, wit0, lowbar, witbar = _reference_bounds(model, grid, sigmas, ts)
+    low0, wit0 = _reference_bounds(model, grid, sigmas, ts)
     assert bounds.lambda0_lower == low0
-    assert bounds.lambdabar0_lower == lowbar
     assert np.array_equal(bounds.witness_a0.values, wit0.values)
-    assert np.array_equal(bounds.witness_abar0.values, witbar.values)
 
 
 MODELS = pytest.mark.parametrize("make_model", [
@@ -120,8 +112,6 @@ class TestMembership:
         excess, inside = membership_A0(u, model)
         assert inside and excess > 0.0
         assert a0_ratio(u, model) > 0.0
-        excess_bar, inside_bar = membership_Abar0(u, model)
-        assert inside_bar and excess_bar > excess
 
 
 class TestLambdaBounds:
@@ -129,7 +119,7 @@ class TestLambdaBounds:
         model = _model()
         bounds = estimate_lambda_bounds(model, _grid())
         assert 0.0 < bounds.lambda0_lower <= bounds.lambda0_upper
-        assert 0.0 < bounds.lambdabar0_lower <= bounds.lambdabar0_upper
+        assert bounds.lambdabar0_upper > 0.0
 
     def test_upper_bounds_from_cubic_constants(self):
         model = _model()
@@ -144,10 +134,7 @@ class TestLambdaBounds:
         bounds = estimate_lambda_bounds(model, _grid())
         drift0 = abs(a0_ratio(bounds.witness_a0, model)
                      - bounds.lambda0_lower)
-        driftbar = abs(abar0_ratio(bounds.witness_abar0, model)
-                       - bounds.lambdabar0_lower)
         assert drift0 < 1e-10
-        assert driftbar < 1e-10
 
     @MODELS
     @pytest.mark.parametrize("as_list", [False, True], ids=["arrays", "lists"])
@@ -157,7 +144,7 @@ class TestLambdaBounds:
         sigmas = np.geomspace(0.4, 2.2, 5)
         ts = np.geomspace(1.0, 1e3, 40)
         if as_list:
-            # a zero amplitude is outside both sets, as at any width
+            # a zero amplitude is outside the set, as at any width
             sigmas, ts = sigmas.tolist(), [0.0] + ts.tolist()
         bounds = estimate_lambda_bounds(model, grid, sigma_grid=sigmas,
                                         t_grid=ts)
@@ -182,8 +169,7 @@ class TestLambdaBounds:
         bounds = estimate_lambda_bounds(_model(), RadialGrid(12.0, 512),
                                         t_grid=np.array([0.01, 0.02]))
         assert bounds.lambda0_lower is None
-        assert bounds.lambdabar0_lower is None
-        assert bounds.witness_a0 is None and bounds.witness_abar0 is None
+        assert bounds.witness_a0 is None
         assert bounds.lambda0_upper > 0.0 and bounds.lambdabar0_upper > 0.0
 
     def test_one_poisson_solve_per_width(self, monkeypatch, count_calls):
@@ -195,10 +181,26 @@ class TestLambdaBounds:
         bounds = estimate_lambda_bounds(_model(), RadialGrid(12.0, 512),
                                         sigma_grid=sigmas, t_grid=ts)
         assert bounds.lambda0_lower is not None
-        # each exact finish: the winner, the bounded refinement and the
+        # the exact finish: the winner, the bounded refinement and the
         # witness, about 15 solves
-        assert len(calls) <= len(sigmas) + 2 * 40
-        assert len(calls) < 0.02 * 2 * len(sigmas) * len(ts)
+        assert len(calls) <= len(sigmas) + 20
+        assert len(calls) < 0.02 * len(sigmas) * len(ts)
+
+    def test_scan_evaluates_no_derivative_form(self, monkeypatch):
+        # the lower bound needs int F alone; f enters the bounds only
+        # through the closed-form fit behind the derivative upper bound
+        monkeypatch.setattr(lsc, "_BOUNDS_MEMO", OrderedDict())
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return eval_f(*args, **kwargs)
+
+        for module in (lsc, rad):
+            monkeypatch.setattr(module, "eval_f", counted, raising=False)
+        bounds = estimate_lambda_bounds(_model(), RadialGrid(12.0, 512))
+        assert bounds.lambda0_lower is not None
+        assert len(calls) == 0
 
 
 class TestBoundsMemo:
@@ -250,9 +252,8 @@ class TestBoundsMemo:
 
     def test_witnesses_are_read_only(self):
         bounds = self._scan()
-        for witness in (bounds.witness_a0, bounds.witness_abar0):
-            with pytest.raises(ValueError):
-                witness.values[0] = 1.0
+        with pytest.raises(ValueError):
+            bounds.witness_a0.values[0] = 1.0
 
     def test_memo_is_bounded(self, count_calls):
         grid = RadialGrid(12.0, 64)

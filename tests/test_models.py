@@ -1,7 +1,6 @@
 """Tests for nonlinearity models, charge profiles, and threshold machinery."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +23,7 @@ D0_ORACLE = 0.905096679918781
 
 
 def _model():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return NonlinearityModel.pure_power(2.5).with_constants(2.5)
+    return NonlinearityModel.pure_power(2.5).with_constants(2.5)
 
 
 class TestCriticalChargeThreshold:

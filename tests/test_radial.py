@@ -22,9 +22,7 @@ GAUSSIAN_H1 = 2.5 * math.pi ** 1.5
 
 
 def _model():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return NonlinearityModel.pure_power(2.5).with_constants(2.5)
+    return NonlinearityModel.pure_power(2.5).with_constants(2.5)
 
 
 def _grid(n=4096, r_max=12.0):
@@ -257,7 +255,8 @@ class TestFieldIO:
             "(|u(r_max)| = 5.000e-01, peak 2.000e+00)"]
 
     def test_grid_validation(self):
-        with pytest.raises(DiscretizationError):
-            RadialGrid(-1.0, 256)
+        for r_max in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(DiscretizationError):
+                RadialGrid(r_max, 256)
         with pytest.raises(DiscretizationError):
             RadialGrid(12.0, 1)

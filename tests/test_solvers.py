@@ -33,9 +33,7 @@ LAM = 0.0031587563549145504
 
 
 def _model():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return NonlinearityModel.pure_power(2.5).with_constants(2.5)
+    return NonlinearityModel.pure_power(2.5).with_constants(2.5)
 
 
 def _grid():
