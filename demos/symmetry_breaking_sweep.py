@@ -18,9 +18,9 @@ import warnings
 
 import numpy as np
 
-from spvlab.landscape import estimate_lambda_bounds
+from spvlab.landscape import estimate_lambda_bounds, two_bump_estimate
 from spvlab.models import ChargeProfile, NonlinearityModel
-from spvlab.radial import RadialField, RadialGrid, l2_norm_sq
+from spvlab.radial import RadialField, RadialGrid
 from spvlab.solvers import SolveOptions, minimize
 
 
@@ -49,9 +49,7 @@ def main():
             local_rho = float(prof_eps.at_radius(offset))
             local = minimize(RadialField.gaussian(grid, 30.0, 1.2),
                              ChargeProfile.constant(local_rho), model, opts)
-        charge = local_rho * l2_norm_sq(local.field)
-        cross = charge * charge / (4.0 * math.pi * 2.0 * offset)
-        est = 2.0 * local.energy + 0.5 * cross
+        est = two_bump_estimate(local, local_rho, offset)
         pays = est < theta
         print(f"  {eps:8.6f}  {theta:12.2f}   {est:16.2f}"
               f"         {'yes' if pays else 'no'}")

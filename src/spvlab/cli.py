@@ -303,6 +303,19 @@ def _fmt(x: float) -> str:
     return "%.12g" % float(x)
 
 
+def _solve_detail(r: slv.SolveResult) -> str:
+    """A verdict detail naming a solve result's energy and residual."""
+    return f"J {_fmt(r.energy)}, residual {_fmt(r.gradient_norm)}"
+
+
+def _solve_summary(r: slv.SolveResult, *extra: str) -> dict:
+    """A solve result's energy, gradient norm and classification for a
+    report, with the result's fields named in ``extra``."""
+    return {"energy": r.energy, "gradient_norm": r.gradient_norm,
+            "classification": r.classification,
+            **{name: getattr(r, name) for name in extra}}
+
+
 # ---------------------------------------------------------------------------
 # Shared scenario plumbing
 # ---------------------------------------------------------------------------
@@ -319,17 +332,15 @@ def _opts(cfg: ScenarioConfig, **overrides) -> slv.SolveOptions:
     return slv.SolveOptions(**kw)
 
 
-def _resolve_lambda(cfg: ScenarioConfig, bounds: lsc.LambdaBounds,
-                    which: str) -> float:
-    """Scenario default couplings are computed from certified bounds."""
+def _resolve_lambda(cfg: ScenarioConfig, bound: Optional[float]) -> float:
+    """The configured coupling, by default twice the certified threshold
+    bound ``bound`` (None when no bound was certified)."""
     if cfg.lam is not None:
         return cfg.lam
-    if which == "below-energy-threshold":
-        if bounds.lambda0_lower is None:
-            raise ConfigError("no certified lower threshold bound; "
-                              "set lambda explicitly in the config")
-        return 2.0 * bounds.lambda0_lower
-    return 2.0 * bounds.lambdabar0_upper
+    if bound is None:
+        raise ConfigError("no certified lower threshold bound; "
+                          "set lambda explicitly in the config")
+    return 2.0 * bound
 
 
 def _option_list(cfg: ScenarioConfig, key: str, default: list,
@@ -398,8 +409,9 @@ def _trilinear_resample(values: np.ndarray, grid_from: f3d.Grid3D,
 
 
 # ---------------------------------------------------------------------------
-# Scenario bodies: each returns (quantities, verdicts, attachments); the
-# field of every result in attachments["traces"] is snapshotted too.
+# Scenario bodies: each returns (quantities, verdicts, traces, plot).  The
+# solve results in traces are written with their fields; plot is the
+# scenario's plot-ready CSV as (file name, header, rows), or None.
 # ---------------------------------------------------------------------------
 
 def _scenario_verify_lemmas(cfg: ScenarioConfig):
@@ -464,14 +476,14 @@ def _scenario_verify_lemmas(cfg: ScenarioConfig):
                 f"floor {_fmt(floor.floor)} over measure "
                 f"{_fmt(floor.measure)}"),
     ]
-    return quantities, verdicts, {}
+    return quantities, verdicts, {}, None
 
 
 def _scenario_autonomous(cfg: ScenarioConfig):
     grid = _radial_grid(cfg)
     model = cfg.model
     bounds = lsc.estimate_lambda_bounds(model, grid)
-    lam = _resolve_lambda(cfg, bounds, "below-energy-threshold")
+    lam = _resolve_lambda(cfg, bounds.lambda0_lower)
     profile = cfg.profile or ChargeProfile.constant(math.sqrt(lam))
 
     n_starts = cfg.solver.get("n_starts", 8)
@@ -502,18 +514,9 @@ def _scenario_autonomous(cfg: ScenarioConfig):
         "lambda": lam,
         "lambda0_lower": bounds.lambda0_lower,
         "lambda0_upper": bounds.lambda0_upper,
-        "minimizer": {
-            "energy": best.energy, "gradient_norm": best.gradient_norm,
-            "nehari_residual": best.nehari_residual,
-            "iterations": best.iterations,
-            "classification": best.classification,
-        },
-        "mountain_pass": {
-            "energy": saddle.energy, "gradient_norm": saddle.gradient_norm,
-            "nehari_residual": saddle.nehari_residual,
-            "iterations": saddle.iterations,
-            "classification": saddle.classification,
-        },
+        "minimizer": _solve_summary(best, "nehari_residual", "iterations"),
+        "mountain_pass": _solve_summary(saddle, "nehari_residual",
+                                        "iterations"),
         "start_energies": [r.energy for r in results],
         "path_max_node": max_node,
     }
@@ -522,14 +525,12 @@ def _scenario_autonomous(cfg: ScenarioConfig):
                 best.converged and best.energy < 0.0
                 and best.gradient_norm < 1e-6
                 and best.classification == "minimizer",
-                f"J {_fmt(best.energy)}, residual "
-                f"{_fmt(best.gradient_norm)}"),
+                _solve_detail(best)),
         Verdict("positive-energy-saddle",
                 saddle.converged and saddle.energy > 0.0
                 and saddle.gradient_norm < 1e-5
                 and saddle.classification == "mountain-pass",
-                f"J {_fmt(saddle.energy)}, residual "
-                f"{_fmt(saddle.gradient_norm)}"),
+                _solve_detail(saddle)),
         Verdict("critical-points-annihilate-derivative-along-themselves",
                 abs(best.nehari_residual) < 1e-3
                 and abs(saddle.nehari_residual) < 1e-3,
@@ -539,21 +540,19 @@ def _scenario_autonomous(cfg: ScenarioConfig):
                 best.energy < 0.0 < saddle.energy,
                 f"{_fmt(best.energy)} < 0 < {_fmt(saddle.energy)}"),
     ]
-    attachments = {
-        "path": np.column_stack([taus, path_energies,
-                                 (np.arange(len(taus)) == max_node)
-                                 .astype(float)]),
-        "traces": {"minimizer": best, "mountain_pass": saddle},
-    }
-    return quantities, verdicts, attachments
+    path = np.column_stack([taus, path_energies,
+                            (np.arange(len(taus)) == max_node).astype(float)])
+    return (quantities, verdicts,
+            {"minimizer": best, "mountain_pass": saddle},
+            ("path_energies.csv", "tau,energy,is_max", path))
 
 
 def _scenario_uniqueness_scan(cfg: ScenarioConfig):
     grid = _radial_grid(cfg)
     model = cfg.model
-    bounds = lsc.estimate_lambda_bounds(model, grid)
-    lam = _resolve_lambda(cfg, bounds, "above-derivative-threshold")
-    sqrt_bar = math.sqrt(bounds.lambdabar0_upper)
+    bar = lsc.lambdabar0_upper_bound(model)
+    lam = _resolve_lambda(cfg, bar)
+    sqrt_bar = math.sqrt(bar)
     auto_profile = ChargeProfile.constant(math.sqrt(lam))
     nonauto = cfg.profile or ChargeProfile.rational(2.0 * sqrt_bar,
                                                     4.0 * sqrt_bar)
@@ -577,7 +576,7 @@ def _scenario_uniqueness_scan(cfg: ScenarioConfig):
 
     quantities = {
         "lambda": lam,
-        "lambdabar0_upper": bounds.lambdabar0_upper,
+        "lambdabar0_upper": bar,
         "rho_min_nonautonomous": nonauto.rho_min,
         "zero_classifications_autonomous": zeros_auto,
         "zero_classifications_nonautonomous": zeros_non,
@@ -595,11 +594,11 @@ def _scenario_uniqueness_scan(cfg: ScenarioConfig):
                 f"{zeros_non}/{n_starts} starts vanished, max norm "
                 f"{_fmt(max(norms_non))}"),
     ]
-    attachments = {
-        "start_norms": np.column_stack([np.arange(n_starts, dtype=float),
-                                        norms_auto, norms_non]),
-    }
-    return quantities, verdicts, attachments
+    norms = np.column_stack([np.arange(n_starts, dtype=float), norms_auto,
+                             norms_non])
+    return (quantities, verdicts, {},
+            ("start_norms.csv",
+             "start,h1_norm_autonomous,h1_norm_nonautonomous", norms))
 
 
 def _scenario_ground_state(cfg: ScenarioConfig):
@@ -634,11 +633,7 @@ def _scenario_ground_state(cfg: ScenarioConfig):
             "d0": cond.d0,
         },
         "coercivity_floor": floor.floor,
-        "ground_state": {
-            "energy": best.energy, "gradient_norm": best.gradient_norm,
-            "nehari_residual": best.nehari_residual,
-            "classification": best.classification,
-        },
+        "ground_state": _solve_summary(best, "nehari_residual"),
         "start_energies": [r.energy for r in results],
         "worst_floor_slack": worst_slack,
     }
@@ -650,16 +645,14 @@ def _scenario_ground_state(cfg: ScenarioConfig):
         Verdict("ground-state-negative-energy",
                 best.converged and best.energy < 0.0
                 and best.classification == "minimizer",
-                f"J {_fmt(best.energy)}, residual "
-                f"{_fmt(best.gradient_norm)}"),
+                _solve_detail(best)),
         Verdict("critical-point-annihilates-derivative-along-itself",
                 abs(best.nehari_residual) < 1e-3,
                 _fmt(best.nehari_residual)),
         Verdict("coercivity-floor-respected-along-trajectories", floor_ok,
                 f"worst slack {_fmt(worst_slack)}"),
     ]
-    attachments = {"traces": {"ground_state": best}}
-    return quantities, verdicts, attachments
+    return quantities, verdicts, {"ground_state": best}, None
 
 
 def _scenario_multibump(cfg: ScenarioConfig):
@@ -668,7 +661,7 @@ def _scenario_multibump(cfg: ScenarioConfig):
     grid = _radial_grid(cfg)
     model = cfg.model
     bounds = lsc.estimate_lambda_bounds(model, grid)
-    lam = _resolve_lambda(cfg, bounds, "below-energy-threshold")
+    lam = _resolve_lambda(cfg, bounds.lambda0_lower)
     profile = cfg.profile or ChargeProfile.rational(0.04, 2.0).scaled(1.0 / 16.0)
 
     start = _tapered_ball_start(grid, R0)
@@ -703,9 +696,7 @@ def _scenario_multibump(cfg: ScenarioConfig):
     }
     verdicts = [
         Verdict("compact-bump-negative-energy",
-                bump.converged and bump.energy < 0.0,
-                f"J {_fmt(bump.energy)}, residual "
-                f"{_fmt(bump.gradient_norm)}"),
+                bump.converged and bump.energy < 0.0, _solve_detail(bump)),
         Verdict("bump-energies-strictly-decreasing", decreasing,
                 ", ".join(_fmt(e) for e in energies)),
         Verdict("pairwise-interaction-bound", printed_ok,
@@ -716,11 +707,9 @@ def _scenario_multibump(cfg: ScenarioConfig):
         Verdict("linear-ladder-with-uniform-constant", linear_ok,
                 f"excess constant {_fmt(excess_constant)}"),
     ]
-    attachments = {
-        "ladder": np.column_stack([np.array(counts, dtype=float), energies]),
-        "traces": {"bump": bump},
-    }
-    return quantities, verdicts, attachments
+    ladder = np.column_stack([np.array(counts, dtype=float), energies])
+    return (quantities, verdicts, {"bump": bump},
+            ("bump_count_vs_energy.csv", "n_bumps,energy", ladder))
 
 
 def _scenario_symmetry_breaking(cfg: ScenarioConfig):
@@ -731,11 +720,19 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
         raise ConfigError("options.eps_sweep must be positive and decreasing")
     offset = cfg.options.get("bump_offset", 7.0)
     n_starts = cfg.solver.get("n_starts", 4)
+    # the 3-D descents' options, built first so that a bad solver entry
+    # fails before any solve; the two-bump start is assembled from
+    # converged radial pieces and already sits below the radial level,
+    # and a modest number of 3-D relaxation steps keeps the scenario
+    # inside its time budget
+    opts3 = _opts(cfg, tol_grad=1e-3,
+                  tol_grad_abs=cfg.solver.get("tol_grad_abs"),
+                  max_iter=cfg.solver.get("max_iter", 120))
 
     grid = _radial_grid(cfg)
     model = cfg.model
     bounds = lsc.estimate_lambda_bounds(model, grid)
-    lam = _resolve_lambda(cfg, bounds, "below-energy-threshold")
+    lam = _resolve_lambda(cfg, bounds.lambda0_lower)
     sqrt_lam = math.sqrt(lam)
     profile = cfg.profile or ChargeProfile.rational(0.9 * sqrt_lam, 2.0)
     cond = validate_conditions(profile, model, lam)
@@ -766,9 +763,7 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
             rad.RadialField.gaussian(grid, 30.0, 1.2),
             ChargeProfile.constant(local_rho), model,
             _opts(cfg, tol_grad_abs=1e-4))
-        charge = local_rho * rad.l2_norm_sq(local.field)
-        cross = charge * charge / (4.0 * math.pi * 2.0 * offset)
-        est_alpha = 2.0 * local.energy + 0.5 * cross
+        est_alpha = lsc.two_bump_estimate(local, local_rho, offset)
         row = {"eps": eps, "theta": theta_quick.energy,
                "two_bump_estimate": est_alpha}
         sweep_rows.append(row)
@@ -799,12 +794,6 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
         up = f3d.embed_radial(bump, grid3, center=(0.0, 0.0, offset))
         dn = f3d.embed_radial(bump, grid3, center=(0.0, 0.0, -offset))
         starts3.append(f3d.Field3D(grid3, up.values + dn.values))
-    # the two-bump start is assembled from converged radial pieces and
-    # already sits below the radial level; a modest number of 3-D
-    # relaxation steps keeps the scenario inside its time budget
-    opts3 = _opts(cfg, tol_grad=1e-3,
-                  tol_grad_abs=cfg.solver.get("tol_grad_abs"),
-                  max_iter=cfg.solver.get("max_iter", 120))
     _, results3 = slv.multistart_minimize(starts3, prof_eps, model, opts3)
     # the iteration cap can stop a descent before the gradient
     # tolerance; the energy of any admissible field still bounds the
@@ -850,10 +839,7 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
         "margin": margin,
         "discretization_error": disc_err,
         "alpha_start_energies": [r.energy for r in results3],
-        "mountain_pass": {
-            "energy": saddle.energy, "gradient_norm": saddle.gradient_norm,
-            "classification": saddle.classification,
-        },
+        "mountain_pass": _solve_summary(saddle),
         "conditions": {
             "radial": cond.d4_radial,
             "origin_window": cond.d5_origin_window,
@@ -869,18 +855,14 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
         Verdict("full-space-minimum-below-radial-minimum", broke, detail),
         Verdict("third-solution-positive-energy",
                 saddle.converged and saddle.energy > 0.0,
-                f"J {_fmt(saddle.energy)}, residual "
-                f"{_fmt(saddle.gradient_norm)}"),
+                _solve_detail(saddle)),
     ]
-    attachments = {
-        "sweep": np.array([[row["eps"], row["theta"],
-                            row["two_bump_estimate"]]
-                           for row in sweep_rows]),
-        "traces": {"radial_minimizer": theta_res,
-                   "full_space_minimizer": best3,
-                   "mountain_pass": saddle},
-    }
-    return quantities, verdicts, attachments
+    sweep = [[row["eps"], row["theta"], row["two_bump_estimate"]]
+             for row in sweep_rows]
+    return (quantities, verdicts,
+            {"radial_minimizer": theta_res, "full_space_minimizer": best3,
+             "mountain_pass": saddle},
+            ("eps_sweep.csv", "eps,theta,two_bump_estimate", sweep))
 
 
 _SCENARIO_BODIES: Dict[str, Callable] = {
@@ -894,20 +876,8 @@ _SCENARIO_BODIES: Dict[str, Callable] = {
 
 
 # ---------------------------------------------------------------------------
-# Runner and plot emission
+# Runner
 # ---------------------------------------------------------------------------
-
-# plot-ready CSV projection of each scenario that has one:
-# (attachment key, file name, CSV header)
-_PLOT_TABLES = {
-    "autonomous": ("path", "path_energies.csv", "tau,energy,is_max"),
-    "multibump": ("ladder", "bump_count_vs_energy.csv", "n_bumps,energy"),
-    "uniqueness-scan": ("start_norms", "start_norms.csv",
-                        "start,h1_norm_autonomous,h1_norm_nonautonomous"),
-    "symmetry-breaking": ("sweep", "eps_sweep.csv",
-                          "eps,theta,two_bump_estimate"),
-}
-
 
 def run(cfg: ScenarioConfig) -> ExperimentReport:
     """Execute the scenario and write report, traces, fields, plot CSVs."""
@@ -922,10 +892,10 @@ def run(cfg: ScenarioConfig) -> ExperimentReport:
         # descent iterates and trial fields legitimately brush the decay
         # guard at the domain edge
         warnings.simplefilter("ignore", RuntimeWarning)
-        quantities, verdicts, attachments = _SCENARIO_BODIES[cfg.scenario](cfg)
+        quantities, verdicts, traces, plot = _SCENARIO_BODIES[cfg.scenario](cfg)
 
     artifacts = ["report.json"]
-    for name, result in sorted(attachments.get("traces", {}).items()):
+    for name, result in sorted(traces.items()):
         rel = os.path.join("traces", f"{name}.csv")
         slv.trace_to_csv(result, os.path.join(cfg.out_dir, rel))
         artifacts.append(rel)
@@ -940,10 +910,10 @@ def run(cfg: ScenarioConfig) -> ExperimentReport:
             fld.slice_csv(os.path.join(cfg.out_dir, rel_slice))
             artifacts.append(rel_slice)
         artifacts.append(rel)
-    if cfg.scenario in _PLOT_TABLES:
-        key, name, header = _PLOT_TABLES[cfg.scenario]
+    if plot is not None:
+        name, header, rows = plot
         np.savetxt(os.path.join(cfg.out_dir, name),
-                   np.asarray(attachments[key], dtype=float),
+                   np.asarray(rows, dtype=float),
                    delimiter=",", fmt="%.17g", header=header, comments="")
         artifacts.append(name)
 

@@ -166,8 +166,7 @@ class Field3D:
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _cached_radius(key):
-    L, n = key
-    ax = -L + (2.0 * L / n) * np.arange(n)
+    ax = Grid3D(*key).axis()
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
     return np.sqrt(X ** 2 + Y ** 2 + Z ** 2)
 
@@ -221,10 +220,10 @@ def _spectral(key):
     kr = 2.0 * math.pi * sfft.rfftfreq(n, d=h)
     KX, KY, KZ = np.meshgrid(k, k, kr, indexing="ij", sparse=True)
     k2 = KX ** 2 + KY ** 2 + KZ ** 2
+    # the half spectrum mirrors every bin but the zero and Nyquist ones
+    # (a Grid3D's n is even)
     pw = np.full(len(kr), 2.0)
-    pw[0] = 1.0
-    if n % 2 == 0:
-        pw[-1] = 1.0
+    pw[0] = pw[-1] = 1.0
     return k2, pw[np.newaxis, np.newaxis, :]
 
 

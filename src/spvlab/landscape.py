@@ -13,7 +13,8 @@ for each threshold from the fitted cubic growth constants.
 The second half of the module holds the compact-support machinery: a
 C^1 cutoff that tapers a field to a ball, and the assembly of N-bump
 trial fields from one compactly supported bump, whose energy is
-evaluated semi-analytically (exact for disjoint supports).
+evaluated semi-analytically (exact for disjoint supports), and the
+two-bump energy estimate of the symmetry-breaking sweep.
 Widely separated bumps under a flattening charge rescaling drive the
 energy infimum toward minus infinity, which is the mechanism behind
 non-radial ground states.
@@ -32,7 +33,7 @@ from scipy import optimize
 from .models import (ChargeProfile, ModelError, NonlinearityModel, eval_F,
                      fit_cubic_bound, fit_nehari_cubic_bound)
 from .radial import (FOUR_PI, DiscretizationError, RadialField, RadialGrid,
-                     energy_radial, h1_norm_sq, nonlocal_term)
+                     energy_radial, h1_norm_sq, l2_norm_sq, nonlocal_term)
 
 _UNIT_CHARGE = ChargeProfile.constant(1.0)
 
@@ -79,6 +80,12 @@ class LambdaBounds:
     lambda0_upper: float
     lambdabar0_upper: float
     witness_a0: Optional[RadialField] = field(repr=False, default=None)
+
+
+def lambdabar0_upper_bound(model: NonlinearityModel) -> float:
+    """Cbar^2/2, the closed-form upper bound of the derivative threshold,
+    with Cbar from the fit f(s) s <= s^2 + Cbar s^3."""
+    return 0.5 * fit_nehari_cubic_bound(model) ** 2
 
 
 # Amplitudes evaluated together in the ranking scan: a 4 x (n+1) block
@@ -153,8 +160,7 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
     The amplitude and width run over log grids with a bounded local
     refinement of the amplitude at the best width.  Upper bounds come
     from the fitted cubic constants: C1^2/2 for the energy threshold and
-    Cbar^2/2 for the derivative threshold (Cbar from the analogous fit
-    of f(s) s <= s^2 + Cbar s^3).
+    ``lambdabar0_upper_bound`` for the derivative threshold.
 
     The grid scan only ranks.  Along u = t g the H^1 term is exactly
     t^2 ||g||^2 and the Coulomb term t^4 int phi_g g^2, so one Poisson
@@ -184,7 +190,6 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
         _BOUNDS_MEMO.move_to_end(key)
         return bounds
     c1 = model.C1 if model.C1 is not None else fit_cubic_bound(model)
-    cbar = fit_nehari_cubic_bound(model)
     ranked, gap = _rank_family(model, grid, sigmas, ts)
 
     # every exact maximizer's band reaches the floor, so it is among
@@ -219,7 +224,7 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
         lower = a0_ratio(witness, model)
     bounds = LambdaBounds(
         lambda0_lower=lower, lambda0_upper=0.5 * c1 ** 2,
-        lambdabar0_upper=0.5 * cbar ** 2, witness_a0=witness)
+        lambdabar0_upper=lambdabar0_upper_bound(model), witness_a0=witness)
     _BOUNDS_MEMO[key] = bounds
     if len(_BOUNDS_MEMO) > _BOUNDS_MEMO_SIZE:
         _BOUNDS_MEMO.popitem(last=False)
@@ -375,3 +380,16 @@ def multibump_sweep(Ns: Sequence[int], R0: float, u_R0: RadialField,
                                 model, lam) for n in Ns]
     c_const = max(r.excess_over_linear for r in reports)
     return reports, c_const
+
+
+def two_bump_estimate(bump, rho: float, offset: float) -> float:
+    """Energy of two copies of one radial bump centred 2 * offset apart.
+
+    ``bump`` is a solve result (its ``energy`` and radial ``field``) for
+    the constant charge ``rho``.  The copies add their energies and
+    interact through the exact exterior Coulomb cross term of their
+    charges, which holds while their supports stay disjoint.
+    """
+    charge = rho * l2_norm_sq(bump.field)
+    cross = charge * charge / (4.0 * math.pi * 2.0 * offset)
+    return 2.0 * bump.energy + 0.5 * cross

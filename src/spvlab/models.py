@@ -62,21 +62,25 @@ class NonlinearityModel:
     def __post_init__(self):
         if self.kind not in _MODEL_KINDS:
             raise ModelError(f"unknown nonlinearity kind {self.kind!r}")
-        if not (2.0 <= self.q < 3.0):
-            raise ModelError(f"exponent q={self.q} outside [2, 3)")
-        if self.q == 2.0 and self.a_q <= 1.0:
-            raise ModelError("asymptotic coefficient must exceed 1 when q = 2")
-        if self.a_q <= 0.0:
-            raise ModelError("asymptotic coefficient must be positive")
+        # a table is checked first: from_csv derives q and a_q from it
         if self.kind == "table":
             s = np.asarray(self.table_s, dtype=float)
             fs = np.asarray(self.table_f, dtype=float)
             if s.ndim != 1 or s.shape != fs.shape or len(s) < 2:
                 raise ModelError("table model needs two equal-length columns")
+            if not (np.all(np.isfinite(s)) and np.all(np.isfinite(fs))):
+                raise ModelError("table values must be finite")
             if np.any(np.diff(s) <= 0):
                 raise ModelError("table abscissae must be strictly increasing")
             object.__setattr__(self, "table_s", s)
             object.__setattr__(self, "table_f", fs)
+        if not (2.0 <= self.q < 3.0):
+            raise ModelError(f"exponent q={self.q} outside [2, 3)")
+        if self.q == 2.0 and self.a_q <= 1.0:
+            raise ModelError("asymptotic coefficient must exceed 1 when q = 2")
+        if not 0.0 < self.a_q < math.inf:
+            raise ModelError("asymptotic coefficient must be positive and "
+                             "finite")
 
     # -- constructors -------------------------------------------------------
 
@@ -334,6 +338,10 @@ class ChargeProfile:
             raise ModelError(f"unknown profile kind {self.kind!r}")
         if self.rho_min <= 0.0:
             raise ModelError("rho must be bounded below by a positive number")
+        if not (math.isfinite(self.rho_min) and math.isfinite(self.rho_inf)):
+            raise ModelError("rho must be finite")
+        if not 0.0 < self.eps < math.inf:
+            raise ModelError("scaling parameter must be positive and finite")
 
     # -- constructors -------------------------------------------------------
 
@@ -347,6 +355,10 @@ class ChargeProfile:
     @staticmethod
     def rational(rho0: float, rho_inf: float) -> "ChargeProfile":
         """rho(r) = rho0 + (rho_inf - rho0) r^2 / (1 + r^2)."""
+        # rho_min and rho_inf do not show an infinite rho0 above rho_inf
+        if not math.isfinite(rho0):
+            raise ModelError("rho0 must be finite")
+
         def func(r):
             r = np.asarray(r, dtype=float)
             return rho0 + (rho_inf - rho0) * r ** 2 / (1.0 + r ** 2)
@@ -364,8 +376,6 @@ class ChargeProfile:
 
     def scaled(self, eps: float) -> "ChargeProfile":
         """The profile rho_eps(x) = rho(eps x)."""
-        if eps <= 0.0:
-            raise ModelError("scaling parameter must be positive")
         return replace(self, eps=self.eps * eps)
 
 

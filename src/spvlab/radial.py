@@ -148,15 +148,8 @@ def _operators(key):
     """
     grid = RadialGrid(*key)
     n, h = grid.n, grid.h
-    idx = np.arange(n)
-    rows = np.repeat(idx, 2)
-    cols = np.empty(2 * n, dtype=int)
-    cols[0::2] = idx
-    cols[1::2] = idx + 1
-    vals = np.empty(2 * n)
-    vals[0::2] = -1.0 / h
-    vals[1::2] = 1.0 / h
-    D = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n + 1))
+    D = sparse.diags([np.full(n, -1.0 / h), np.full(n, 1.0 / h)], [0, 1],
+                     shape=(n, n + 1))
     W_cell = sparse.diags(_cell_volumes(grid))
     W = sparse.diags(grid.w)
     M = (D.T @ W_cell @ D + W).tocsc()
@@ -171,15 +164,19 @@ def _cell_volumes(grid: RadialGrid) -> np.ndarray:
     return np.diff(FOUR_PI / 3.0 * grid.r ** 3)
 
 
+def _dirichlet(grid: RadialGrid, values: np.ndarray) -> float:
+    """int |v'|^2 dV over [0, r_max], derivative by cell-wise
+    differences."""
+    return float(_cell_volumes(grid) @ (np.diff(values) / grid.h) ** 2)
+
+
 def h1_norm_sq(u: RadialField) -> float:
     """int (|u'|^2 + u^2) dV, derivative by cell-wise differences.
 
     Equals u^T M u with the Gram matrix used by the Riesz solves, so the
     norm and the gradients are mutually consistent.
     """
-    du = np.diff(u.values) / u.grid.h
-    return float(_cell_volumes(u.grid) @ du ** 2
-                 + u.grid.w @ u.values ** 2)
+    return _dirichlet(u.grid, u.values) + float(u.grid.w @ u.values ** 2)
 
 
 def l2_norm_sq(u: RadialField) -> float:
@@ -223,9 +220,8 @@ def potential_gradient_energy(phi: PoissonPotential) -> float:
     Q^2/(4 pi r_max) beyond the truncation radius and is added analytically
     (phi decays too slowly to ignore it).
     """
-    dphi = np.diff(phi.values) / phi.grid.h
     tail = phi.total_charge ** 2 / (FOUR_PI * phi.grid.r_max)
-    return float(_cell_volumes(phi.grid) @ dphi ** 2) + tail
+    return _dirichlet(phi.grid, phi.values) + tail
 
 
 def nonlocal_term(u: RadialField, profile: ChargeProfile) -> float:
@@ -261,9 +257,8 @@ def strauss_check(u: RadialField, profile: ChargeProfile):
     """
     rho = profile.at_radius(u.grid.r)
     lhs = u.grid.integrate(rho * np.abs(u.values) ** 3) / SQRT8
-    du = np.diff(u.values) / u.grid.h
-    grad_sq = float(_cell_volumes(u.grid) @ du ** 2)
-    rhs = 0.25 * grad_sq + 0.125 * nonlocal_term(u, profile)
+    rhs = (0.25 * _dirichlet(u.grid, u.values)
+           + 0.125 * nonlocal_term(u, profile))
     holds = lhs <= rhs * (1.0 + 1e-6) + 1e-300
     return lhs, rhs, bool(holds)
 

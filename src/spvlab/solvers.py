@@ -62,7 +62,8 @@ class SolveOptions:
 
     ``tol_grad`` is relative to the initial gradient norm of a descent;
     a set ``tol_grad_abs`` replaces it with an absolute threshold, the
-    only one the mountain-pass search reads (1e-5 when unset).
+    only one the mountain-pass search reads (1e-5 when None).  Both are
+    finite and positive.
     ``seed`` drives the curvature probes in the classification step.
     """
 
@@ -72,8 +73,13 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol_grad <= 0.0:
-            raise ValueError("tol_grad must be positive")
+        if not 0.0 < self.tol_grad < math.inf:
+            raise ValueError("tol_grad must be finite and positive, "
+                             f"got {self.tol_grad!r}")
+        if (self.tol_grad_abs is not None
+                and not 0.0 < self.tol_grad_abs < math.inf):
+            raise ValueError("tol_grad_abs must be finite and positive, "
+                             f"got {self.tol_grad_abs!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -468,7 +474,7 @@ def mountain_pass(u_low: FieldLike, profile: ChargeProfile,
     nodes = [s * anchor for s in ss]
     energies = [ws.energy(v)[0] for v in nodes]
     base = max(energies[0], energies[-1])
-    target = max(opts.tol_grad_abs or 1e-5, 0.0)
+    target = 1e-5 if opts.tol_grad_abs is None else opts.tol_grad_abs
     coarse = max(100.0 * target, 1e-2)
     trace: List[TracePoint] = []
     t = STEP0

@@ -417,6 +417,49 @@ class TestRunAndMain:
             main(["not-a-scenario"])
 
 
+def test_zero_gradient_tolerance_exits_2_before_any_solve(tmp_path,
+                                                         monkeypatch, capsys):
+    import spvlab.solvers as slv
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(slv, "minimize", no_solve)
+    monkeypatch.setattr(slv, "multistart_minimize", no_solve)
+    path = _write(tmp_path, {"schema": SCHEMA_VERSION,
+                             "radial_grid": {"n": 512},
+                             "solver": {"tol_grad_abs": 0}})
+    code = main(["symmetry-breaking", "--config", path,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "tol_grad_abs" in json.loads(lines[0])["message"]
+
+
+def test_uniqueness_scan_runs_no_threshold_scan(tmp_path, monkeypatch):
+    # the scenario reads only the closed-form derivative-threshold bound
+    from collections import OrderedDict
+
+    import spvlab.landscape as lsc
+    calls = []
+    self_energy = lsc.coulomb_self_energy
+
+    def counted(u):
+        calls.append(u)
+        return self_energy(u)
+
+    monkeypatch.setattr(lsc, "_BOUNDS_MEMO", OrderedDict())
+    monkeypatch.setattr(lsc, "coulomb_self_energy", counted)
+    path = _write(tmp_path, {"schema": SCHEMA_VERSION,
+                             "radial_grid": {"n": 512},
+                             "solver": {"n_starts": 2}})
+    report = run(load_config("uniqueness-scan", config_path=path,
+                             out_dir=str(tmp_path / "out")))
+    assert report.all_passed
+    assert calls == []
+
+
 def test_no_warning_reaches_the_caller(tmp_path):
     # small grids run every scenario, symmetry-breaking included, in seconds
     small = {"schema": SCHEMA_VERSION, "radial_grid": {"n": 512}}
@@ -443,12 +486,12 @@ def test_autonomous_saddle_converges_at_seed_1(tmp_path):
         verdicts["positive-energy-saddle"].detail
 
 
-def _perfbench_worker():
+def _perfbench_module(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_worker", os.path.join(PERFBENCH, "worker.py"))
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
-    return worker
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("workload", ["radial-suite", "cube-descent"])
@@ -459,11 +502,36 @@ def test_smoke_reports_match_the_benchmark_reference(tmp_path, workload):
         checks = json.load(fh)[f"{workload}/smoke"]["checks"]
     stored = {c["key"]: c["sha256"] for c in checks if "sha256" in c}
     assert stored
-    work = _perfbench_worker().WORKLOADS[workload](0, True)
+    work = _perfbench_module("worker").WORKLOADS[workload](0, True)
     work.setup(str(tmp_path))
     work.run()
     outcomes = work.outcomes()
     assert {key: outcomes.get(key) for key in stored} == stored
+
+
+def test_benchmark_tracer_wraps_and_restores_its_hooks():
+    # the benchmark's traced runs see these names; a refactor that hides
+    # one from the tracer loses that layer's spans
+    import spvlab.cli as cli
+
+    def hooks():
+        named = ("energy_3d", "sobolev_gradient_3d", "h1_inner_3d",
+                 "poisson_freespace")
+        return {**{f"scenario {s}": cli._SCENARIO_BODIES[s]
+                   for s in SCENARIOS},
+                **{f"f3d.{n}": getattr(f3d, n) for n in named}}
+
+    before = hooks()
+    tracer = _perfbench_module("tracing").Tracer()
+    tracer.install()
+    try:
+        for name, fn in hooks().items():
+            assert fn is not before[name], name
+            assert fn.__wrapped__ is before[name], name
+    finally:
+        tracer.uninstall()
+    after = hooks()
+    assert all(after[name] is fn for name, fn in before.items())
 
 
 def test_readme_quick_start_runs():

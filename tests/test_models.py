@@ -1,5 +1,6 @@
 """Tests for nonlinearity models, charge profiles, and threshold machinery."""
 
+import io
 import math
 
 import numpy as np
@@ -155,6 +156,20 @@ class TestNonlinearityModel:
             NonlinearityModel.from_table([0.0, 2.0, 1.0], [0.0, 1.0, 2.0],
                                          q=2.5, a_q=1.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: NonlinearityModel.pure_power(2.5, math.nan),
+        lambda: NonlinearityModel.pure_power(2.5, math.inf),
+        lambda: NonlinearityModel.from_table([0.0, 1.0, math.nan],
+                                             [0.0, 1.0, 2.0], q=2.5, a_q=1.0),
+        lambda: NonlinearityModel.from_table([0.0, 1.0, 2.0],
+                                             [0.0, math.inf, 2.0],
+                                             q=2.5, a_q=1.0),
+        lambda: NonlinearityModel.from_csv(io.StringIO("0,0\n1,1\n2,nan\n")),
+    ], ids=["a_q-nan", "a_q-inf", "table-s-nan", "table-f-inf", "csv-nan"])
+    def test_rejects_non_finite_data(self, build):
+        with pytest.raises(ModelError, match="finite"):
+            build()
+
     @pytest.mark.parametrize("model", [
         NonlinearityModel.pure_power(2.5, a_q=2.0),
         NonlinearityModel.asymptotically_linear(3.0),
@@ -209,6 +224,24 @@ class TestChargeProfile:
             ChargeProfile.constant(-1.0)
         with pytest.raises(ModelError):
             ChargeProfile.rational(-5.0, 2.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ChargeProfile.constant(math.nan),
+        lambda: ChargeProfile.constant(math.inf),
+        lambda: ChargeProfile.rational(math.nan, 1.0),
+        lambda: ChargeProfile.rational(math.inf, 1.0),
+        lambda: ChargeProfile.rational(0.5, math.nan),
+        lambda: ChargeProfile.rational(0.5, math.inf),
+        lambda: ChargeProfile.constant(1.0).scaled(math.nan),
+        lambda: ChargeProfile.constant(1.0).scaled(math.inf),
+        lambda: ChargeProfile.constant(1.0).scaled(0.0),
+        lambda: ChargeProfile.constant(1.0).scaled(1e200).scaled(1e200),
+    ], ids=["constant-nan", "constant-inf", "rho0-nan", "rho0-inf",
+            "rho_inf-nan", "rho_inf-inf", "scaled-nan", "scaled-inf",
+            "scaled-zero", "scaled-overflow"])
+    def test_rejects_non_finite_data(self, build):
+        with pytest.raises(ModelError, match="finite"):
+            build()
 
 
 class TestCoercivityFloor:

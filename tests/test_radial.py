@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 import spvlab.radial as rad
 from spvlab.models import ChargeProfile, NonlinearityModel
@@ -200,6 +202,35 @@ class TestEnergyAndGradient:
             lhs, rhs, holds = strauss_check(u, rho)
             assert holds
             assert lhs <= rhs * (1.0 + 1e-6)
+
+
+def _coo_operators(grid):
+    # the Gram matrix and its factor as first built, from interleaved COO
+    # index arrays; splu sorts the matrix's indices in place
+    n, h = grid.n, grid.h
+    idx = np.arange(n)
+    rows = np.repeat(idx, 2)
+    cols = np.empty(2 * n, dtype=int)
+    cols[0::2] = idx
+    cols[1::2] = idx + 1
+    vals = np.empty(2 * n)
+    vals[0::2] = -1.0 / h
+    vals[1::2] = 1.0 / h
+    D = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n + 1))
+    W_cell = sparse.diags(np.diff(FOUR_PI / 3.0 * grid.r ** 3))
+    M = (D.T @ W_cell @ D + sparse.diags(grid.w)).tocsc()
+    return M, splu(M)
+
+
+@pytest.mark.parametrize("r_max, n", [(12.0, 4096), (7.3, 33)])
+def test_gram_matrix_matches_the_coo_build(r_max, n):
+    grid = RadialGrid(r_max, n)
+    M, lu = rad._operators(grid.key)
+    M_ref, lu_ref = _coo_operators(grid)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(M, name), getattr(M_ref, name)), name
+    b = np.random.default_rng(0).normal(size=n + 1)
+    assert np.array_equal(lu.solve(b), lu_ref.solve(b))
 
 
 def test_operator_cache_is_bounded():

@@ -110,6 +110,18 @@ class TestMinimize:
                      support_radius=2.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol_grad", math.nan), ("tol_grad", math.inf), ("tol_grad", 0.0),
+    ("tol_grad_abs", 0.0), ("tol_grad_abs", -1.0), ("tol_grad_abs", math.nan),
+    ("tol_grad_abs", math.inf),
+])
+def test_options_need_finite_positive_tolerances(name, value):
+    # zero would otherwise mean "stop at the cap" to a descent and
+    # "unset" to the mountain-pass search
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        SolveOptions(**{name: value})
+
+
 class TestMultistart:
     def test_returns_lowest_energy(self):
         grid = _grid()
