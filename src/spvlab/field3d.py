@@ -43,7 +43,8 @@ from scipy import fft as sfft
 
 from .models import ChargeProfile, ModelError, NonlinearityModel, eval_F, eval_f
 from .radial import (_GRID_CACHE_SIZE, FOUR_PI, DECAY_GUARD_REL,
-                     DiscretizationError, Disc, RadialField)
+                     DiscretizationError, Disc, RadialField, _nodal_peak,
+                     _node_count)
 
 # mean of 1/|x| over the unit cube [-1/2, 1/2]^3
 _CUBE_COULOMB_AVG = 2.3800773639795536
@@ -51,22 +52,20 @@ _CUBE_COULOMB_AVG = 2.3800773639795536
 # chunk of k-planes of the doubled grid, or one slab of real-transform rows
 _CHUNK_BYTES = 4 << 20
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid3D:
-    """Uniform cube [-L, L)^3, n cells per axis, spacing h = 2L/n."""
+    """Uniform cube [-L, L)^3, n cells per axis, spacing h = 2L/n; grids
+    compare and hash by (L, n)."""
 
     L: float
     n: int
-    h: float = field(init=False)
+    h: float = field(init=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _node_count(self.n))
         if not 0.0 < self.L < math.inf or self.n < 4 or self.n % 2:
             raise DiscretizationError("need finite L > 0 and even n >= 4")
         object.__setattr__(self, "h", 2.0 * self.L / self.n)
-
-    @property
-    def key(self):
-        return (float(self.L), int(self.n))
 
     @property
     def cell_volume(self) -> float:
@@ -77,7 +76,7 @@ class Grid3D:
 
     def radius(self) -> np.ndarray:
         """|x| at every node, shape (n, n, n)."""
-        return _cached_radius(self.key)
+        return _cached_radius(self)
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(values)) * self.cell_volume
@@ -98,16 +97,9 @@ class Field3D:
         n = self.grid.n
         if vals.shape != (n, n, n):
             raise DiscretizationError("field shape does not match the grid")
-        # one max/min pair gives both the finiteness test (NaN and +-inf
-        # reach an extreme) and the peak |u|
-        hi, lo = vals.max(), vals.min()
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise DiscretizationError("field contains non-finite values")
+        peak = _nodal_peak(vals)
         object.__setattr__(self, "values", vals)
-        if not self.guard:
-            return
-        peak = float(max(hi, -lo))
-        if peak > 0.0:
+        if self.guard and peak > 0.0:
             edge = max(np.max(np.abs(vals[0])), np.max(np.abs(vals[-1])),
                        np.max(np.abs(vals[:, 0])), np.max(np.abs(vals[:, -1])),
                        np.max(np.abs(vals[:, :, 0])), np.max(np.abs(vals[:, :, -1])))
@@ -161,18 +153,18 @@ class Field3D:
 
 
 # ---------------------------------------------------------------------------
-# Cached spectral machinery, keyed by grid.key (grids compare by identity)
+# Cached spectral machinery, keyed by grid
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _cached_radius(key):
-    ax = Grid3D(*key).axis()
+def _cached_radius(grid: Grid3D):
+    ax = grid.axis()
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
     return np.sqrt(X ** 2 + Y ** 2 + Z ** 2)
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _coulomb_kernel_hat(key) -> np.ndarray:
+def _coulomb_kernel_hat(grid: Grid3D) -> np.ndarray:
     """rfftn of the Coulomb kernel on the doubled (2n)^3 grid.
 
     The kernel is sampled and transformed along its real axis 2 one slab
@@ -182,8 +174,7 @@ def _coulomb_kernel_hat(key) -> np.ndarray:
     kernel, which is never formed.  The (2n, 2n, n+1) result is a view of
     a k-major array, so that a chunk of k-planes is contiguous.
     """
-    L, n = key
-    h = 2.0 * L / n
+    n, h = grid.n, grid.h
     m = 2 * n
     idx = np.arange(m)
     off = np.where(idx < n, idx, idx - m).astype(float)  # offsets -n..n-1
@@ -212,12 +203,10 @@ def _coulomb_kernel_hat(key) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _spectral(key):
+def _spectral(grid: Grid3D):
     """(k^2, Parseval bin weights) for rfftn on the n^3 grid."""
-    L, n = key
-    h = 2.0 * L / n
-    k = 2.0 * math.pi * sfft.fftfreq(n, d=h)
-    kr = 2.0 * math.pi * sfft.rfftfreq(n, d=h)
+    k = 2.0 * math.pi * sfft.fftfreq(grid.n, d=grid.h)
+    kr = 2.0 * math.pi * sfft.rfftfreq(grid.n, d=grid.h)
     KX, KY, KZ = np.meshgrid(k, k, kr, indexing="ij", sparse=True)
     k2 = KX ** 2 + KY ** 2 + KZ ** 2
     # the half spectrum mirrors every bin but the zero and Nyquist ones
@@ -266,7 +255,7 @@ def poisson_freespace(source: Field3D) -> Field3D:
     m = 2 * n
     rows = max(1, _CHUNK_BYTES // (n * m * 16))
     c = min(n + 1, max(1, _CHUNK_BYTES // (m * m * 16)))
-    planes = _coulomb_kernel_hat(grid.key).transpose(2, 0, 1)  # [k, i, j]
+    planes = _coulomb_kernel_hat(grid).transpose(2, 0, 1)  # [k, i, j]
     try:
         half = np.empty((n, n, n + 1), dtype=complex)
         for i in range(0, n, rows):
@@ -305,7 +294,7 @@ def poisson_freespace(source: Field3D) -> Field3D:
 def h1_norm_sq_3d(u: Field3D) -> float:
     """int (|grad u|^2 + u^2), spectral derivative (periodic)."""
     grid = u.grid
-    k2, pw = _spectral(grid.key)
+    k2, pw = _spectral(grid)
     uhat = sfft.rfftn(u.values)
     grad_sq = float(np.sum(pw * k2 * np.abs(uhat) ** 2)) / grid.n ** 3
     return grid.cell_volume * (grad_sq + float(np.sum(u.values ** 2)))
@@ -317,7 +306,7 @@ def h1_inner_3d(u: Field3D, v: Field3D) -> float:
 
 
 def _h1_inner(grid: Grid3D, a: np.ndarray, b: np.ndarray) -> float:
-    k2, pw = _spectral(grid.key)
+    k2, pw = _spectral(grid)
     ahat = sfft.rfftn(a)
     bhat = sfft.rfftn(b)
     total = float(np.sum(pw * (1.0 + k2) * (ahat.conj() * bhat).real))
@@ -363,7 +352,10 @@ class CubeDisc(Disc):
         self.grid = grid
         self.model = model
         self.rho = profile.at_radius(grid.radius())
-        self.k2, self.pw = _spectral(grid.key)
+        self.k2, self.pw = _spectral(grid)
+        # with the symbol, building a kernel fills every cache its solves
+        # read, so workers forked after it inherit them all
+        _coulomb_kernel_hat(grid)
 
     def wrap(self, values: np.ndarray) -> Field3D:
         return Field3D(self.grid, values)

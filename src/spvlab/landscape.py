@@ -68,17 +68,16 @@ def a0_ratio(u: RadialField, model: NonlinearityModel) -> Optional[float]:
 
 @dataclass(frozen=True)
 class LambdaBounds:
-    """Certified bounds on the two coupling thresholds.
+    """Certified lower and upper bounds on the energy threshold.
 
-    The energy threshold has a lower and an upper bound, the derivative
-    threshold an upper bound only.  The lower bound is None when the
-    trial family never enters the admissible set; when present it is
-    witnessed by a stored field whose ratio reproduces it exactly.
+    The lower bound is None when the trial family never enters the
+    admissible set; when present it is witnessed by a stored field whose
+    ratio reproduces it exactly.  The derivative threshold's upper bound
+    is ``lambdabar0_upper_bound``.
     """
 
     lambda0_lower: Optional[float]
     lambda0_upper: float
-    lambdabar0_upper: float
     witness_a0: Optional[RadialField] = field(repr=False, default=None)
 
 
@@ -132,8 +131,10 @@ def _rank_family(model: NonlinearityModel, grid: RadialGrid,
 
 
 # Scans kept by ``estimate_lambda_bounds``, most recently used last.  A
-# scenario run asks for the same scan more than once; each entry holds
-# one witness field, so a few entries cost little.
+# scenario scans once; the same scan comes back when one process runs
+# several scenarios on one grid (autonomous and multibump at the default
+# radial grid) and in the tests and demos.  Each entry holds one witness
+# field, so a few entries cost little.
 _BOUNDS_MEMO: "OrderedDict[tuple, LambdaBounds]" = OrderedDict()
 _BOUNDS_MEMO_SIZE = 8
 
@@ -147,7 +148,7 @@ def _bounds_key(model: NonlinearityModel, grid: RadialGrid,
     """Everything a scan depends on, by value."""
     values = tuple(_array_key(v) if isinstance(v, np.ndarray) else v
                    for v in (getattr(model, f.name) for f in fields(model)))
-    return values, grid.key, _array_key(sigmas), _array_key(ts)
+    return values, grid, _array_key(sigmas), _array_key(ts)
 
 
 def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
@@ -155,12 +156,10 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
                            t_grid: Optional[np.ndarray] = None
                            ) -> LambdaBounds:
     """Scan the family {t * gaussian(sigma)} for the energy threshold's
-    lower bound; add the closed-form upper bounds of both thresholds.
+    lower bound; add its closed-form upper bound C1^2/2.
 
     The amplitude and width run over log grids with a bounded local
-    refinement of the amplitude at the best width.  Upper bounds come
-    from the fitted cubic constants: C1^2/2 for the energy threshold and
-    ``lambdabar0_upper_bound`` for the derivative threshold.
+    refinement of the amplitude at the best width.
 
     The grid scan only ranks.  Along u = t g the H^1 term is exactly
     t^2 ||g||^2 and the Coulomb term t^4 int phi_g g^2, so one Poisson
@@ -222,9 +221,8 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
         # the stored bound is the witness's own ratio, so re-evaluation
         # reproduces it bit for bit
         lower = a0_ratio(witness, model)
-    bounds = LambdaBounds(
-        lambda0_lower=lower, lambda0_upper=0.5 * c1 ** 2,
-        lambdabar0_upper=lambdabar0_upper_bound(model), witness_a0=witness)
+    bounds = LambdaBounds(lambda0_lower=lower, lambda0_upper=0.5 * c1 ** 2,
+                          witness_a0=witness)
     _BOUNDS_MEMO[key] = bounds
     if len(_BOUNDS_MEMO) > _BOUNDS_MEMO_SIZE:
         _BOUNDS_MEMO.popitem(last=False)

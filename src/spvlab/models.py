@@ -110,6 +110,9 @@ class NonlinearityModel:
         """
         data = np.loadtxt(path, delimiter=",", ndmin=2)
         s, fs = data[:, 0], data[:, 1]
+        # checked before the growth fit, which a NaN or inf would derail
+        if not np.all(np.isfinite(data[:, :2])):
+            raise ModelError("table values must be finite")
         tail = s >= s[-1] / 10.0
         if np.count_nonzero(tail) < 2:
             raise ModelError("table too short to estimate growth exponent")

@@ -45,17 +45,39 @@ class DiscretizationError(RuntimeError):
     """Raised when a field or solve violates the grid's validity domain."""
 
 
-@dataclass(frozen=True, eq=False)
+def _node_count(n) -> int:
+    """A grid's n as a Python int; non-integral values are rejected."""
+    try:
+        if int(n) == n:
+            return int(n)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DiscretizationError(f"need an integer n, got {n!r}")
+
+
+def _nodal_peak(vals: np.ndarray) -> float:
+    """max |u| of nodal values, which must all be finite: one max/min
+    pair gives both the finiteness test (NaN and +-inf reach an extreme)
+    and the peak."""
+    hi, lo = vals.max(), vals.min()
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise DiscretizationError("field contains non-finite values")
+    return float(max(hi, -lo))
+
+
+@dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid on [0, r_max] with volume-exact trapezoid weights."""
+    """Uniform radial grid on [0, r_max] with volume-exact trapezoid
+    weights; grids compare and hash by (r_max, n)."""
 
     r_max: float
     n: int
-    r: np.ndarray = field(init=False, repr=False)
-    h: float = field(init=False)
-    w: np.ndarray = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    h: float = field(init=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _node_count(self.n))
         if not 0.0 < self.r_max < math.inf or self.n < 2:
             raise DiscretizationError("need finite r_max > 0 and n >= 2")
         h = self.r_max / self.n
@@ -68,10 +90,6 @@ class RadialGrid:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "w", w)
-
-    @property
-    def key(self):
-        return (float(self.r_max), int(self.n))
 
     def integrate(self, values: np.ndarray) -> float:
         """int g dV over [0, r_max] for nodal samples g."""
@@ -89,13 +107,8 @@ class RadialField:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.r.shape:
             raise DiscretizationError("field length does not match the grid")
-        # one max/min pair gives both the finiteness test (NaN and +-inf
-        # reach an extreme) and the peak |u|
-        hi, lo = vals.max(), vals.min()
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise DiscretizationError("field contains non-finite values")
+        peak = _nodal_peak(vals)
         object.__setattr__(self, "values", vals)
-        peak = max(hi, -lo)
         if peak > 0.0 and abs(vals[-1]) > DECAY_GUARD_REL * peak:
             warnings.warn(
                 "field has not decayed at r_max; enlarge the domain "
@@ -133,11 +146,11 @@ class PoissonPotential:
 
 
 # ---------------------------------------------------------------------------
-# Cached discrete operators, keyed by grid.key (grids compare by identity)
+# Cached discrete operators, keyed by grid
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _operators(key):
+def _operators(grid: RadialGrid):
     """H^1 Gram matrix M = D^T W_cell D + W and its sparse LU factor.
 
     D is the cell-wise forward difference (u_{i+1} - u_i)/h, weighted by
@@ -146,7 +159,6 @@ def _operators(key):
     sawtooth pays full gradient energy, so descent cannot hide
     oscillations from the discrete H^1 term.
     """
-    grid = RadialGrid(*key)
     n, h = grid.n, grid.h
     D = sparse.diags([np.full(n, -1.0 / h), np.full(n, 1.0 / h)], [0, 1],
                      shape=(n, n + 1))
@@ -326,7 +338,7 @@ class RadialDisc(Disc):
         self.grid = grid
         self.model = model
         self.rho = profile.at_radius(grid.r)
-        self.M, self.lu = _operators(grid.key)
+        self.M, self.lu = _operators(grid)
 
     def wrap(self, values: np.ndarray) -> RadialField:
         return RadialField(self.grid, values)

@@ -329,7 +329,7 @@ def _minimize_forked(starts: Sequence[FieldLike], profile: ChargeProfile,
                      workers: int) -> List[SolveResult]:
     """``minimize`` of start k under ``seeded[k]``, in forked workers.
 
-    The per-grid caches of start 0's grid are filled here first, so the
+    Building start 0's kernel here first fills its grid's caches, so the
     workers inherit them and none factors or transforms them again.  The
     workers share the starts through the fork; each is handed one start
     index at a time, the next as soon as it sends back an outcome.  Once
@@ -337,9 +337,7 @@ def _minimize_forked(starts: Sequence[FieldLike], profile: ChargeProfile,
     already been.  Every worker is reaped before this returns or raises,
     and one still busy then (the call was interrupted) is terminated.
     """
-    ws = _kernel(starts[0], profile, model)
-    if isinstance(ws, f3d.CubeDisc):
-        f3d._coulomb_kernel_hat(ws.grid.key)
+    _kernel(starts[0], profile, model)
     ctx = multiprocessing.get_context("fork")
     pipes = {}                   # our end of each worker's pipe -> worker
     outcomes = {}                # start index -> (result or error, warnings)

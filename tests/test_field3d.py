@@ -47,6 +47,25 @@ class TestGrid3D:
         for L in (-1.0, math.nan, math.inf):
             with pytest.raises(DiscretizationError):
                 Grid3D(L, 16)
+        for n in (32.5, math.nan, math.inf, "32", None):
+            with pytest.raises(DiscretizationError, match="integer n"):
+                Grid3D(18.0, n)
+
+    def test_integral_float_n_is_stored_as_an_int(self):
+        # the solve sizes its arrays from n
+        grid = Grid3D(6.0, 8.0)
+        assert type(grid.n) is int
+        assert poisson_freespace(_gaussian3(grid)).values.shape == (8, 8, 8)
+
+    def test_grids_compare_and_hash_by_value(self):
+        grid = Grid3D(6, 16)
+        assert grid == Grid3D(6.0, 16)
+        assert hash(grid) == hash(Grid3D(6.0, 16))
+        assert grid != Grid3D(6.0, 32) and grid != Grid3D(8.0, 16)
+        f3d._spectral(grid)
+        hits = f3d._spectral.cache_info().hits
+        assert f3d._spectral(Grid3D(6.0, 16)) is f3d._spectral(grid)
+        assert f3d._spectral.cache_info().hits == hits + 2
 
     def test_axis_and_cell(self):
         grid = Grid3D(6.0, 16)
@@ -106,14 +125,13 @@ def _reference_poisson(source):
     pad[:n, :n, :n] = source.values
     spec = sfft.rfftn(pad)
     del pad
-    spec *= f3d._coulomb_kernel_hat(source.grid.key)
+    spec *= f3d._coulomb_kernel_hat(source.grid)
     return sfft.irfftn(spec, s=(2 * n,) * 3)[:n, :n, :n]
 
 
-def _reference_kernel_hat(key):
+def _reference_kernel_hat(grid):
     """rfftn of the dense Coulomb kernel on the doubled grid."""
-    L, n = key
-    h = 2.0 * L / n
+    n, h = grid.n, grid.h
     idx = np.arange(2 * n)
     off = np.where(idx < n, idx, idx - 2 * n).astype(float)
     OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij", sparse=True)
@@ -191,15 +209,15 @@ class TestPrunedPoisson:
     def test_symbol_bit_identical_to_dense_rfftn(self, n, planes,
                                                  monkeypatch):
         _budget_planes(monkeypatch, n, planes)
-        key = (5.0, n)
-        assert np.array_equal(f3d._coulomb_kernel_hat.__wrapped__(key),
-                              _reference_kernel_hat(key))
+        grid = Grid3D(5.0, n)
+        assert np.array_equal(f3d._coulomb_kernel_hat.__wrapped__(grid),
+                              _reference_kernel_hat(grid))
 
     def test_transforms_only_the_source_rows_and_kept_corner(self,
                                                               monkeypatch):
         n, m = 8, 16
         grid = Grid3D(4.0, n)
-        f3d._coulomb_kernel_hat(grid.key)  # warm the kernel cache
+        f3d._coulomb_kernel_hat(grid)  # warm the kernel cache
         _budget_planes(monkeypatch, n, 2)  # 2 + 2 + 2 + 2 + 1 k-planes
         rec = _RecordingFFT()
         monkeypatch.setattr(f3d, "sfft", rec)
@@ -228,7 +246,7 @@ class TestPrunedPoisson:
         # honour overwrite_x on views of the chunk workspace
         n = 8
         grid = Grid3D(4.0, n)
-        f3d._coulomb_kernel_hat(grid.key)
+        f3d._coulomb_kernel_hat(grid)
         _budget_planes(monkeypatch, n, 4)
         rec = _RecordingFFT()
         monkeypatch.setattr(f3d, "sfft", rec)
@@ -264,7 +282,7 @@ class TestPrunedPoisson:
         _budget_planes(monkeypatch, n, 4)
         tracemalloc.start()
         try:
-            f3d._coulomb_kernel_hat.__wrapped__((5.0, n))
+            f3d._coulomb_kernel_hat.__wrapped__(Grid3D(5.0, n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -285,7 +303,7 @@ class TestPrunedPoisson:
             raise MemoryError
 
         grid = Grid3D(4.0, 8)
-        f3d._coulomb_kernel_hat(grid.key)
+        f3d._coulomb_kernel_hat(grid)
         monkeypatch.setattr(f3d.sfft, "rfft", no_memory)
         with pytest.raises(MemoryError, match=r"^doubled grid \(16\^3\): "
                            r"its 8 x 8 x 9 complex half spectrum \(9,216 "
@@ -302,7 +320,7 @@ class TestPrunedPoisson:
         with pytest.raises(MemoryError, match=r"^doubled grid \(12\^3\): "
                            r"its 12 x 12 x 7 complex Coulomb symbol "
                            r"\(16,128 bytes\) does not fit"):
-            f3d._coulomb_kernel_hat.__wrapped__((4.0, 6))
+            f3d._coulomb_kernel_hat.__wrapped__(Grid3D(4.0, 6))
 
 
 class TestEnergies3D:
@@ -392,7 +410,7 @@ def test_grid_caches_are_bounded(cached):
     size = cached.cache_info().maxsize
     assert size is not None and size <= 4
     for n in range(4, 4 + 2 * (size + 2), 2):
-        cached(Grid3D(3.0, n).key)
+        cached(Grid3D(3.0, n))
         assert cached.cache_info().currsize <= size
 
 

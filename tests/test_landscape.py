@@ -119,7 +119,7 @@ class TestLambdaBounds:
         model = _model()
         bounds = estimate_lambda_bounds(model, _grid())
         assert 0.0 < bounds.lambda0_lower <= bounds.lambda0_upper
-        assert bounds.lambdabar0_upper > 0.0
+        assert lsc.lambdabar0_upper_bound(model) > 0.0
 
     def test_upper_bounds_from_cubic_constants(self):
         model = _model()
@@ -127,7 +127,7 @@ class TestLambdaBounds:
         # C1 = 0.08 and the derivative-form constant 1/4 give the two
         # closed-form upper bounds
         assert_allclose(bounds.lambda0_upper, 0.0032, atol=1e-7)
-        assert_allclose(bounds.lambdabar0_upper, 0.03125, atol=1e-7)
+        assert_allclose(lsc.lambdabar0_upper_bound(model), 0.03125, atol=1e-7)
 
     def test_witness_reproduces_bound_exactly(self):
         model = _model()
@@ -166,11 +166,13 @@ class TestLambdaBounds:
         _assert_same_as_reference(bounds, model, grid, [2.0], ts)
 
     def test_family_outside_both_sets(self):
-        bounds = estimate_lambda_bounds(_model(), RadialGrid(12.0, 512),
+        model = _model()
+        bounds = estimate_lambda_bounds(model, RadialGrid(12.0, 512),
                                         t_grid=np.array([0.01, 0.02]))
         assert bounds.lambda0_lower is None
         assert bounds.witness_a0 is None
-        assert bounds.lambda0_upper > 0.0 and bounds.lambdabar0_upper > 0.0
+        assert bounds.lambda0_upper > 0.0
+        assert lsc.lambdabar0_upper_bound(model) > 0.0
 
     def test_one_poisson_solve_per_width(self, monkeypatch, count_calls):
         # these are the default grids: count a real scan, not a memo hit

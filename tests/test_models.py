@@ -165,7 +165,13 @@ class TestNonlinearityModel:
                                              [0.0, math.inf, 2.0],
                                              q=2.5, a_q=1.0),
         lambda: NonlinearityModel.from_csv(io.StringIO("0,0\n1,1\n2,nan\n")),
-    ], ids=["a_q-nan", "a_q-inf", "table-s-nan", "table-f-inf", "csv-nan"])
+        # a last abscissa of NaN or inf once failed the growth fit first
+        lambda: NonlinearityModel.from_csv(
+            io.StringIO("0,0\n1,1\n2,2\nnan,5\n")),
+        lambda: NonlinearityModel.from_csv(
+            io.StringIO("0,0\n1,1\n2,2\ninf,5\n")),
+    ], ids=["a_q-nan", "a_q-inf", "table-s-nan", "table-f-inf", "csv-nan",
+            "csv-s-nan", "csv-s-inf"])
     def test_rejects_non_finite_data(self, build):
         with pytest.raises(ModelError, match="finite"):
             build()

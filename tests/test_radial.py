@@ -225,7 +225,7 @@ def _coo_operators(grid):
 @pytest.mark.parametrize("r_max, n", [(12.0, 4096), (7.3, 33)])
 def test_gram_matrix_matches_the_coo_build(r_max, n):
     grid = RadialGrid(r_max, n)
-    M, lu = rad._operators(grid.key)
+    M, lu = rad._operators(grid)
     M_ref, lu_ref = _coo_operators(grid)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(M, name), getattr(M_ref, name)), name
@@ -233,11 +233,22 @@ def test_gram_matrix_matches_the_coo_build(r_max, n):
     assert np.array_equal(lu.solve(b), lu_ref.solve(b))
 
 
+def test_grids_compare_and_hash_by_value():
+    grid = RadialGrid(12, 4096)
+    assert grid == RadialGrid(12.0, 4096)
+    assert hash(grid) == hash(RadialGrid(12.0, 4096))
+    assert grid != RadialGrid(12.0, 2048) and grid != RadialGrid(18.0, 4096)
+    rad._operators(grid)
+    hits = rad._operators.cache_info().hits
+    assert rad._operators(RadialGrid(12.0, 4096)) is rad._operators(grid)
+    assert rad._operators.cache_info().hits == hits + 2
+
+
 def test_operator_cache_is_bounded():
     size = rad._operators.cache_info().maxsize
     assert size is not None and size <= 4
     for n in range(8, 8 + size + 2):
-        rad._operators(RadialGrid(1.0, n).key)
+        rad._operators(RadialGrid(1.0, n))
         assert rad._operators.cache_info().currsize <= size
 
 
@@ -291,3 +302,9 @@ class TestFieldIO:
                 RadialGrid(r_max, 256)
         with pytest.raises(DiscretizationError):
             RadialGrid(12.0, 1)
+        # a non-integral n once built a grid whose last node missed r_max
+        for n in (4096.5, math.nan, math.inf, "4096", None):
+            with pytest.raises(DiscretizationError, match="integer n"):
+                RadialGrid(12.0, n)
+        grid = RadialGrid(12.0, np.float64(4096.0))
+        assert type(grid.n) is int and grid.r[-1] == 12.0
