@@ -10,7 +10,7 @@ two-bump estimate (two constant-charge bumps plus their exact Coulomb
 cross term) without touching a 3-D grid.  The full 3-D confirmation is
 the `spvlab symmetry-breaking` scenario.
 
-Run:  python3 demos/symmetry_breaking_sweep.py  (a few minutes, one core)
+Run:  python3 demos/symmetry_breaking_sweep.py  (a few seconds, one core)
 """
 
 import math
@@ -18,10 +18,10 @@ import warnings
 
 import numpy as np
 
-from spvlab.landscape import estimate_lambda_bounds, two_bump_estimate
+from spvlab.landscape import estimate_lambda_bounds, two_bump_sweep
 from spvlab.models import ChargeProfile, NonlinearityModel
-from spvlab.radial import RadialField, RadialGrid
-from spvlab.solvers import SolveOptions, minimize
+from spvlab.radial import RadialGrid
+from spvlab.solvers import SolveOptions
 
 
 def main():
@@ -38,18 +38,14 @@ def main():
           f"bumps offset to +/-{offset}\n")
 
     opts = SolveOptions(tol_grad=1e-5, max_iter=4000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sweep = two_bump_sweep(grid, profile, model,
+                               (0.05, 0.025, 0.0125, 0.00625, 0.003125),
+                               offset, opts)
     print("  eps       radial theta   two-bump estimate   splitting pays?")
     rows = []
-    for eps in (0.05, 0.025, 0.0125, 0.00625, 0.003125):
-        prof_eps = profile.scaled(eps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            theta = minimize(RadialField.gaussian(grid, 30.0, 1.2),
-                             prof_eps, model, opts).energy
-            local_rho = float(prof_eps.at_radius(offset))
-            local = minimize(RadialField.gaussian(grid, 30.0, 1.2),
-                             ChargeProfile.constant(local_rho), model, opts)
-        est = two_bump_estimate(local, local_rho, offset)
+    for eps, theta, _, est in sweep:
         pays = est < theta
         print(f"  {eps:8.6f}  {theta:12.2f}   {est:16.2f}"
               f"         {'yes' if pays else 'no'}")

@@ -154,11 +154,15 @@ def _entries(doc: dict, scenario: str) -> Dict[str, dict]:
     return out
 
 
+# the model section's defaults, which a config without one echoes with p
+_DEFAULT_MODEL = {"kind": "pure-power", "q": 2.5, "a_q": 1.0}
+
+
 def _build_model(doc: dict) -> NonlinearityModel:
-    kind = doc.get("kind", "pure-power")
+    doc = {**_DEFAULT_MODEL, **doc}
+    kind = doc["kind"]
     if kind == "pure-power":
-        model = NonlinearityModel.pure_power(doc.get("q", 2.5),
-                                             doc.get("a_q", 1.0))
+        model = NonlinearityModel.pure_power(doc["q"], doc["a_q"])
     elif kind == "asymptotically-linear":
         model = NonlinearityModel.asymptotically_linear(
             _required(doc, "a2", "model"))
@@ -241,8 +245,7 @@ def load_config(scenario: str, config_path: Optional[str] = None,
         out_dir=resolved_out,
         inputs_echo={
             "scenario": scenario,
-            "model": doc.get("model") or {"kind": "pure-power", "q": 2.5,
-                                          "a_q": 1.0, "p": 2.5},
+            "model": doc.get("model") or {**_DEFAULT_MODEL, "p": model.p},
             "profile": doc.get("profile"),
             "lambda": doc.get("lambda"),
             "radial_grid": radial_grid,
@@ -746,34 +749,16 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
                                           _opts(cfg, tol_grad_abs=1e-6))
         return best
 
-    # semi-analytic sweep: for each eps, the radial level theta_eps and an
-    # off-center two-bump estimate (two copies of the constant-coupling
-    # bump at the local charge, plus their Coulomb cross term)
-    sweep_rows = []
-    chosen = None
-    for eps in eps_sweep:
-        prof_eps = profile.scaled(eps)
-        # a single quick solve is enough to rank candidate eps values;
-        # the chosen eps gets the full multistart below
-        theta_quick = slv.minimize(
-            rad.RadialField.gaussian(grid, 30.0, 1.2), prof_eps, model,
-            _opts(cfg, tol_grad_abs=1e-4))
-        local_rho = float(prof_eps.at_radius(offset))
-        local = slv.minimize(
-            rad.RadialField.gaussian(grid, 30.0, 1.2),
-            ChargeProfile.constant(local_rho), model,
-            _opts(cfg, tol_grad_abs=1e-4))
-        est_alpha = lsc.two_bump_estimate(local, local_rho, offset)
-        row = {"eps": eps, "theta": theta_quick.energy,
-               "two_bump_estimate": est_alpha}
-        sweep_rows.append(row)
-        if (chosen is None and theta_quick.energy < 0.0
-                and est_alpha
-                < theta_quick.energy - 0.05 * abs(theta_quick.energy)):
-            chosen = (eps, local)
-    if chosen is None:
-        chosen = (eps_sweep[-1], None)
-    eps, local = chosen
+    # semi-analytic sweep: a single quick solve per eps is enough to rank
+    # candidate eps values; the chosen eps, the first at which two bumps
+    # beat theta by 5%, else the last, gets the full multistart below
+    sweep = lsc.two_bump_sweep(grid, profile, model, eps_sweep, offset,
+                               _opts(cfg, tol_grad_abs=1e-4))
+    sweep_rows = [{"eps": e, "theta": theta, "two_bump_estimate": est}
+                  for e, theta, _, est in sweep]
+    eps, local = next(((e, bump) for e, theta, bump, est in sweep
+                       if theta < 0.0 and est < theta - 0.05 * abs(theta)),
+                      (eps_sweep[-1], None))
     prof_eps = profile.scaled(eps)
     theta_res = radial_theta(prof_eps)
 

@@ -14,7 +14,8 @@ The second half of the module holds the compact-support machinery: a
 C^1 cutoff that tapers a field to a ball, and the assembly of N-bump
 trial fields from one compactly supported bump, whose energy is
 evaluated semi-analytically (exact for disjoint supports), and the
-two-bump energy estimate of the symmetry-breaking sweep.
+eps-sweep of symmetry breaking, which sets a two-bump energy estimate
+against the radial level.
 Widely separated bumps under a flattening charge rescaling drive the
 energy infimum toward minus infinity, which is the mechanism behind
 non-radial ground states.
@@ -22,9 +23,9 @@ non-radial ground states.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +35,7 @@ from .models import (ChargeProfile, ModelError, NonlinearityModel, eval_F,
                      fit_cubic_bound, fit_nehari_cubic_bound)
 from .radial import (FOUR_PI, DiscretizationError, RadialField, RadialGrid,
                      energy_radial, h1_norm_sq, l2_norm_sq, nonlocal_term)
+from .solvers import SolveOptions, minimize
 
 _UNIT_CHARGE = ChargeProfile.constant(1.0)
 
@@ -130,27 +132,6 @@ def _rank_family(model: NonlinearityModel, grid: RadialGrid,
                 _RANK_TOL * (F_abs + quad) / coulomb)
 
 
-# Scans kept by ``estimate_lambda_bounds``, most recently used last.  A
-# scenario scans once; the same scan comes back when one process runs
-# several scenarios on one grid (autonomous and multibump at the default
-# radial grid) and in the tests and demos.  Each entry holds one witness
-# field, so a few entries cost little.
-_BOUNDS_MEMO: "OrderedDict[tuple, LambdaBounds]" = OrderedDict()
-_BOUNDS_MEMO_SIZE = 8
-
-
-def _array_key(a: np.ndarray) -> tuple:
-    return a.dtype.str, a.shape, a.tobytes()
-
-
-def _bounds_key(model: NonlinearityModel, grid: RadialGrid,
-                sigmas: np.ndarray, ts: np.ndarray) -> tuple:
-    """Everything a scan depends on, by value."""
-    values = tuple(_array_key(v) if isinstance(v, np.ndarray) else v
-                   for v in (getattr(model, f.name) for f in fields(model)))
-    return values, grid, _array_key(sigmas), _array_key(ts)
-
-
 def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
                            sigma_grid: Optional[np.ndarray] = None,
                            t_grid: Optional[np.ndarray] = None
@@ -181,13 +162,20 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
         sigma_grid = np.geomspace(0.4, max(hi, 0.5), 24)
     if t_grid is None:
         t_grid = np.geomspace(1.0, 1e3, 160)
-    sigmas = np.asarray(sigma_grid, dtype=float)
-    ts = np.asarray(t_grid, dtype=float)
-    key = _bounds_key(model, grid, sigmas, ts)
-    bounds = _BOUNDS_MEMO.get(key)
-    if bounds is not None:
-        _BOUNDS_MEMO.move_to_end(key)
-        return bounds
+    return _scan_bounds(model, grid, tuple(map(float, sigma_grid)),
+                        tuple(map(float, t_grid)))
+
+
+# A scenario scans once; the same scan comes back when one process runs
+# several scenarios on one grid (autonomous and multibump at the default
+# radial grid) and in the tests and demos.  An entry costs one witness.
+@functools.lru_cache(maxsize=8)
+def _scan_bounds(model: NonlinearityModel, grid: RadialGrid,
+                 sigma_grid: Tuple[float, ...],
+                 t_grid: Tuple[float, ...]) -> LambdaBounds:
+    """``estimate_lambda_bounds`` on scan grids given as tuples."""
+    sigmas = np.array(sigma_grid)
+    ts = np.array(t_grid)
     c1 = model.C1 if model.C1 is not None else fit_cubic_bound(model)
     ranked, gap = _rank_family(model, grid, sigmas, ts)
 
@@ -221,12 +209,8 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
         # the stored bound is the witness's own ratio, so re-evaluation
         # reproduces it bit for bit
         lower = a0_ratio(witness, model)
-    bounds = LambdaBounds(lambda0_lower=lower, lambda0_upper=0.5 * c1 ** 2,
-                          witness_a0=witness)
-    _BOUNDS_MEMO[key] = bounds
-    if len(_BOUNDS_MEMO) > _BOUNDS_MEMO_SIZE:
-        _BOUNDS_MEMO.popitem(last=False)
-    return bounds
+    return LambdaBounds(lambda0_lower=lower, lambda0_upper=0.5 * c1 ** 2,
+                        witness_a0=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +364,27 @@ def multibump_sweep(Ns: Sequence[int], R0: float, u_R0: RadialField,
     return reports, c_const
 
 
-def two_bump_estimate(bump, rho: float, offset: float) -> float:
-    """Energy of two copies of one radial bump centred 2 * offset apart.
+def two_bump_sweep(grid: RadialGrid, profile: ChargeProfile,
+                   model: NonlinearityModel, eps_values: Sequence[float],
+                   offset: float, opts: SolveOptions) -> List[tuple]:
+    """Rows (eps, theta, bump, estimate): the radial level and a two-bump
+    energy estimate at each eps.
 
-    ``bump`` is a solve result (its ``energy`` and radial ``field``) for
-    the constant charge ``rho``.  The copies add their energies and
-    interact through the exact exterior Coulomb cross term of their
-    charges, which holds while their supports stay disjoint.
+    theta and the solve result bump are descents from gaussian(30, 1.2)
+    under the rescaled profile and under the constant charge rho it takes
+    at ``offset``.  Two copies of the bump 2 * offset apart add their
+    energies and interact through the exact exterior Coulomb cross term
+    of their charges, which holds while their supports stay disjoint.
     """
-    charge = rho * l2_norm_sq(bump.field)
-    cross = charge * charge / (4.0 * math.pi * 2.0 * offset)
-    return 2.0 * bump.energy + 0.5 * cross
+    rows = []
+    for eps in eps_values:
+        prof_eps = profile.scaled(eps)
+        theta = minimize(RadialField.gaussian(grid, 30.0, 1.2), prof_eps,
+                         model, opts).energy
+        rho = float(prof_eps.at_radius(offset))
+        bump = minimize(RadialField.gaussian(grid, 30.0, 1.2),
+                        ChargeProfile.constant(rho), model, opts)
+        charge = rho * l2_norm_sq(bump.field)
+        cross = charge * charge / (4.0 * math.pi * 2.0 * offset)
+        rows.append((eps, theta, bump, 2.0 * bump.energy + 0.5 * cross))
+    return rows

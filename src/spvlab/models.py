@@ -18,6 +18,7 @@ integrating m over the sublevel set {rho < d0}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -28,7 +29,7 @@ from scipy import integrate, optimize
 SQRT8 = math.sqrt(8.0)
 
 _MODEL_KINDS = ("pure-power", "asymptotically-linear", "table")
-_PROFILE_KINDS = ("constant", "radial")
+_PROFILE_KINDS = ("constant", "rational")
 
 
 class ModelError(ValueError):
@@ -46,7 +47,8 @@ class NonlinearityModel:
     f vanishes on s <= 0 and grows like a_q * s^(q-1) at infinity with
     2 <= q < 3 (a_q > 1 required when q = 2).  The fitted constants p, C0
     (bound f(s) <= s/4 + C0 s^(p-1)) and C1 (bound F(s) <= s^2/2 + C1 s^3)
-    are optional until ``with_constants`` is called.
+    are optional until ``with_constants`` is called.  A model compares and
+    hashes by value; its tables are read-only copies of the caller's.
     """
 
     kind: str
@@ -56,24 +58,30 @@ class NonlinearityModel:
     C0: Optional[float] = None
     C1: Optional[float] = None
     # tabulated models only: monotone sample points of f
-    table_s: Optional[np.ndarray] = field(default=None, repr=False)
-    table_f: Optional[np.ndarray] = field(default=None, repr=False)
+    table_s: Optional[np.ndarray] = field(default=None, repr=False,
+                                          compare=False)
+    table_f: Optional[np.ndarray] = field(default=None, repr=False,
+                                          compare=False)
+    # the tables' bytes, which stand in for them in == and hash
+    _tables: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _MODEL_KINDS:
             raise ModelError(f"unknown nonlinearity kind {self.kind!r}")
         # a table is checked first: from_csv derives q and a_q from it
         if self.kind == "table":
-            s = np.asarray(self.table_s, dtype=float)
-            fs = np.asarray(self.table_f, dtype=float)
+            s = np.array(self.table_s, dtype=float)
+            fs = np.array(self.table_f, dtype=float)
             if s.ndim != 1 or s.shape != fs.shape or len(s) < 2:
                 raise ModelError("table model needs two equal-length columns")
             if not (np.all(np.isfinite(s)) and np.all(np.isfinite(fs))):
                 raise ModelError("table values must be finite")
             if np.any(np.diff(s) <= 0):
                 raise ModelError("table abscissae must be strictly increasing")
+            s.flags.writeable = fs.flags.writeable = False
             object.__setattr__(self, "table_s", s)
             object.__setattr__(self, "table_f", fs)
+            object.__setattr__(self, "_tables", (s.tobytes(), fs.tobytes()))
         if not (2.0 <= self.q < 3.0):
             raise ModelError(f"exponent q={self.q} outside [2, 3)")
         if self.q == 2.0 and self.a_q <= 1.0:
@@ -98,9 +106,7 @@ class NonlinearityModel:
     def from_table(s: np.ndarray, f: np.ndarray, q: float,
                    a_q: float) -> "NonlinearityModel":
         """User-supplied sampled f; linear interpolation between samples."""
-        return NonlinearityModel(kind="table", q=q, a_q=a_q,
-                                 table_s=np.asarray(s, dtype=float),
-                                 table_f=np.asarray(f, dtype=float))
+        return NonlinearityModel("table", q, a_q, table_s=s, table_f=f)
 
     @staticmethod
     def from_csv(path) -> "NonlinearityModel":
@@ -109,6 +115,9 @@ class NonlinearityModel:
         The growth exponent is estimated from the last decade of the table.
         """
         data = np.loadtxt(path, delimiter=",", ndmin=2)
+        if data.shape[1] < 2:
+            raise ModelError("table CSV needs two columns (s, f(s)), got "
+                             f"{data.shape[1]}")
         s, fs = data[:, 0], data[:, 1]
         # checked before the growth fit, which a NaN or inf would derail
         if not np.all(np.isfinite(data[:, :2])):
@@ -155,6 +164,7 @@ def eval_F(model: NonlinearityModel, s):
     return out if arr.ndim else float(out)
 
 
+@functools.lru_cache(maxsize=8)
 def _table_antiderivative(model: NonlinearityModel) -> Callable:
     s, fs = model.table_s, model.table_f
     if s[0] > 0.0:
@@ -299,7 +309,11 @@ def pointwise_energy_floor(rho_x: float, c0: float, p: float) -> float:
 
     Zero when rho(x) >= d0 (infimum at s = 0), strictly negative below d0.
     """
-    d0 = critical_charge_threshold(c0, p)
+    return _energy_floor(rho_x, c0, p, critical_charge_threshold(c0, p))
+
+
+def _energy_floor(rho_x: float, c0: float, p: float, d0: float) -> float:
+    """``pointwise_energy_floor`` with the threshold d0 already solved."""
     if rho_x >= d0:
         return 0.0
 
@@ -324,16 +338,17 @@ def pointwise_energy_floor(rho_x: float, c0: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class ChargeProfile:
-    """A positive charge density rho on R^3.
+    """A positive radial charge density rho on R^3, held as its parameters.
 
-    Every profile is radial: ``func`` is a vectorized function of the
-    radius r >= 0.  ``eps`` records the rescaling rho_eps(x) = rho(eps x).
+    ``kind`` "constant" is rho = rho0 = rho_inf, and "rational" is
+    rho(r) = rho0 + (rho_inf - rho0) r^2 / (1 + r^2); ``eps`` records the
+    rescaling rho_eps(x) = rho(eps x).  Equal parameters compare and hash
+    equal, and a profile pickles.
     """
 
     kind: str
-    func: Callable = field(repr=False)
-    rho_min: float = 0.0
-    rho_inf: float = 0.0
+    rho0: float
+    rho_inf: float
     eps: float = 1.0
 
     def __post_init__(self):
@@ -346,14 +361,17 @@ class ChargeProfile:
         if not 0.0 < self.eps < math.inf:
             raise ModelError("scaling parameter must be positive and finite")
 
+    @property
+    def rho_min(self) -> float:
+        return min(self.rho0, self.rho_inf)
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def constant(value: float) -> "ChargeProfile":
         if value <= 0.0:
             raise ModelError("constant charge must be positive")
-        return ChargeProfile(kind="constant", func=lambda r: np.full_like(
-            np.asarray(r, dtype=float), value), rho_min=value, rho_inf=value)
+        return ChargeProfile(kind="constant", rho0=value, rho_inf=value)
 
     @staticmethod
     def rational(rho0: float, rho_inf: float) -> "ChargeProfile":
@@ -361,20 +379,19 @@ class ChargeProfile:
         # rho_min and rho_inf do not show an infinite rho0 above rho_inf
         if not math.isfinite(rho0):
             raise ModelError("rho0 must be finite")
-
-        def func(r):
-            r = np.asarray(r, dtype=float)
-            return rho0 + (rho_inf - rho0) * r ** 2 / (1.0 + r ** 2)
-        return ChargeProfile(kind="radial", func=func,
-                             rho_min=min(rho0, rho_inf),
-                             rho_inf=rho_inf)
+        return ChargeProfile(kind="rational", rho0=rho0, rho_inf=rho_inf)
 
     # -- evaluation ---------------------------------------------------------
 
     def at_radius(self, r):
         """rho at radius r; applies the eps scaling."""
         r = np.asarray(r, dtype=float)
-        out = np.asarray(self.func(self.eps * r), dtype=float)
+        x = self.eps * r
+        if self.kind == "constant":
+            out = np.full_like(x, self.rho0)
+        else:
+            out = (self.rho0
+                   + (self.rho_inf - self.rho0) * x ** 2 / (1.0 + x ** 2))
         return out if r.ndim else float(out)
 
     def scaled(self, eps: float) -> "ChargeProfile":
@@ -440,7 +457,7 @@ def coercivity_floor(profile: ChargeProfile, c0: float,
     measure = 0.0
     for a, b in segments:
         val, _ = integrate.quad(
-            lambda r: pointwise_energy_floor(profile.at_radius(r), c0, p)
+            lambda r: _energy_floor(profile.at_radius(r), c0, p, d0)
             * 4.0 * math.pi * r ** 2, a, b, limit=200)
         floor += val
         measure += 4.0 * math.pi / 3.0 * (b ** 3 - a ** 3)

@@ -128,6 +128,9 @@ class RadialField:
     @staticmethod
     def from_csv(path) -> "RadialField":
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] < 2:
+            raise DiscretizationError("field CSV needs two columns (r, u), "
+                                      f"got {data.shape[1]}")
         r, u = data[:, 0], data[:, 1]
         n = len(r) - 1
         grid = RadialGrid(r_max=float(r[-1]), n=n)

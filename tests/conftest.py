@@ -4,6 +4,8 @@ import multiprocessing
 
 import pytest
 
+from spvlab import landscape
+
 
 # pyproject.toml turns an exception escaping a thread into a failure of
 # the test that started it; this does the same for a child process that
@@ -41,3 +43,14 @@ def count_calls(monkeypatch):
         return calls
 
     return wrap
+
+
+@pytest.fixture
+def fresh_scan_cache():
+    """Empty the threshold scan's cache before and after the test.
+
+    Yields the cached scan, whose ``cache_info()`` a test can read.
+    """
+    landscape._scan_bounds.cache_clear()
+    yield landscape._scan_bounds
+    landscape._scan_bounds.cache_clear()

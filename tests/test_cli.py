@@ -358,6 +358,19 @@ class TestRunAndMain:
         err = json.loads(lines[0])
         assert err["error"] == "ConfigError" and key in err["message"]
 
+    def test_main_rejects_one_column_table(self, tmp_path, capsys):
+        csv = tmp_path / "f.csv"
+        csv.write_text("0\n1\n2\n")
+        path = _write(tmp_path, {"schema": SCHEMA_VERSION,
+                                 "model": {"kind": "table", "csv": str(csv)}})
+        code = main(["verify-lemmas", "--config", path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ModelError" and "got 1" in err["message"]
+
     def test_main_reports_failing_verdicts(self, tmp_path, monkeypatch,
                                             capsys):
         import spvlab.cli as cli
@@ -437,10 +450,9 @@ def test_zero_gradient_tolerance_exits_2_before_any_solve(tmp_path,
     assert "tol_grad_abs" in json.loads(lines[0])["message"]
 
 
+@pytest.mark.usefixtures("fresh_scan_cache")
 def test_uniqueness_scan_runs_no_threshold_scan(tmp_path, monkeypatch):
     # the scenario reads only the closed-form derivative-threshold bound
-    from collections import OrderedDict
-
     import spvlab.landscape as lsc
     calls = []
     self_energy = lsc.coulomb_self_energy
@@ -449,7 +461,6 @@ def test_uniqueness_scan_runs_no_threshold_scan(tmp_path, monkeypatch):
         calls.append(u)
         return self_energy(u)
 
-    monkeypatch.setattr(lsc, "_BOUNDS_MEMO", OrderedDict())
     monkeypatch.setattr(lsc, "coulomb_self_energy", counted)
     path = _write(tmp_path, {"schema": SCHEMA_VERSION,
                              "radial_grid": {"n": 512},

@@ -1,7 +1,6 @@
 """Tests for threshold bounds, the cutoff, and multibump assembly."""
 
 import math
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -174,9 +173,9 @@ class TestLambdaBounds:
         assert bounds.lambda0_upper > 0.0
         assert lsc.lambdabar0_upper_bound(model) > 0.0
 
-    def test_one_poisson_solve_per_width(self, monkeypatch, count_calls):
-        # these are the default grids: count a real scan, not a memo hit
-        monkeypatch.setattr(lsc, "_BOUNDS_MEMO", OrderedDict())
+    @pytest.mark.usefixtures("fresh_scan_cache")
+    def test_one_poisson_solve_per_width(self, count_calls):
+        # these are the default grids: count a real scan, not a cache hit
         calls = count_calls(lsc, "coulomb_self_energy")
         sigmas = np.geomspace(0.4, 12.0 / 5.3, 24)
         ts = np.geomspace(1.0, 1e3, 160)
@@ -188,10 +187,10 @@ class TestLambdaBounds:
         assert len(calls) <= len(sigmas) + 20
         assert len(calls) < 0.02 * len(sigmas) * len(ts)
 
+    @pytest.mark.usefixtures("fresh_scan_cache")
     def test_scan_evaluates_no_derivative_form(self, monkeypatch):
         # the lower bound needs int F alone; f enters the bounds only
         # through the closed-form fit behind the derivative upper bound
-        monkeypatch.setattr(lsc, "_BOUNDS_MEMO", OrderedDict())
         calls = []
 
         def counted(*args, **kwargs):
@@ -205,13 +204,10 @@ class TestLambdaBounds:
         assert len(calls) == 0
 
 
+@pytest.mark.usefixtures("fresh_scan_cache")
 class TestBoundsMemo:
     SIGMAS = np.geomspace(0.4, 2.2, 3)
     TS = np.geomspace(1.0, 1e3, 20)
-
-    @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(lsc, "_BOUNDS_MEMO", OrderedDict())
 
     def _scan(self, model=None, grid=None, sigmas=None, ts=None):
         return estimate_lambda_bounds(
@@ -247,9 +243,11 @@ class TestBoundsMemo:
         calls = count_calls(lsc, "coulomb_self_energy")
         self._scan(_table_model())
         assert len(calls) == 0
-        other = _table_model()
-        other.table_f[-1] *= 1.5
-        self._scan(other)
+        base = _table_model()
+        f = base.table_f.copy()
+        f[-1] *= 1.5
+        self._scan(NonlinearityModel.from_table(base.table_s, f, q=2.5,
+                                                a_q=1.0))
         assert len(calls) > 0
 
     def test_witnesses_are_read_only(self):
@@ -257,12 +255,13 @@ class TestBoundsMemo:
         with pytest.raises(ValueError):
             bounds.witness_a0.values[0] = 1.0
 
-    def test_memo_is_bounded(self, count_calls):
+    def test_memo_is_bounded(self, fresh_scan_cache, count_calls):
         grid = RadialGrid(12.0, 64)
-        family = [np.array([2.0 + k]) for k in range(lsc._BOUNDS_MEMO_SIZE + 1)]
+        size = fresh_scan_cache.cache_info().maxsize
+        family = [np.array([2.0 + k]) for k in range(size + 1)]
         for ts in family:
             self._scan(grid=grid, sigmas=[1.0], ts=ts)
-        assert len(lsc._BOUNDS_MEMO) == lsc._BOUNDS_MEMO_SIZE
+        assert fresh_scan_cache.cache_info().currsize == size
         calls = count_calls(lsc, "coulomb_self_energy")
         self._scan(grid=grid, sigmas=[1.0], ts=family[-1])
         assert len(calls) == 0

@@ -2,6 +2,7 @@
 
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import spvlab.models as mdl
 from spvlab.models import (ChargeProfile, ModelError, NonlinearityModel,
                            bracket_stationary_point, coercivity_floor,
                            critical_charge_threshold, energy_density_bracket,
@@ -151,6 +153,10 @@ class TestNonlinearityModel:
         assert_allclose(eval_f(model, mid),
                         0.5 * (f[10] + f[11]), rtol=1e-12)
 
+    def test_one_column_csv_is_rejected(self):
+        with pytest.raises(ModelError, match="two columns .* got 1"):
+            NonlinearityModel.from_csv(io.StringIO("0\n1\n2\n"))
+
     def test_table_requires_monotone(self):
         with pytest.raises(ModelError):
             NonlinearityModel.from_table([0.0, 2.0, 1.0], [0.0, 1.0, 2.0],
@@ -206,6 +212,60 @@ class TestPointwiseFloor:
         val = pointwise_energy_floor(0.5 * d0, 1.0, 2.5)
         assert val < 0.0
         assert math.isfinite(val)
+
+
+def _table(last=100.0):
+    s = np.linspace(0.0, 10.0, 50)
+    f = s ** 1.5
+    f[-1] = last
+    return NonlinearityModel.from_table(s, f, q=2.5, a_q=1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ChargeProfile.constant(2.0),
+    lambda: ChargeProfile.rational(0.1, 2.0),
+    lambda: ChargeProfile.rational(0.1, 2.0).scaled(0.25),
+    lambda: NonlinearityModel.pure_power(2.5),
+    lambda: NonlinearityModel.pure_power(2.5).with_constants(2.5),
+    _table,
+    lambda: _table().with_constants(2.5),
+], ids=["constant", "rational", "scaled", "pure-power", "fitted",
+        "table", "fitted-table"])
+def test_equal_inputs_are_equal_values(build):
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a)
+
+
+class TestModelValues:
+    def test_tables_differing_in_one_entry_are_unequal(self):
+        assert _table() != _table(last=101.0)
+        assert ChargeProfile.rational(0.1, 2.0) != ChargeProfile.rational(
+            0.1, 2.5)
+
+    def test_caller_writes_do_not_reach_the_model(self):
+        s = np.linspace(0.0, 10.0, 50)
+        f = s ** 1.5
+        model = NonlinearityModel.from_table(s, f, q=2.5, a_q=1.0)
+        before = eval_F(model, 9.9)
+        s[-1] = 20.0
+        f[:] = 0.0
+        assert model == _table(last=10.0 ** 1.5)
+        assert eval_F(model, 9.9) == before
+
+    def test_tables_are_read_only(self):
+        model = _table()
+        for table in (model.table_s, model.table_f):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_table_integrated_once_per_model(self):
+        mdl._table_antiderivative.cache_clear()
+        values = [eval_F(_table(), 3.0) for _ in range(3)]
+        assert values == [values[0]] * 3
+        assert mdl._table_antiderivative.cache_info().misses == 1
 
 
 class TestChargeProfile:
@@ -269,6 +329,22 @@ class TestCoercivityFloor:
         assert not floor.degenerate
         assert floor.floor < 0.0 and math.isfinite(floor.floor)
         assert floor.measure > 0.0
+
+    def test_threshold_solved_once(self, count_calls):
+        model = _model()
+        prof = ChargeProfile.rational(0.1, 2.0)
+        calls = count_calls(mdl, "critical_charge_threshold")
+        coercivity_floor(prof, model.C0, model.p)
+        assert len(calls) == 1
+
+    def test_floor_integrand_is_the_pointwise_floor(self):
+        # the integrand reuses one d0 and must match the public floor bit
+        # for bit, below the threshold and at and above it
+        model = _model()
+        d0 = critical_charge_threshold(model.C0, model.p)
+        for rho in (0.05, 0.3, 0.9 * d0, d0, 1.2 * d0):
+            assert (mdl._energy_floor(rho, model.C0, model.p, d0)
+                    == pointwise_energy_floor(rho, model.C0, model.p))
 
     def test_unbounded_sublevel_set_rejected(self):
         model = _model()

@@ -267,6 +267,12 @@ class TestFieldIO:
         assert_allclose(v.grid.r_max, grid.r_max)
         assert_allclose(v.values, u.values, rtol=1e-12)
 
+    def test_one_column_csv_is_rejected(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("r\n0\n1\n")
+        with pytest.raises(DiscretizationError, match="two columns"):
+            RadialField.from_csv(path)
+
     def test_decay_guard_warns(self):
         grid = _grid(n=256)
         with pytest.warns(RuntimeWarning):
