@@ -18,7 +18,6 @@ integrating m over the sublevel set {rho < d0}.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -89,6 +88,12 @@ class NonlinearityModel:
         if not 0.0 < self.a_q < math.inf:
             raise ModelError("asymptotic coefficient must be positive and "
                              "finite")
+
+    def __reduce__(self):
+        # rebuild through __init__: numpy unpickles arrays writeable
+        return (NonlinearityModel, (self.kind, self.q, self.a_q, self.p,
+                                    self.C0, self.C1, self.table_s,
+                                    self.table_f))
 
     # -- constructors -------------------------------------------------------
 
@@ -164,7 +169,6 @@ def eval_F(model: NonlinearityModel, s):
     return out if arr.ndim else float(out)
 
 
-@functools.lru_cache(maxsize=8)
 def _table_antiderivative(model: NonlinearityModel) -> Callable:
     s, fs = model.table_s, model.table_f
     if s[0] > 0.0:
@@ -354,10 +358,12 @@ class ChargeProfile:
     def __post_init__(self):
         if self.kind not in _PROFILE_KINDS:
             raise ModelError(f"unknown profile kind {self.kind!r}")
+        if not (math.isfinite(self.rho0) and math.isfinite(self.rho_inf)):
+            raise ModelError("rho must be finite")
         if self.rho_min <= 0.0:
             raise ModelError("rho must be bounded below by a positive number")
-        if not (math.isfinite(self.rho_min) and math.isfinite(self.rho_inf)):
-            raise ModelError("rho must be finite")
+        if self.kind == "constant" and self.rho0 != self.rho_inf:
+            raise ModelError("a constant profile needs rho0 == rho_inf")
         if not 0.0 < self.eps < math.inf:
             raise ModelError("scaling parameter must be positive and finite")
 
@@ -369,16 +375,11 @@ class ChargeProfile:
 
     @staticmethod
     def constant(value: float) -> "ChargeProfile":
-        if value <= 0.0:
-            raise ModelError("constant charge must be positive")
         return ChargeProfile(kind="constant", rho0=value, rho_inf=value)
 
     @staticmethod
     def rational(rho0: float, rho_inf: float) -> "ChargeProfile":
         """rho(r) = rho0 + (rho_inf - rho0) r^2 / (1 + r^2)."""
-        # rho_min and rho_inf do not show an infinite rho0 above rho_inf
-        if not math.isfinite(rho0):
-            raise ModelError("rho0 must be finite")
         return ChargeProfile(kind="rational", rho0=rho0, rho_inf=rho_inf)
 
     # -- evaluation ---------------------------------------------------------

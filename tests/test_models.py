@@ -237,6 +237,9 @@ def test_equal_inputs_are_equal_values(build):
     assert a == b and hash(a) == hash(b)
     copy = pickle.loads(pickle.dumps(a))
     assert copy == a and hash(copy) == hash(a)
+    if getattr(copy, "kind", None) == "table":
+        assert not copy.table_s.flags.writeable
+        assert not copy.table_f.flags.writeable
 
 
 class TestModelValues:
@@ -261,12 +264,6 @@ class TestModelValues:
             with pytest.raises(ValueError):
                 table[0] = 1.0
 
-    def test_table_integrated_once_per_model(self):
-        mdl._table_antiderivative.cache_clear()
-        values = [eval_F(_table(), 3.0) for _ in range(3)]
-        assert values == [values[0]] * 3
-        assert mdl._table_antiderivative.cache_info().misses == 1
-
 
 class TestChargeProfile:
     def test_constant(self):
@@ -284,6 +281,11 @@ class TestChargeProfile:
         prof = ChargeProfile.rational(0.1, 2.0).scaled(0.5)
         base = ChargeProfile.rational(0.1, 2.0)
         assert_allclose(prof.at_radius(4.0), base.at_radius(2.0))
+
+    def test_constant_kind_needs_one_value(self):
+        with pytest.raises(ModelError, match="rho0 == rho_inf"):
+            ChargeProfile("constant", 1.0, 2.0)
+        assert ChargeProfile("constant", 2.0, 2.0) == ChargeProfile.constant(2.0)
 
     def test_positivity_required(self):
         with pytest.raises(ModelError):
