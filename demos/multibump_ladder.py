@@ -7,7 +7,7 @@ plus controlled Coulomb cross terms.  The ladder J(w_N) decreases
 linearly in N, which is how one shows the full-space infimum is not
 attained for slowly varying charge profiles.
 
-Run:  python3 demos/multibump_ladder.py   (about a minute on one core)
+Run:  python3 demos/multibump_ladder.py   (a few seconds)
 """
 
 import math
@@ -15,9 +15,10 @@ import warnings
 
 import numpy as np
 
-from spvlab.landscape import estimate_lambda_bounds, multibump_sweep
+from spvlab.landscape import (estimate_lambda_bounds, multibump_sweep,
+                              tapered_ball_start)
 from spvlab.models import ChargeProfile, NonlinearityModel
-from spvlab.radial import RadialField, RadialGrid
+from spvlab.radial import RadialGrid
 from spvlab.solvers import SolveOptions, minimize
 
 
@@ -32,14 +33,10 @@ def main():
 
     # a negative-energy bump confined to a ball of radius R0
     rho_auto = ChargeProfile.constant(math.sqrt(lam))
-    taper = np.clip((r0 - grid.r) / 0.5, 0.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        start = RadialField(
-            grid, 13.0 * np.exp(-grid.r ** 2 / (2 * 1.65 ** 2)) * taper)
-        bump = minimize(start, rho_auto, model, SolveOptions(tol_grad=1e-6),
-                        support_radius=r0).field
-    single = None
+        bump = minimize(tapered_ball_start(grid, r0), rho_auto, model,
+                        SolveOptions(tol_grad=1e-6), support_radius=r0).field
 
     # slowly varying charge: the rescaled profile stays below
     # sqrt(lambda) on the ball holding every bump

@@ -7,7 +7,7 @@ certifies a coupling from the threshold bounds, descends to the
 minimizer, runs the path-deformation saddle search, and writes both
 radial profiles.
 
-Run:  python3 demos/two_solutions.py   (about a minute on one core)
+Run:  python3 demos/two_solutions.py   (a few seconds)
 """
 
 import math
@@ -38,8 +38,7 @@ def main():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         start = RadialField.gaussian(grid, 30.0, 1.2)
-        low = minimize(start, rho, model,
-                       SolveOptions(tol_grad=1e-6, tol_grad_abs=1e-6))
+        low = minimize(start, rho, model, SolveOptions(tol_grad_abs=1e-6))
     print(f"minimizer:     J = {low.energy:12.4f}   "
           f"residual = {low.gradient_norm:.2e}   "
           f"({low.iterations} iterations, {low.classification})")
@@ -47,8 +46,7 @@ def main():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         saddle = mountain_pass(low.field, rho, model,
-                               SolveOptions(tol_grad=1e-6,
-                                            tol_grad_abs=1e-5))
+                               SolveOptions(tol_grad_abs=1e-5))
     print(f"mountain pass: J = {saddle.energy:12.4f}   "
           f"residual = {saddle.gradient_norm:.2e}   "
           f"({saddle.iterations} iterations, {saddle.classification})")

@@ -39,9 +39,9 @@ from .models import (ChargeProfile, ModelError, NonlinearityModel,
 SCHEMA_VERSION = 1
 
 # the optional config entries each scenario reads, by dotted name, with
-# their types (a list is checked by the scenario body); a config entry
+# their types ([t]: a non-empty list of t), all positive; a config entry
 # neither listed for its scenario nor in _READ_BY_ALL is rejected
-_SCENARIO_ENTRIES: Dict[str, Dict[str, Callable]] = {
+_SCENARIO_ENTRIES: Dict[str, Dict[str, object]] = {
     "verify-lemmas": {"options.n_fields": int},
     "autonomous": {"lambda": float, "solver.max_iter": int,
                    "solver.n_starts": int},
@@ -49,12 +49,12 @@ _SCENARIO_ENTRIES: Dict[str, Dict[str, Callable]] = {
     "ground-state": {"lambda": float, "solver.max_iter": int,
                      "solver.n_starts": int},
     "multibump": {"lambda": float, "solver.max_iter": int,
-                  "options.R0": float, "options.bump_counts": list},
+                  "options.R0": float, "options.bump_counts": [int]},
     "symmetry-breaking": {"lambda": float, "cube_grid.L": float,
-                          "cube_grid.n": int, "solver.tol_grad_abs": float,
-                          "solver.max_iter": int, "solver.n_starts": int,
-                          "options.bump_offset": float,
-                          "options.refine_n": int, "options.eps_sweep": list},
+                          "cube_grid.n": int, "options.refine_n": int,
+                          "solver.tol_grad_abs": float, "solver.n_starts": int,
+                          "solver.max_iter": int, "options.bump_offset": float,
+                          "options.eps_sweep": [float]},
 }
 SCENARIOS = tuple(_SCENARIO_ENTRIES)
 
@@ -95,10 +95,9 @@ class ScenarioConfig:
     model: NonlinearityModel
     profile: Optional[ChargeProfile]
     lam: Optional[float]
-    radial_r_max: float
-    radial_n: int
-    cube_L: float
-    cube_n: int
+    radial_grid: rad.RadialGrid
+    cube_grid: f3d.Grid3D
+    refine_grid: f3d.Grid3D  # symmetry-breaking's error-bar cube
     solver: Dict[str, float]
     options: Dict[str, object]
     seed: int
@@ -112,10 +111,10 @@ def _required(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _number(value, name: str, convert: Callable):
+def _number(value, name: str, convert: Callable, positive: bool):
     """``convert(value)``, int or float, for the config entry ``name``;
-    a JSON value that is not a finite number, or not an integral one
-    where ``convert`` is int, raises ConfigError naming it."""
+    a value that is not a finite number, not integral where ``convert``
+    is int, or not positive where ``positive`` is set raises ConfigError."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = convert(value)
@@ -125,6 +124,9 @@ def _number(value, name: str, convert: Callable):
             # int() raises on NaN and inf but truncates 600.9 to 600
             if (math.isfinite(number) if convert is float
                     else number == value):
+                if positive and number <= 0:
+                    raise ConfigError(f"{name} must be positive, "
+                                      f"got {json.dumps(value)}")
                 return number
     what = "an integer" if convert is int else "a finite number"
     raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
@@ -132,8 +134,8 @@ def _number(value, name: str, convert: Callable):
 
 def _entries(doc: dict, scenario: str) -> Dict[str, dict]:
     """The entries of ``doc`` by section ("" for the top level), each
-    number converted to its type (a null entry or section counts as
-    absent); an entry the scenario does not read raises ConfigError."""
+    converted to its type (a null entry or section counts as absent); an
+    entry the scenario does not read raises ConfigError."""
     types = {**_READ_BY_ALL, **_SCENARIO_ENTRIES[scenario]}
     given = {k: v for k, v in doc.items() if k not in _SECTIONS}
     for key in _SECTIONS:
@@ -147,10 +149,17 @@ def _entries(doc: dict, scenario: str) -> Dict[str, dict]:
                           f"entries: {', '.join(unread)}")
     out = {section: {} for section in ("",) + _SECTIONS}
     for name, value in given.items():
-        if value is not None:
-            section, _, key = name.rpartition(".")
-            out[section][key] = (value if types[name] in (None, list)
-                                 else _number(value, name, types[name]))
+        if value is None:
+            continue
+        kind, positive = types[name], name in _SCENARIO_ENTRIES[scenario]
+        if isinstance(kind, list):
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"{name} must be a non-empty list")
+            value = [_number(v, name, kind[0], positive) for v in value]
+        elif kind is not None:
+            value = _number(value, name, kind, positive)
+        section, _, key = name.rpartition(".")
+        out[section][key] = value
     return out
 
 
@@ -174,17 +183,25 @@ def _build_model(doc: dict) -> NonlinearityModel:
     return model.with_constants(p)
 
 
+# the entries that hold rho0 and rho_inf, per config profile kind
+_PROFILE_LEVELS = {"constant": ("value", "value"),
+                   "rational": ("rho0", "rho_inf")}
+
+
 def _build_profile(doc: dict) -> ChargeProfile:
-    kind = doc.get("kind")
-    if kind == "constant":
-        prof = ChargeProfile.constant(_required(doc, "value", "profile"))
-    elif kind == "rational":
-        prof = ChargeProfile.rational(_required(doc, "rho0", "profile"),
-                                      _required(doc, "rho_inf", "profile"))
-    else:
-        raise ConfigError(f"unknown profile kind {kind!r}")
-    eps = doc.get("eps", 1.0)
-    return prof.scaled(eps) if eps != 1.0 else prof
+    levels = _PROFILE_LEVELS.get(doc.get("kind"))
+    if levels is None:
+        raise ConfigError(f"unknown profile kind {doc.get('kind')!r}")
+    return ChargeProfile(*(_required(doc, key, "profile") for key in levels),
+                         eps=doc.get("eps", 1.0))
+
+
+def _grid(name: str, grid_type: Callable, *args):
+    """``grid_type(*args)``, whose DiscretizationError names ``name``."""
+    try:
+        return grid_type(*args)
+    except rad.DiscretizationError as exc:
+        raise rad.DiscretizationError(f"{name}: {exc}") from None
 
 
 def load_config(scenario: str, config_path: Optional[str] = None,
@@ -212,6 +229,9 @@ def load_config(scenario: str, config_path: Optional[str] = None,
 
     entries = _entries(doc, scenario)
     rg, cg = entries["radial_grid"], entries["cube_grid"]
+    sweep = entries["options"].get("eps_sweep", [])
+    if sweep != sorted(sweep, reverse=True):
+        raise ConfigError("options.eps_sweep must be positive and decreasing")
 
     model = _build_model(entries["model"])
     profile = (None if doc.get("profile") is None
@@ -224,21 +244,23 @@ def load_config(scenario: str, config_path: Optional[str] = None,
     # default coupling each bump spans a radius-12 ball, so this scenario
     # needs a box large enough to hold two of them side by side
     default_extent = 18.0 if scenario == "symmetry-breaking" else 12.0
-    radial_grid = {"r_max": rg.get("r_max", default_extent),
-                   "n": rg.get("n", scale["radial_n"])}
+    radial_grid = _grid("radial_grid", rad.RadialGrid,
+                        rg.get("r_max", default_extent),
+                        rg.get("n", scale["radial_n"]))
     # echoed by every report, as the default where the scenario has no cube
-    cube_grid = {"L": cg.get("L", default_extent),
-                 "n": cg.get("n", scale["cube_n"])}
+    cube_grid = _grid("cube_grid", f3d.Grid3D, cg.get("L", default_extent),
+                      cg.get("n", scale["cube_n"]))
 
     return ScenarioConfig(
         scenario=scenario,
         model=model,
         profile=profile,
         lam=entries[""].get("lambda"),
-        radial_r_max=radial_grid["r_max"],
-        radial_n=radial_grid["n"],
-        cube_L=cube_grid["L"],
-        cube_n=cube_grid["n"],
+        radial_grid=radial_grid,
+        cube_grid=cube_grid,
+        refine_grid=_grid("options.refine_n", f3d.Grid3D, cube_grid.L,
+                          entries["options"].get("refine_n",
+                                                 cube_grid.n + 32)),
         solver=entries["solver"],
         options=entries["options"],
         seed=resolved_seed,
@@ -248,8 +270,8 @@ def load_config(scenario: str, config_path: Optional[str] = None,
             "model": doc.get("model") or {**_DEFAULT_MODEL, "p": model.p},
             "profile": doc.get("profile"),
             "lambda": doc.get("lambda"),
-            "radial_grid": radial_grid,
-            "cube_grid": cube_grid,
+            "radial_grid": {"r_max": radial_grid.r_max, "n": radial_grid.n},
+            "cube_grid": {"L": cube_grid.L, "n": cube_grid.n},
             "solver": doc.get("solver") or {},
             "options": doc.get("options") or {},
             "seed": resolved_seed,
@@ -323,10 +345,6 @@ def _solve_summary(r: slv.SolveResult, *extra: str) -> dict:
 # Shared scenario plumbing
 # ---------------------------------------------------------------------------
 
-def _radial_grid(cfg: ScenarioConfig) -> rad.RadialGrid:
-    return rad.RadialGrid(cfg.radial_r_max, cfg.radial_n)
-
-
 def _opts(cfg: ScenarioConfig, **overrides) -> slv.SolveOptions:
     kw = {"seed": cfg.seed}
     if "max_iter" in cfg.solver:
@@ -346,15 +364,6 @@ def _resolve_lambda(cfg: ScenarioConfig, bound: Optional[float]) -> float:
     return 2.0 * bound
 
 
-def _option_list(cfg: ScenarioConfig, key: str, default: list,
-                 convert: Callable) -> list:
-    """A non-empty list option, each entry converted."""
-    raw = cfg.options.get(key, default)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"options.{key} must be a non-empty list")
-    return [_number(v, f"options.{key}", convert) for v in raw]
-
-
 def _random_fields(grid: rad.RadialGrid, count: int, seed: int
                    ) -> List[rad.RadialField]:
     """Deterministic family of smooth decaying radial fields."""
@@ -368,20 +377,6 @@ def _random_fields(grid: rad.RadialGrid, count: int, seed: int
             v = v + rng.normal() * np.exp(-((grid.r - c) / s) ** 2)
         out.append(rad.RadialField(grid, rng.uniform(0.1, 5.0) * np.abs(v)))
     return out
-
-
-def _tapered_ball_start(grid: rad.RadialGrid,
-                        radius: float) -> rad.RadialField:
-    """Gaussian bump smoothly cut to zero at the given support radius."""
-    return _taper_to_support(rad.RadialField.gaussian(grid, 13.0, 1.65),
-                             0.5 * radius, radius)
-
-
-def _taper_to_support(u: rad.RadialField, r0: float,
-                      r1: float) -> rad.RadialField:
-    """Smoothly cut a radial field to zero beyond r1 (smoothstep on
-    [r0, r1]) so it can be embedded in a finite box."""
-    return rad.RadialField(u.grid, u.values * lsc.smoothstep(u.grid.r, r0, r1))
 
 
 def _trilinear_resample(values: np.ndarray, grid_from: f3d.Grid3D,
@@ -437,7 +432,7 @@ def _scenario_verify_lemmas(cfg: ScenarioConfig):
         sign_ok = sign_ok and ok
         sign_rows.append({"factor": factor, "bracket_min": m, "ok": ok})
 
-    grid = _radial_grid(cfg)
+    grid = cfg.radial_grid
     n_fields = cfg.options.get("n_fields", 100)
     fields = _random_fields(grid, n_fields, cfg.seed)
     unit_profile = ChargeProfile.constant(1.0)
@@ -483,7 +478,7 @@ def _scenario_verify_lemmas(cfg: ScenarioConfig):
 
 
 def _scenario_autonomous(cfg: ScenarioConfig):
-    grid = _radial_grid(cfg)
+    grid = cfg.radial_grid
     model = cfg.model
     bounds = lsc.estimate_lambda_bounds(model, grid)
     lam = _resolve_lambda(cfg, bounds.lambda0_lower)
@@ -551,7 +546,7 @@ def _scenario_autonomous(cfg: ScenarioConfig):
 
 
 def _scenario_uniqueness_scan(cfg: ScenarioConfig):
-    grid = _radial_grid(cfg)
+    grid = cfg.radial_grid
     model = cfg.model
     bar = lsc.lambdabar0_upper_bound(model)
     lam = _resolve_lambda(cfg, bar)
@@ -605,7 +600,7 @@ def _scenario_uniqueness_scan(cfg: ScenarioConfig):
 
 
 def _scenario_ground_state(cfg: ScenarioConfig):
-    grid = _radial_grid(cfg)
+    grid = cfg.radial_grid
     model = cfg.model
     profile = cfg.profile or ChargeProfile.rational(0.04, 2.0).scaled(1.0 / 32.0)
     lam_for_check = cfg.lam if cfg.lam is not None else 1.0
@@ -660,14 +655,14 @@ def _scenario_ground_state(cfg: ScenarioConfig):
 
 def _scenario_multibump(cfg: ScenarioConfig):
     R0 = cfg.options.get("R0", 3.5)
-    counts = _option_list(cfg, "bump_counts", [1, 2, 3, 4, 5], int)
-    grid = _radial_grid(cfg)
+    counts = cfg.options.get("bump_counts", [1, 2, 3, 4, 5])
+    grid = cfg.radial_grid
     model = cfg.model
     bounds = lsc.estimate_lambda_bounds(model, grid)
     lam = _resolve_lambda(cfg, bounds.lambda0_lower)
     profile = cfg.profile or ChargeProfile.rational(0.04, 2.0).scaled(1.0 / 16.0)
 
-    start = _tapered_ball_start(grid, R0)
+    start = lsc.tapered_ball_start(grid, R0)
     bump = slv.minimize(start, ChargeProfile.constant(math.sqrt(lam)),
                         model, _opts(cfg, tol_grad_abs=1e-6),
                         support_radius=R0)
@@ -716,15 +711,11 @@ def _scenario_multibump(cfg: ScenarioConfig):
 
 
 def _scenario_symmetry_breaking(cfg: ScenarioConfig):
-    eps_sweep = _option_list(
-        cfg, "eps_sweep", [0.05, 0.025, 0.0125, 0.00625, 0.003125], float)
-    if any(e <= 0.0 for e in eps_sweep) or eps_sweep != sorted(
-            eps_sweep, reverse=True):
-        raise ConfigError("options.eps_sweep must be positive and decreasing")
+    eps_sweep = cfg.options.get(
+        "eps_sweep", [0.05, 0.025, 0.0125, 0.00625, 0.003125])
     offset = cfg.options.get("bump_offset", 7.0)
     n_starts = cfg.solver.get("n_starts", 4)
-    # the 3-D descents' options, built first so that a bad solver entry
-    # fails before any solve; the two-bump start is assembled from
+    # the 3-D descents' options: the two-bump start is assembled from
     # converged radial pieces and already sits below the radial level,
     # and a modest number of 3-D relaxation steps keeps the scenario
     # inside its time budget
@@ -732,7 +723,7 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
                   tol_grad_abs=cfg.solver.get("tol_grad_abs"),
                   max_iter=cfg.solver.get("max_iter", 120))
 
-    grid = _radial_grid(cfg)
+    grid = cfg.radial_grid
     model = cfg.model
     bounds = lsc.estimate_lambda_bounds(model, grid)
     lam = _resolve_lambda(cfg, bounds.lambda0_lower)
@@ -764,18 +755,18 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
 
     # full 3-D run at the chosen eps: one centered start (the radial
     # minimizer) and one two-bump start
-    grid3 = f3d.Grid3D(cfg.cube_L, cfg.cube_n)
+    grid3 = cfg.cube_grid
     # exponential tails overflow the box at the support tolerance;
     # taper them smoothly before embedding (the energy shift is far
     # below the discretization error and the descent relaxes it)
     margin = grid3.L - 2.0 * grid3.h
     centered = f3d.embed_radial(
-        _taper_to_support(theta_res.field, margin - 2.5, margin - 0.5),
+        lsc.taper_to_support(theta_res.field, margin - 2.5, margin - 0.5),
         grid3)
     starts3 = [centered]
     if local is not None:
         r1 = margin - offset - 0.5
-        bump = _taper_to_support(local.field, max(r1 - 2.0, 1.0), r1)
+        bump = lsc.taper_to_support(local.field, max(r1 - 2.0, 1.0), r1)
         up = f3d.embed_radial(bump, grid3, center=(0.0, 0.0, offset))
         dn = f3d.embed_radial(bump, grid3, center=(0.0, 0.0, -offset))
         starts3.append(f3d.Field3D(grid3, up.values + dn.values))
@@ -790,14 +781,12 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
     alpha_cube = best3.energy
 
     # discretization error: re-evaluate both fields on a refined cube
-    n_ref = cfg.options.get("refine_n", cfg.cube_n + 32)
-    grid_ref = f3d.Grid3D(cfg.cube_L, n_ref)
     alpha_ref = f3d.energy_3d(
-        f3d.Field3D(grid_ref, _trilinear_resample(
-            best3.field.values, grid3, grid_ref)), prof_eps, model)
+        f3d.Field3D(cfg.refine_grid, _trilinear_resample(
+            best3.field.values, grid3, cfg.refine_grid)), prof_eps, model)
     theta_ref = f3d.energy_3d(
-        f3d.Field3D(grid_ref, _trilinear_resample(
-            centered.values, grid3, grid_ref)), prof_eps, model)
+        f3d.Field3D(cfg.refine_grid, _trilinear_resample(
+            centered.values, grid3, cfg.refine_grid)), prof_eps, model)
     disc_err = abs(alpha_ref - alpha_cube) + abs(theta_ref - theta_cube)
     margin = theta_cube - alpha_cube
 

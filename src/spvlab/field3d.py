@@ -332,12 +332,14 @@ def sobolev_gradient_3d(u: Field3D, profile: ChargeProfile,
                         model: NonlinearityModel) -> Field3D:
     """H^1-Riesz representative of the energy derivative at u.
 
-    The Riesz solve inverts the periodic spectral (-Delta + 1); with the
+    The Riesz solve inverts the periodic spectral (-Delta + 1); with u's
     decay guard active this is a faithful metric for descent, and the
     returned g satisfies <g, v>_H1 = dJ(u)[v] exactly for the discrete J.
+    Like a potential, g skips the decay guard: it decays only like e^-r.
     """
     disc = CubeDisc(u.grid, profile, model)
-    return Field3D(u.grid, disc.riesz(u.values, disc.potential(u.values)))
+    return Field3D(u.grid, disc.riesz(u.values, disc.potential(u.values)),
+                   guard=False)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,17 @@ def smoothstep(r, r0: float, r1: float):
     return 1.0 - x * x * (3.0 - 2.0 * x)
 
 
+def taper_to_support(u: RadialField, r0: float, r1: float) -> RadialField:
+    """u cut smoothly to zero beyond r1 (smoothstep on [r0, r1])."""
+    return RadialField(u.grid, u.values * smoothstep(u.grid.r, r0, r1))
+
+
+def tapered_ball_start(grid: RadialGrid, radius: float) -> RadialField:
+    """Gaussian bump smoothly cut to zero at the given support radius."""
+    return taper_to_support(RadialField.gaussian(grid, 13.0, 1.65),
+                            0.5 * radius, radius)
+
+
 # ---------------------------------------------------------------------------
 # Multibump assembly
 # ---------------------------------------------------------------------------

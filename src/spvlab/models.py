@@ -28,7 +28,6 @@ from scipy import integrate, optimize
 SQRT8 = math.sqrt(8.0)
 
 _MODEL_KINDS = ("pure-power", "asymptotically-linear", "table")
-_PROFILE_KINDS = ("constant", "rational")
 
 
 class ModelError(ValueError):
@@ -120,6 +119,8 @@ class NonlinearityModel:
         The growth exponent is estimated from the last decade of the table.
         """
         data = np.loadtxt(path, delimiter=",", ndmin=2)
+        if data.size == 0:
+            raise ModelError("table CSV has no data rows")
         if data.shape[1] < 2:
             raise ModelError("table CSV needs two columns (s, f(s)), got "
                              f"{data.shape[1]}")
@@ -344,26 +345,21 @@ def _energy_floor(rho_x: float, c0: float, p: float, d0: float) -> float:
 class ChargeProfile:
     """A positive radial charge density rho on R^3, held as its parameters.
 
-    ``kind`` "constant" is rho = rho0 = rho_inf, and "rational" is
-    rho(r) = rho0 + (rho_inf - rho0) r^2 / (1 + r^2); ``eps`` records the
-    rescaling rho_eps(x) = rho(eps x).  Equal parameters compare and hash
-    equal, and a profile pickles.
+    rho(r) = rho0 + (rho_inf - rho0) r^2 / (1 + r^2), which is constant
+    exactly when rho0 == rho_inf; ``eps`` records the rescaling
+    rho_eps(x) = rho(eps x).  Equal parameters compare and hash equal,
+    and a profile pickles.
     """
 
-    kind: str
     rho0: float
     rho_inf: float
     eps: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _PROFILE_KINDS:
-            raise ModelError(f"unknown profile kind {self.kind!r}")
         if not (math.isfinite(self.rho0) and math.isfinite(self.rho_inf)):
             raise ModelError("rho must be finite")
         if self.rho_min <= 0.0:
             raise ModelError("rho must be bounded below by a positive number")
-        if self.kind == "constant" and self.rho0 != self.rho_inf:
-            raise ModelError("a constant profile needs rho0 == rho_inf")
         if not 0.0 < self.eps < math.inf:
             raise ModelError("scaling parameter must be positive and finite")
 
@@ -375,12 +371,11 @@ class ChargeProfile:
 
     @staticmethod
     def constant(value: float) -> "ChargeProfile":
-        return ChargeProfile(kind="constant", rho0=value, rho_inf=value)
+        return ChargeProfile(value, value)
 
     @staticmethod
     def rational(rho0: float, rho_inf: float) -> "ChargeProfile":
-        """rho(r) = rho0 + (rho_inf - rho0) r^2 / (1 + r^2)."""
-        return ChargeProfile(kind="rational", rho0=rho0, rho_inf=rho_inf)
+        return ChargeProfile(rho0, rho_inf)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -388,7 +383,7 @@ class ChargeProfile:
         """rho at radius r; applies the eps scaling."""
         r = np.asarray(r, dtype=float)
         x = self.eps * r
-        if self.kind == "constant":
+        if self.rho0 == self.rho_inf:
             out = np.full_like(x, self.rho0)
         else:
             out = (self.rho0
@@ -420,7 +415,7 @@ def coercivity_floor(profile: ChargeProfile, c0: float,
     set is flagged, an all-of-space one is an error (unbounded).
     """
     d0 = critical_charge_threshold(c0, p)
-    if profile.kind == "constant":
+    if profile.rho0 == profile.rho_inf:
         if profile.rho_min >= d0:
             return CoercivityFloor(floor=0.0, measure=0.0, degenerate=True)
         raise ModelError("constant charge below d0: sublevel set is all of "

@@ -128,6 +128,8 @@ class RadialField:
     @staticmethod
     def from_csv(path) -> "RadialField":
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.size == 0:
+            raise DiscretizationError("field CSV has no data rows")
         if data.shape[1] < 2:
             raise DiscretizationError("field CSV needs two columns (r, u), "
                                       f"got {data.shape[1]}")

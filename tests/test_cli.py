@@ -18,7 +18,7 @@ from spvlab.cli import (GRID_SCALES, SCENARIOS, SCHEMA_VERSION, ConfigError,
                         ExperimentReport, Verdict, _trilinear_resample,
                         load_config, main, run)
 from spvlab.models import ModelError
-from spvlab.radial import DiscretizationError
+from spvlab.radial import DiscretizationError, RadialGrid
 from spvlab.solvers import SolverError
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -46,15 +46,15 @@ class TestLoadConfig:
     def test_defaults(self):
         cfg = load_config("verify-lemmas")
         assert cfg.scenario == "verify-lemmas"
-        assert cfg.radial_n == GRID_SCALES["desk"]["radial_n"]
-        assert cfg.cube_n == GRID_SCALES["desk"]["cube_n"]
+        assert cfg.radial_grid.n == GRID_SCALES["desk"]["radial_n"]
+        assert cfg.cube_grid.n == GRID_SCALES["desk"]["cube_n"]
         assert cfg.seed == 0
         assert cfg.profile is None and cfg.lam is None
 
     def test_fine_scale(self):
         cfg = load_config("verify-lemmas", grid_scale="fine")
-        assert cfg.radial_n == 8192
-        assert cfg.cube_n == 160
+        assert cfg.radial_grid.n == 8192
+        assert cfg.cube_grid.n == 160
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
@@ -79,9 +79,9 @@ class TestLoadConfig:
         })
         cfg = load_config("symmetry-breaking", config_path=path)
         assert cfg.lam == 0.003
-        assert cfg.radial_r_max == 10.0
-        assert cfg.radial_n == 1024
-        assert cfg.cube_L == 10.0 and cfg.cube_n == 64
+        assert cfg.radial_grid == RadialGrid(10.0, 1024)
+        assert cfg.cube_grid == f3d.Grid3D(10.0, 64)
+        assert cfg.refine_grid == f3d.Grid3D(10.0, 96)
         assert cfg.solver == {"tol_grad_abs": 1e-4, "max_iter": 500}
         assert cfg.seed == 7
         assert cfg.profile is not None
@@ -156,9 +156,9 @@ class TestLoadConfig:
 
     def test_symmetry_breaking_gets_roomier_default_box(self):
         cfg = load_config("symmetry-breaking")
-        assert cfg.radial_r_max == 18.0
-        assert cfg.cube_L == 18.0
-        assert load_config("autonomous").cube_L == 12.0
+        assert cfg.radial_grid.r_max == 18.0
+        assert cfg.cube_grid.L == 18.0
+        assert load_config("autonomous").cube_grid.L == 12.0
 
 
 # a valid value for each optional config entry
@@ -220,8 +220,8 @@ def test_entry_the_scenario_does_not_read_exits_2(tmp_path, capsys,
 def test_every_entry_the_scenario_reads_loads(tmp_path, scenario):
     path = _write(tmp_path, _doc_setting(sorted(READS[scenario])))
     cfg = load_config(scenario, config_path=path)
-    resolved = {"lambda": cfg.lam, "cube_grid.L": cfg.cube_L,
-                "cube_grid.n": cfg.cube_n,
+    resolved = {"lambda": cfg.lam, "cube_grid.L": cfg.cube_grid.L,
+                "cube_grid.n": cfg.cube_grid.n,
                 **{f"solver.{k}": v for k, v in cfg.solver.items()},
                 **{f"options.{k}": v for k, v in cfg.options.items()}}
     for name in READS[scenario]:
@@ -430,24 +430,68 @@ class TestRunAndMain:
             main(["not-a-scenario"])
 
 
-def test_zero_gradient_tolerance_exits_2_before_any_solve(tmp_path,
-                                                         monkeypatch, capsys):
+# a malformed entry for each check load_config makes: (id, scenario, the
+# entries, the exit code, the entry the error names)
+EARLY_FAILURES = [
+    ("odd-cube-n", "symmetry-breaking", {"cube_grid": {"n": 33}}, 5,
+     "cube_grid"),
+    ("odd-refine-n", "symmetry-breaking",
+     {"cube_grid": {"n": 32}, "options": {"refine_n": 65}}, 5,
+     "options.refine_n"),
+    ("unsorted-eps-sweep", "symmetry-breaking",
+     {"options": {"eps_sweep": [0.01, 0.05]}}, 2, "options.eps_sweep"),
+    ("empty-eps-sweep", "symmetry-breaking", {"options": {"eps_sweep": []}},
+     2, "options.eps_sweep"),
+    ("zero-in-eps-sweep", "symmetry-breaking",
+     {"options": {"eps_sweep": [0.05, 0.0]}}, 2, "options.eps_sweep"),
+    ("empty-bump-counts", "multibump", {"options": {"bump_counts": []}}, 2,
+     "options.bump_counts"),
+    ("zero-in-bump-counts", "multibump",
+     {"options": {"bump_counts": [1, 0]}}, 2, "options.bump_counts"),
+    ("zero-n-fields", "verify-lemmas", {"options": {"n_fields": 0}}, 2,
+     "options.n_fields"),
+    ("zero-n-starts", "uniqueness-scan", {"solver": {"n_starts": 0}}, 2,
+     "solver.n_starts"),
+    ("zero-max-iter", "autonomous", {"solver": {"max_iter": 0}}, 2,
+     "solver.max_iter"),
+    ("negative-lambda", "autonomous", {"lambda": -1}, 2, "lambda"),
+    ("zero-R0", "multibump", {"options": {"R0": 0}}, 2, "options.R0"),
+    ("zero-bump-offset", "symmetry-breaking",
+     {"options": {"bump_offset": 0}}, 2, "options.bump_offset"),
+    ("negative-bump-offset", "symmetry-breaking",
+     {"options": {"bump_offset": -3}}, 2, "options.bump_offset"),
+    ("zero-tol-grad-abs", "symmetry-breaking",
+     {"solver": {"tol_grad_abs": 0}}, 2, "solver.tol_grad_abs"),
+    ("negative-tol-grad-abs", "symmetry-breaking",
+     {"solver": {"tol_grad_abs": -1e-5}}, 2, "solver.tol_grad_abs"),
+]
+
+
+@pytest.mark.parametrize("scenario, doc, code, name",
+                         [case[1:] for case in EARLY_FAILURES],
+                         ids=[case[0] for case in EARLY_FAILURES])
+def test_malformed_config_fails_before_any_solve(tmp_path, monkeypatch,
+                                                 capsys, scenario, doc, code,
+                                                 name):
+    import spvlab.landscape as lsc
     import spvlab.solvers as slv
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran")
 
-    monkeypatch.setattr(slv, "minimize", no_solve)
-    monkeypatch.setattr(slv, "multistart_minimize", no_solve)
+    for module, attr in ((slv, "minimize"), (slv, "multistart_minimize"),
+                         (lsc, "estimate_lambda_bounds")):
+        monkeypatch.setattr(module, attr, no_solve)
     path = _write(tmp_path, {"schema": SCHEMA_VERSION,
-                             "radial_grid": {"n": 512},
-                             "solver": {"tol_grad_abs": 0}})
-    code = main(["symmetry-breaking", "--config", path,
-                 "--out", str(tmp_path / "out")])
-    assert code == 2
+                             "radial_grid": {"n": 512}, **doc})
+    assert main([scenario, "--config", path,
+                 "--out", str(tmp_path / "out")]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert "tol_grad_abs" in json.loads(lines[0])["message"]
+    err = json.loads(lines[0])
+    assert err["error"] == ("ConfigError" if code == 2
+                            else "DiscretizationError")
+    assert name in err["message"]
 
 
 @pytest.mark.usefixtures("fresh_scan_cache")

@@ -157,6 +157,11 @@ class TestNonlinearityModel:
         with pytest.raises(ModelError, match="two columns .* got 1"):
             NonlinearityModel.from_csv(io.StringIO("0\n1\n2\n"))
 
+    def test_empty_csv_names_the_missing_rows(self):
+        with pytest.warns(UserWarning, match="no data"), \
+                pytest.raises(ModelError, match="no data rows"):
+            NonlinearityModel.from_csv(io.StringIO(""))
+
     def test_table_requires_monotone(self):
         with pytest.raises(ModelError):
             NonlinearityModel.from_table([0.0, 2.0, 1.0], [0.0, 1.0, 2.0],
@@ -282,10 +287,14 @@ class TestChargeProfile:
         base = ChargeProfile.rational(0.1, 2.0)
         assert_allclose(prof.at_radius(4.0), base.at_radius(2.0))
 
-    def test_constant_kind_needs_one_value(self):
-        with pytest.raises(ModelError, match="rho0 == rho_inf"):
-            ChargeProfile("constant", 1.0, 2.0)
-        assert ChargeProfile("constant", 2.0, 2.0) == ChargeProfile.constant(2.0)
+    def test_equal_levels_are_the_constant_profile(self):
+        flat = ChargeProfile.rational(2.0, 2.0)
+        assert flat == ChargeProfile.constant(2.0)
+        assert hash(flat) == hash(ChargeProfile.constant(2.0))
+        # equal levels give rho = rho0 exactly, even where r^2 / (1 + r^2)
+        # is inf / inf
+        r = np.array([0.0, 1.0, 1e200, np.inf])
+        assert np.array_equal(flat.at_radius(r), np.full(4, 2.0))
 
     def test_positivity_required(self):
         with pytest.raises(ModelError):

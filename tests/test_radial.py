@@ -47,7 +47,8 @@ class TestQuadrature:
 
     def test_h1_norm_of_constant_is_mass(self):
         grid = _grid(n=512)
-        u = RadialField(grid, np.full(grid.n + 1, 2.0), )
+        with pytest.warns(RuntimeWarning, match="has not decayed"):
+            u = RadialField(grid, np.full(grid.n + 1, 2.0))
         vol = FOUR_PI * grid.r_max ** 3 / 3.0
         assert_allclose(h1_norm_sq(u), 4.0 * vol, rtol=1e-13)
 
@@ -61,12 +62,13 @@ class TestQuadrature:
     def test_h1_inner_polarization(self):
         grid = _grid(n=1024)
         rng = np.random.default_rng(3)
-        u = RadialField(grid, rng.normal(size=grid.n + 1))
-        v = RadialField(grid, rng.normal(size=grid.n + 1))
+        with pytest.warns(RuntimeWarning, match="has not decayed"):
+            u = RadialField(grid, rng.normal(size=grid.n + 1))
+            v = RadialField(grid, rng.normal(size=grid.n + 1))
+            upv = RadialField(grid, u.values + v.values)
+            umv = RadialField(grid, u.values - v.values)
         disc = rad.RadialDisc(grid, ChargeProfile.constant(1.0), _model())
         lhs = disc.h1_inner(u.values, v.values)
-        upv = RadialField(grid, u.values + v.values)
-        umv = RadialField(grid, u.values - v.values)
         assert_allclose(lhs, 0.25 * (h1_norm_sq(upv) - h1_norm_sq(umv)),
                         rtol=1e-10, atol=1e-10)
 
@@ -271,6 +273,14 @@ class TestFieldIO:
         path = tmp_path / "u.csv"
         path.write_text("r\n0\n1\n")
         with pytest.raises(DiscretizationError, match="two columns"):
+            RadialField.from_csv(path)
+
+    @pytest.mark.parametrize("text", ["r,u\n", ""], ids=["header", "empty"])
+    def test_csv_without_rows_names_the_missing_rows(self, tmp_path, text):
+        path = tmp_path / "u.csv"
+        path.write_text(text)
+        with pytest.warns(UserWarning, match="no data"), \
+                pytest.raises(DiscretizationError, match="no data rows"):
             RadialField.from_csv(path)
 
     def test_decay_guard_warns(self):

@@ -16,8 +16,8 @@ from numpy.testing import assert_allclose
 import spvlab.field3d as f3d
 import spvlab.radial as rad
 import spvlab.solvers as slv
-from spvlab.cli import _tapered_ball_start
 from spvlab.field3d import Field3D, Grid3D
+from spvlab.landscape import tapered_ball_start
 from spvlab.models import ChargeProfile, NonlinearityModel
 from spvlab.radial import RadialField, RadialGrid, h1_norm_sq
 from spvlab.solvers import (ARMIJO_C, SolveOptions, SolverError, minimize,
@@ -565,7 +565,7 @@ def _ball_polish_input():
     """The multibump ball start under the ball-constrained kernel."""
     grid = RadialGrid(12.0, 512)
     ws = rad.BallDisc(grid, _rho(), _model(), 3.5)
-    u = ws.project(_tapered_ball_start(grid, 3.5).values)
+    u = ws.project(tapered_ball_start(grid, 3.5).values)
     return ws, u, 1e-6, {"max_iter": 40}
 
 
