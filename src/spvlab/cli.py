@@ -61,10 +61,10 @@ SCENARIOS = tuple(_SCENARIO_ENTRIES)
 # the config entries every scenario reads, with their types (None: used
 # as written), and the sections that hold entries
 _READ_BY_ALL: Dict[str, Optional[Callable]] = {
-    "schema": None, "scenario": None, "seed": int, "out_dir": None,
-    "radial_grid.r_max": float, "radial_grid.n": int, "model.kind": None,
+    "schema": None, "scenario": None, "seed": int, "out_dir": str,
+    "radial_grid.r_max": float, "radial_grid.n": int, "model.kind": str,
     "model.q": float, "model.a_q": float, "model.a2": float, "model.p": float,
-    "model.csv": None, "profile.kind": None, "profile.value": float,
+    "model.csv": str, "profile.kind": str, "profile.value": float,
     "profile.rho0": float, "profile.rho_inf": float, "profile.eps": float}
 _SECTIONS = ("model", "profile", "radial_grid", "cube_grid", "solver",
              "options")
@@ -156,6 +156,10 @@ def _entries(doc: dict, scenario: str) -> Dict[str, dict]:
             if not isinstance(value, list) or not value:
                 raise ConfigError(f"{name} must be a non-empty list")
             value = [_number(v, name, kind[0], positive) for v in value]
+        elif kind is str:
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, "
+                                  f"got {json.dumps(value)}")
         elif kind is not None:
             value = _number(value, name, kind, positive)
         section, _, key = name.rpartition(".")
@@ -232,12 +236,17 @@ def load_config(scenario: str, config_path: Optional[str] = None,
     sweep = entries["options"].get("eps_sweep", [])
     if sweep != sorted(sweep, reverse=True):
         raise ConfigError("options.eps_sweep must be positive and decreasing")
+    counts = entries["options"].get("bump_counts", [])
+    if any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ConfigError("options.bump_counts must be strictly increasing")
 
     model = _build_model(entries["model"])
     profile = (None if doc.get("profile") is None
                else _build_profile(entries["profile"]))
     resolved_seed = seed if seed is not None else entries[""].get("seed", 0)
-    resolved_out = out_dir or doc.get("out_dir") or os.path.join(
+    if resolved_seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {resolved_seed}")
+    resolved_out = out_dir or entries[""].get("out_dir") or os.path.join(
         "runs", scenario)
     scale = GRID_SCALES[grid_scale]
     # the non-radial minimizer splits into two separated bumps; at the
@@ -865,7 +874,8 @@ def run(cfg: ScenarioConfig) -> ExperimentReport:
     with warnings.catch_warnings():
         # descent iterates and trial fields legitimately brush the decay
         # guard at the domain edge
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", "field has not decayed",
+                                RuntimeWarning)
         quantities, verdicts, traces, plot = _SCENARIO_BODIES[cfg.scenario](cfg)
 
     artifacts = ["report.json"]

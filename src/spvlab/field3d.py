@@ -76,7 +76,9 @@ class Grid3D:
 
     def radius(self) -> np.ndarray:
         """|x| at every node, shape (n, n, n)."""
-        return _cached_radius(self)
+        ax = self.axis()
+        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+        return np.sqrt(X ** 2 + Y ** 2 + Z ** 2)
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(values)) * self.cell_volume
@@ -155,13 +157,6 @@ class Field3D:
 # ---------------------------------------------------------------------------
 # Cached spectral machinery, keyed by grid
 # ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _cached_radius(grid: Grid3D):
-    ax = grid.axis()
-    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
-    return np.sqrt(X ** 2 + Y ** 2 + Z ** 2)
-
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _coulomb_kernel_hat(grid: Grid3D) -> np.ndarray:
@@ -314,10 +309,9 @@ def _h1_inner(grid: Grid3D, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def nonlocal_term_3d(u: Field3D, profile: ChargeProfile) -> float:
-    rho = profile.at_radius(u.grid.radius())
-    src = Field3D(u.grid, rho * u.values ** 2)
-    phi = poisson_freespace(src)
-    return u.grid.integrate(rho * u.values ** 2 * phi.values)
+    dens = profile.at_radius(u.grid.radius()) * u.values ** 2
+    phi = poisson_freespace(Field3D(u.grid, dens))
+    return u.grid.integrate(dens * phi.values)
 
 
 def energy_3d(u: Field3D, profile: ChargeProfile,

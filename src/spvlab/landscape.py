@@ -168,7 +168,7 @@ def estimate_lambda_bounds(model: NonlinearityModel, grid: RadialGrid,
 
 # A scenario scans once; the same scan comes back when one process runs
 # several scenarios on one grid (autonomous and multibump at the default
-# radial grid) and in the tests and demos.  An entry costs one witness.
+# radial grid) and in the tests.  An entry costs one witness.
 @functools.lru_cache(maxsize=8)
 def _scan_bounds(model: NonlinearityModel, grid: RadialGrid,
                  sigma_grid: Tuple[float, ...],

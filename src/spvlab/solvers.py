@@ -50,6 +50,8 @@ CLASSIFY_DIRECTIONS = 20
 CURVATURE_TOL = -1e-4
 # nodes of the discretized mountain-pass path, endpoints included
 PATH_NODES = 21
+# iteration cap of the residual polish
+POLISH_MAX_ITER = 2000
 
 
 class SolverError(RuntimeError):
@@ -532,8 +534,7 @@ def _respread(ws: rad.Disc, nodes: List[np.ndarray]) -> List[np.ndarray]:
     return out
 
 
-def _polish_residual(ws: rad.Disc, u0: np.ndarray, tol: float,
-                     max_iter: int = 2000):
+def _polish_residual(ws: rad.Disc, u0: np.ndarray, tol: float):
     """Drive the gradient norm to ``tol`` by descending Phi = 1/2 ||G||^2.
 
     The H^1 gradient of Phi is the Hessian applied to G, approximated by
@@ -546,7 +547,7 @@ def _polish_residual(ws: rad.Disc, u0: np.ndarray, tol: float,
     phi = ws.potential(u)
     G, gn = ws.gradient(u, phi)
     t = 1.0
-    for _ in range(max_iter):
+    for _ in range(POLISH_MAX_ITER):
         if gn <= tol or gn == 0.0:
             break
         scale = 1e-6 * (1.0 + math.sqrt(ws.h1_norm_sq(u))) / gn

@@ -22,7 +22,8 @@ from spvlab.models import (ChargeProfile, NonlinearityModel,
                            critical_charge_threshold, energy_density_bracket,
                            fit_cubic_bound)
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:field has not decayed:RuntimeWarning")
 
 SQRT8 = math.sqrt(8.0)
 FOUR_PI = 4.0 * math.pi
@@ -90,7 +91,8 @@ def test_criterion_02_poisson_oracles():
 
     # cross-agreement and the 3-D energy identity on a Gaussian density
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", "field has not decayed",
+                                RuntimeWarning)
         u_rad = rad.RadialField.gaussian(grid, 2.0, 1.0)
     ax = grid3.axis()
     x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
@@ -121,7 +123,8 @@ def test_criterion_03_gradient_correctness():
     disc = rad.RadialDisc(grid, rho, model)
     worst_rad = 0.0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", "field has not decayed",
+                                RuntimeWarning)
         for _ in range(10):
             u = rad.RadialField.gaussian(grid, rng.uniform(0.5, 5.0),
                                          rng.uniform(0.7, 2.0))
@@ -144,7 +147,8 @@ def test_criterion_03_gradient_correctness():
 
     def gauss3(amp, sig):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             return f3d.Field3D(grid3, amp * np.exp(-r2 / (2 * sig ** 2)),
                                guard=False)
 
@@ -175,7 +179,8 @@ def test_criterion_04_inequality_suites():
 
     strauss_ok = 0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", "field has not decayed",
+                                RuntimeWarning)
         for _ in range(100):
             u = rad.RadialField.gaussian(grid, rng.uniform(0.2, 20.0),
                                          rng.uniform(0.6, 2.5))
@@ -189,7 +194,8 @@ def test_criterion_04_inequality_suites():
     floor_total = floor.floor * floor.measure if not floor.degenerate \
         else 0.0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", "field has not decayed",
+                                RuntimeWarning)
         starts = ([rad.RadialField.gaussian(grid, 30.0, 1.2)]
                   + slv.radial_gaussian_starts(grid, 3, seed=1))
         _, results = slv.multistart_minimize(
@@ -204,7 +210,8 @@ def test_criterion_04_inequality_suites():
     rho_hot = ChargeProfile.constant(1.1 * d0)
     positive_ok = 0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", "field has not decayed",
+                                RuntimeWarning)
         for _ in range(100):
             u = rad.RadialField.gaussian(grid, rng.uniform(0.2, 20.0),
                                          rng.uniform(0.6, 2.5))
@@ -288,7 +295,8 @@ def test_criterion_09_threshold_bounds():
     model = _model()
     grid = rad.RadialGrid(12.0, 4096)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", "field has not decayed",
+                                RuntimeWarning)
         bounds = estimate_lambda_bounds(model, grid)
         c1 = fit_cubic_bound(NonlinearityModel.pure_power(2.5))
         drift0 = abs(a0_ratio(bounds.witness_a0, model)

@@ -21,7 +21,8 @@ from spvlab.models import ModelError
 from spvlab.radial import DiscretizationError, RadialGrid
 from spvlab.solvers import SolverError
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:field has not decayed:RuntimeWarning")
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -430,8 +431,9 @@ class TestRunAndMain:
             main(["not-a-scenario"])
 
 
-# a malformed entry for each check load_config makes: (id, scenario, the
-# entries, the exit code, the entry the error names)
+# a malformed entry for each check load_config makes: (id, the command
+# line before --config, the entries, the exit code, the entry the error
+# names)
 EARLY_FAILURES = [
     ("odd-cube-n", "symmetry-breaking", {"cube_grid": {"n": 33}}, 5,
      "cube_grid"),
@@ -448,6 +450,20 @@ EARLY_FAILURES = [
      "options.bump_counts"),
     ("zero-in-bump-counts", "multibump",
      {"options": {"bump_counts": [1, 0]}}, 2, "options.bump_counts"),
+    ("unordered-bump-counts", "multibump",
+     {"options": {"bump_counts": [3, 1]}}, 2, "options.bump_counts"),
+    ("repeated-bump-count", "multibump",
+     {"options": {"bump_counts": [1, 2, 2]}}, 2, "options.bump_counts"),
+    ("negative-seed", "autonomous", {"seed": -1}, 2, "seed"),
+    ("negative-seed-flag", "autonomous --seed -1", {}, 2, "seed"),
+    ("numeric-out-dir", "autonomous", {"out_dir": 5}, 2, "out_dir"),
+    ("object-out-dir", "autonomous", {"out_dir": {"a": 1}}, 2, "out_dir"),
+    ("numeric-model-kind", "autonomous", {"model": {"kind": 3}}, 2,
+     "model.kind"),
+    ("numeric-model-csv", "autonomous", {"model": {"kind": "table", "csv": 5}},
+     2, "model.csv"),
+    ("list-profile-kind", "autonomous",
+     {"profile": {"kind": ["constant"], "value": 1.0}}, 2, "profile.kind"),
     ("zero-n-fields", "verify-lemmas", {"options": {"n_fields": 0}}, 2,
      "options.n_fields"),
     ("zero-n-starts", "uniqueness-scan", {"solver": {"n_starts": 0}}, 2,
@@ -467,11 +483,11 @@ EARLY_FAILURES = [
 ]
 
 
-@pytest.mark.parametrize("scenario, doc, code, name",
+@pytest.mark.parametrize("command, doc, code, name",
                          [case[1:] for case in EARLY_FAILURES],
                          ids=[case[0] for case in EARLY_FAILURES])
 def test_malformed_config_fails_before_any_solve(tmp_path, monkeypatch,
-                                                 capsys, scenario, doc, code,
+                                                 capsys, command, doc, code,
                                                  name):
     import spvlab.landscape as lsc
     import spvlab.solvers as slv
@@ -484,7 +500,7 @@ def test_malformed_config_fails_before_any_solve(tmp_path, monkeypatch,
         monkeypatch.setattr(module, attr, no_solve)
     path = _write(tmp_path, {"schema": SCHEMA_VERSION,
                              "radial_grid": {"n": 512}, **doc})
-    assert main([scenario, "--config", path,
+    assert main([*command.split(), "--config", path,
                  "--out", str(tmp_path / "out")]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -562,6 +578,11 @@ def test_smoke_reports_match_the_benchmark_reference(tmp_path, workload):
     work.run()
     outcomes = work.outcomes()
     assert {key: outcomes.get(key) for key in stored} == stored
+    if workload == "cube-descent":
+        # splitting into two bumps pays at the flattest profile of the sweep
+        with open(tmp_path / "symmetry-breaking" / "report.json") as fh:
+            flattest = json.load(fh)["quantities"]["eps_sweep"][-1]
+        assert flattest["two_bump_estimate"] < flattest["theta"]
 
 
 def test_benchmark_tracer_wraps_and_restores_its_hooks():

@@ -4,7 +4,6 @@ import glob
 import importlib.util
 import os
 
-import numpy as np
 import pytest
 
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -33,12 +32,3 @@ def test_threshold_anatomy_runs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "bracket_at_threshold.csv").exists()
     assert "critical charge d0" in capsys.readouterr().out
 
-
-def test_symmetry_breaking_sweep_runs(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    _load(os.path.join(DEMOS, "symmetry_breaking_sweep.py")).main()
-    rows = np.loadtxt(tmp_path / "symmetry_breaking_sweep.csv",
-                      delimiter=",", skiprows=1)
-    assert rows.shape == (5, 3)
-    # the flattest profile is the one where splitting pays
-    assert "yes" in capsys.readouterr().out.splitlines()[-3]

@@ -34,7 +34,8 @@ def _gaussian3(grid, amp=1.0, sigma=1.0):
     x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
     r2 = x ** 2 + y ** 2 + z ** 2
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", "field has not decayed",
+                                RuntimeWarning)
         return Field3D(grid, amp * np.exp(-r2 / (2.0 * sigma ** 2)))
 
 
@@ -109,7 +110,8 @@ class TestPoisson3D:
         rgrid = RadialGrid(12.0, 4096)
         grid = Grid3D(12.0, 128)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u_rad = RadialField.gaussian(rgrid, 2.0, 1.0)
         u3 = _gaussian3(grid, 2.0, 1.0)
         rho = ChargeProfile.constant(1.0)
@@ -333,7 +335,8 @@ class TestEnergies3D:
         grid = Grid3D(6.0, 24)
         rng = np.random.default_rng(0)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = Field3D(grid, rng.normal(size=(24, 24, 24)), guard=False)
             v = Field3D(grid, rng.normal(size=(24, 24, 24)), guard=False)
             upv = Field3D(grid, u.values + v.values, guard=False)
@@ -352,7 +355,8 @@ class TestEnergies3D:
         x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
         vals = 2.0 * np.exp(-((x - 1.0) ** 2 + y ** 2 + z ** 2))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = Field3D(grid, vals, guard=False)
             mirror = Field3D(grid, np.roll(vals[::-1, ::-1, ::-1],
                                            1, axis=(0, 1, 2)), guard=False)
@@ -371,7 +375,8 @@ class TestEnergies3D:
                            rng.uniform(0.7, 1.5))
             eps = 1e-5
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+                warnings.filterwarnings("ignore", "field has not decayed",
+                                        RuntimeWarning)
                 up = Field3D(grid, u.values + eps * v.values, guard=False)
                 dn = Field3D(grid, u.values - eps * v.values, guard=False)
             fd = (energy_3d(up, rho, model)
@@ -403,9 +408,8 @@ class TestEnergies3D:
         assert h1_inner_3d(u, v) == disc.h1_inner(u.values, v.values)
 
 
-@pytest.mark.parametrize("cached", [f3d._cached_radius,
-                                    f3d._coulomb_kernel_hat, f3d._spectral],
-                         ids=["radius", "coulomb-kernel", "spectral"])
+@pytest.mark.parametrize("cached", [f3d._coulomb_kernel_hat, f3d._spectral],
+                         ids=["coulomb-kernel", "spectral"])
 def test_grid_caches_are_bounded(cached):
     size = cached.cache_info().maxsize
     assert size is not None and size <= 4
@@ -420,7 +424,8 @@ class TestEmbedding:
         grid = Grid3D(12.0, 96)
         amp, sig = 2.0, 1.2
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u_rad = RadialField.gaussian(rgrid, amp, sig)
         ax = grid.axis()
         # centred, and off-centre at a point off the cube nodes
@@ -437,7 +442,8 @@ class TestEmbedding:
         rgrid = RadialGrid(12.0, 2048)
         grid = Grid3D(12.0, 96)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u_rad = RadialField.gaussian(rgrid, 2.0, 1.0)
         u3 = embed_radial(u_rad, grid, center=(0.0, 0.0, 4.0))
         k = np.argmin(np.abs(grid.axis() - 4.0))
@@ -448,7 +454,8 @@ class TestEmbedding:
         rgrid = RadialGrid(12.0, 2048)
         grid = Grid3D(12.0, 96)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u_rad = RadialField.gaussian(rgrid, 2.0, 1.0)
         with pytest.raises(DiscretizationError):
             embed_radial(u_rad, grid, center=(0.0, 0.0, 10.0))
@@ -456,7 +463,8 @@ class TestEmbedding:
     def test_support_radius(self):
         rgrid = RadialGrid(12.0, 2048)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = RadialField.gaussian(rgrid, 1.0, 1.0)
         rad = support_radius(u)
         # exp(-r^2/2) crosses 1e-6 at r = sqrt(2 ln 1e6) ~ 5.26
@@ -468,7 +476,8 @@ class TestFieldIO3D:
         grid = Grid3D(6.0, 16)
         rng = np.random.default_rng(9)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = Field3D(grid, rng.normal(size=(16, 16, 16)), guard=False)
         path = tmp_path / "u.bin"
         u.to_bin(path)

@@ -17,7 +17,8 @@ from spvlab.models import (ChargeProfile, ModelError, NonlinearityModel,
                            eval_f)
 from spvlab.radial import RadialField, RadialGrid
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:field has not decayed:RuntimeWarning")
 
 FOUR_PI = 4.0 * math.pi
 LAM = 0.0031587563549145504

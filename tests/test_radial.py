@@ -55,7 +55,8 @@ class TestQuadrature:
     def test_gaussian_h1_analytic(self):
         grid = _grid()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = RadialField.gaussian(grid, 1.0, 1.0)
         assert_allclose(h1_norm_sq(u), GAUSSIAN_H1, rtol=1e-4)
 
@@ -75,7 +76,8 @@ class TestQuadrature:
     def test_l2_norm(self):
         grid = _grid()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = RadialField.gaussian(grid, 2.0, 1.0)
         assert_allclose(l2_norm_sq(u), 4.0 * math.pi ** 1.5, rtol=1e-4)
 
@@ -113,7 +115,8 @@ class TestPoisson:
     def test_nonlocal_term_is_self_pairing(self):
         grid = _grid(n=1024)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = RadialField.gaussian(grid, 2.0, 1.0)
         rho = ChargeProfile.constant(1.5)
         src = RadialField(grid, 1.5 * u.values ** 2)
@@ -128,14 +131,15 @@ class TestEnergyAndGradient:
         model = _model()
         rho = ChargeProfile.rational(0.1, 2.0)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = RadialField.gaussian(grid, 3.0, 1.0)
         from spvlab.models import eval_F
         expected = (0.5 * h1_norm_sq(u) + 0.25 * nonlocal_term(u, rho)
                     - grid.integrate(eval_F(model, u.values)))
         assert_allclose(energy_radial(u, rho, model), expected, rtol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:field has not decayed:RuntimeWarning")
     def test_gradient_matches_finite_differences(self):
         grid = _grid(n=1024)
         model = _model()
@@ -146,12 +150,14 @@ class TestEnergyAndGradient:
             amp = rng.uniform(0.5, 5.0)
             sig = rng.uniform(0.7, 2.0)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+                warnings.filterwarnings("ignore", "field has not decayed",
+                                        RuntimeWarning)
                 u = RadialField.gaussian(grid, amp, sig)
             g = disc.riesz(u.values, disc.potential(u.values))
             for _ in range(5):
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
+                    warnings.filterwarnings("ignore", "field has not decayed",
+                                            RuntimeWarning)
                     v = RadialField.gaussian(grid, rng.uniform(0.1, 1.0),
                                              rng.uniform(0.7, 2.0))
                 eps = 1e-5
@@ -167,7 +173,8 @@ class TestEnergyAndGradient:
         model = _model()
         rho = ChargeProfile.constant(0.5)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = RadialField.gaussian(grid, 2.0, 1.0)
         from spvlab.models import eval_f
         expected = (h1_norm_sq(u) + nonlocal_term(u, rho)
@@ -182,7 +189,8 @@ class TestEnergyAndGradient:
         model = _model()
         rho = ChargeProfile.constant(0.5)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = RadialField.gaussian(grid, 2.0, 1.0)
         disc = rad.RadialDisc(grid, rho, model)
         phi = disc.potential(u.values)
@@ -198,7 +206,8 @@ class TestEnergyAndGradient:
         rng = np.random.default_rng(5)
         for _ in range(25):
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+                warnings.filterwarnings("ignore", "field has not decayed",
+                                        RuntimeWarning)
                 u = RadialField.gaussian(grid, rng.uniform(0.2, 10.0),
                                          rng.uniform(0.6, 2.5))
             lhs, rhs, holds = strauss_check(u, rho)
@@ -258,12 +267,14 @@ class TestFieldIO:
     def test_csv_round_trip(self, tmp_path):
         grid = _grid(n=256)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = RadialField.gaussian(grid, 2.0, 1.5)
         path = tmp_path / "u.csv"
         u.to_csv(path)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             v = RadialField.from_csv(path)
         assert v.grid.n == grid.n
         assert_allclose(v.grid.r_max, grid.r_max)

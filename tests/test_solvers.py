@@ -25,7 +25,8 @@ from spvlab.solvers import (ARMIJO_C, SolveOptions, SolverError, minimize,
                             radial_gaussian_starts, trace_to_csv)
 
 # intermediate descent iterates legitimately brush the decay guard
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:field has not decayed:RuntimeWarning")
 
 # coupling in the negative-energy window of the pure power model; the
 # charge level sqrt(lambda) sits well below the density threshold d0
@@ -46,7 +47,8 @@ def _rho():
 
 def _negative_start(grid):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", "field has not decayed",
+                                RuntimeWarning)
         return RadialField.gaussian(grid, 30.0, 1.2)
 
 
@@ -64,7 +66,8 @@ class TestMinimize:
     def test_collapses_to_zero_from_positive_energy(self):
         grid = _grid()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             start = RadialField.gaussian(grid, 0.5, 1.0)
         res = minimize(start, _rho(), _model(),
                        SolveOptions(tol_grad=1e-6))
@@ -89,7 +92,8 @@ class TestMinimize:
     def test_ball_constraint_confines_support(self):
         grid = _grid()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             start = RadialField(
                 grid, 13.0 * np.exp(-grid.r ** 2 / (2 * 1.65 ** 2))
                 * np.clip((3.5 - grid.r) / 0.5, 0.0, 1.0))
@@ -103,7 +107,8 @@ class TestMinimize:
     def test_ball_constraint_rejected_in_3d(self):
         grid = Grid3D(6.0, 16)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             u = Field3D(grid, np.zeros((16, 16, 16)))
         with pytest.raises(SolverError):
             minimize(u, _rho(), _model(), SolveOptions(max_iter=5),
@@ -128,7 +133,8 @@ class TestMultistart:
         starts = [_negative_start(grid)] + radial_gaussian_starts(
             grid, 3, seed=0)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             best, results = multistart_minimize(
                 starts, _rho(), _model(), SolveOptions(tol_grad=1e-4))
         assert len(results) == len(starts)
@@ -268,8 +274,7 @@ class TestConcurrentMultistart:
     @pytest.mark.parametrize("kind", ["radial", "cube"])
     def test_workers_inherit_the_grid_caches(self, monkeypatch, tmp_path,
                                              kind):
-        caches = (rad._operators, f3d._spectral, f3d._cached_radius,
-                  f3d._coulomb_kernel_hat)
+        caches = (rad._operators, f3d._spectral, f3d._coulomb_kernel_hat)
         for cache in caches:
             cache.cache_clear()
         original = slv.minimize
@@ -358,14 +363,16 @@ class TestConcurrentMultistart:
 
     def test_workers_die_with_a_terminated_caller(self):
         # the caller is a separate process whose workers sleep in place of
-        # a descent; SIGTERM kills it without any cleanup of its own
+        # a descent; SIGTERM kills it without any cleanup of its own.  Each
+        # worker writes its pid and newline in one write, which a pipe
+        # keeps whole, so the two workers' lines cannot interleave
         script = (
             "import os, time\n"
             "import spvlab.solvers as slv\n"
             "from spvlab.models import ChargeProfile, NonlinearityModel\n"
             "from spvlab.radial import RadialGrid\n"
             "def sleeping(init, profile, model, opts, **kw):\n"
-            "    print(os.getpid(), flush=True)\n"
+            "    os.write(1, f'{os.getpid()}\\n'.encode())\n"
             "    time.sleep(60)\n"
             "slv.minimize = sleeping\n"
             "slv._usable_cpus = lambda: 2\n"
@@ -487,7 +494,8 @@ class TestMountainPass:
     def test_rejects_positive_energy_endpoint(self):
         grid = _grid()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("ignore", "field has not decayed",
+                                    RuntimeWarning)
             start = RadialField.gaussian(grid, 0.5, 1.0)
         with pytest.raises(SolverError):
             mountain_pass(start, _rho(), _model())
@@ -505,7 +513,7 @@ class TestTraceIO:
         assert_allclose(data[-1, 1], res.trace[-1].energy)
 
 
-def _reference_polish(ws, u0, tol, max_iter=2000):
+def _reference_polish(ws, u0, tol, max_iter):
     """The residual polish that evaluated J and ||G|| at every point."""
     u = u0.copy()
     J, phi = ws.energy(u)
@@ -548,9 +556,9 @@ def _saddle_polish_input():
                    SolveOptions(tol_grad_abs=1e-6))
     seen = []
 
-    def record(ws, u, tol, **kw):
+    def record(ws, u, tol):
         seen.append((ws, u.copy(), tol))
-        return polish(ws, u, tol, **kw)
+        return polish(ws, u, tol)
 
     polish = slv._polish_residual
     with pytest.MonkeyPatch.context() as mp:
@@ -558,7 +566,7 @@ def _saddle_polish_input():
         mountain_pass(low.field, _rho(), _model(),
                       SolveOptions(tol_grad_abs=1e-5))
     (ws, u, tol), = seen
-    return ws, u, tol, {}
+    return ws, u, tol, slv.POLISH_MAX_ITER
 
 
 def _ball_polish_input():
@@ -566,16 +574,17 @@ def _ball_polish_input():
     grid = RadialGrid(12.0, 512)
     ws = rad.BallDisc(grid, _rho(), _model(), 3.5)
     u = ws.project(tapered_ball_start(grid, 3.5).values)
-    return ws, u, 1e-6, {"max_iter": 40}
+    return ws, u, 1e-6, 40
 
 
 def _cube_polish_input():
     grid = Grid3D(6.0, 16)
     ws = f3d.CubeDisc(grid, _rho(), _model())
     start = 12.67 * np.exp(-grid.radius() ** 2 / (2.0 * 0.93 ** 2))
-    return ws, ws.project(start), 1e-6, {"max_iter": 20}
+    return ws, ws.project(start), 1e-6, 20
 
 
+# each input is a kernel, a start, a tolerance and an iteration cap
 POLISH_INPUTS = pytest.mark.parametrize(
     "make_input", [_saddle_polish_input, _ball_polish_input,
                    _cube_polish_input], ids=["radial-saddle", "ball", "cube"])
@@ -583,10 +592,12 @@ POLISH_INPUTS = pytest.mark.parametrize(
 
 class TestPolish:
     @POLISH_INPUTS
-    def test_bit_identical_to_reference(self, make_input):
-        ws, u0, tol, kw = make_input()
-        u, gn, J, phi = slv._polish_residual(ws, u0, tol, **kw)
-        u_ref, gn_ref, J_ref, phi_ref = _reference_polish(ws, u0, tol, **kw)
+    def test_bit_identical_to_reference(self, make_input, monkeypatch):
+        ws, u0, tol, max_iter = make_input()
+        monkeypatch.setattr(slv, "POLISH_MAX_ITER", max_iter)
+        u, gn, J, phi = slv._polish_residual(ws, u0, tol)
+        u_ref, gn_ref, J_ref, phi_ref = _reference_polish(ws, u0, tol,
+                                                          max_iter)
         assert not np.array_equal(u, u0)
         assert np.array_equal(u, u_ref)
         assert np.array_equal(phi, phi_ref)
@@ -594,8 +605,10 @@ class TestPolish:
         assert J == J_ref
 
     @POLISH_INPUTS
-    def test_evaluates_potentials_only(self, make_input, count_calls):
-        ws, u0, tol, kw = make_input()
+    def test_evaluates_potentials_only(self, make_input, count_calls,
+                                       monkeypatch):
+        ws, u0, tol, max_iter = make_input()
+        monkeypatch.setattr(slv, "POLISH_MAX_ITER", max_iter)
         kind = type(ws)
         # every difference step takes two H^1 norms (of the iterate, for
         # the step size, and of the descent direction) and the returned J
@@ -608,7 +621,7 @@ class TestPolish:
             solves = count_calls(f3d, "poisson_freespace")
         else:
             solves = count_calls(rad, "poisson_radial")
-        slv._polish_residual(ws, u0, tol, **kw)
+        slv._polish_residual(ws, u0, tol)
         assert len(evals_F) == 1
         steps, odd = divmod(len(norms) - 1, 2)
         trials = len(gradients) - 1
