@@ -31,7 +31,7 @@ from . import field3d as f3d
 from . import landscape as lsc
 from . import radial as rad
 from . import solvers as slv
-from .models import (ChargeProfile, ModelError, NonlinearityModel,
+from .models import (SQRT8, ChargeProfile, ModelError, NonlinearityModel,
                      bracket_stationary_point, coercivity_floor,
                      critical_charge_threshold, energy_density_bracket,
                      validate_conditions)
@@ -233,10 +233,12 @@ def load_config(scenario: str, config_path: Optional[str] = None,
 
     entries = _entries(doc, scenario)
     rg, cg = entries["radial_grid"], entries["cube_grid"]
-    sweep = entries["options"].get("eps_sweep", [])
-    if sweep != sorted(sweep, reverse=True):
-        raise ConfigError("options.eps_sweep must be positive and decreasing")
-    counts = entries["options"].get("bump_counts", [])
+    options = entries["options"]
+    sweep = options.get("eps_sweep", [])
+    if any(b >= a for a, b in zip(sweep, sweep[1:])):
+        raise ConfigError(
+            "options.eps_sweep must be positive and strictly decreasing")
+    counts = options.get("bump_counts", [])
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ConfigError("options.bump_counts must be strictly increasing")
 
@@ -259,6 +261,16 @@ def load_config(scenario: str, config_path: Optional[str] = None,
     # echoed by every report, as the default where the scenario has no cube
     cube_grid = _grid("cube_grid", f3d.Grid3D, cg.get("L", default_extent),
                       cg.get("n", scale["cube_n"]))
+    if scenario == "multibump":
+        # each bump count's geometry and the ball of the bump's descent
+        options.setdefault("R0", 3.5)
+        options.setdefault("bump_counts", [1, 2, 3, 4, 5])
+        try:
+            for count in options["bump_counts"]:
+                lsc.MultibumpSpec(R0=options["R0"], N=count)
+            rad.ball_nodes(radial_grid, options["R0"])
+        except (ModelError, rad.DiscretizationError) as exc:
+            raise ConfigError(f"options.R0: {exc}") from None
 
     return ScenarioConfig(
         scenario=scenario,
@@ -268,10 +280,9 @@ def load_config(scenario: str, config_path: Optional[str] = None,
         radial_grid=radial_grid,
         cube_grid=cube_grid,
         refine_grid=_grid("options.refine_n", f3d.Grid3D, cube_grid.L,
-                          entries["options"].get("refine_n",
-                                                 cube_grid.n + 32)),
+                          options.get("refine_n", cube_grid.n + 32)),
         solver=entries["solver"],
-        options=entries["options"],
+        options=options,
         seed=resolved_seed,
         out_dir=resolved_out,
         inputs_echo={
@@ -373,19 +384,15 @@ def _resolve_lambda(cfg: ScenarioConfig, bound: Optional[float]) -> float:
     return 2.0 * bound
 
 
-def _random_fields(grid: rad.RadialGrid, count: int, seed: int
-                   ) -> List[rad.RadialField]:
-    """Deterministic family of smooth decaying radial fields."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        v = np.zeros_like(grid.r)
-        for _ in range(3):
-            c = rng.uniform(0.0, grid.r_max / 3.0)
-            s = rng.uniform(0.5, 1.5)
-            v = v + rng.normal() * np.exp(-((grid.r - c) / s) ** 2)
-        out.append(rad.RadialField(grid, rng.uniform(0.1, 5.0) * np.abs(v)))
-    return out
+def _starts(cfg: ScenarioConfig, default: int,
+            *fixed: Optional[rad.RadialField]) -> List[rad.RadialField]:
+    """A radial multistart's starts: the fixed ones that are not None,
+    then random Gaussians up to ``solver.n_starts`` (``default`` when
+    unset) in all, and always at least one random Gaussian."""
+    starts = [u for u in fixed if u is not None]
+    n = cfg.solver.get("n_starts", default)
+    return starts + slv.radial_gaussian_starts(
+        cfg.radial_grid, max(n - len(starts), 1), seed=cfg.seed)
 
 
 def _trilinear_resample(values: np.ndarray, grid_from: f3d.Grid3D,
@@ -427,8 +434,7 @@ def _scenario_verify_lemmas(cfg: ScenarioConfig):
     d0 = critical_charge_threshold(c0, p)
     s0 = bracket_stationary_point(d0, c0, p)
     value_resid = abs(energy_density_bracket(d0, s0, c0, p))
-    deriv_resid = abs(d0 / math.sqrt(8.0)
-                      - c0 * (p - 2.0) / p * s0 ** (p - 3.0))
+    deriv_resid = abs(d0 / SQRT8 - c0 * (p - 2.0) / p * s0 ** (p - 3.0))
 
     sign_ok = True
     sign_rows = []
@@ -443,17 +449,20 @@ def _scenario_verify_lemmas(cfg: ScenarioConfig):
 
     grid = cfg.radial_grid
     n_fields = cfg.options.get("n_fields", 100)
-    fields = _random_fields(grid, n_fields, cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     unit_profile = ChargeProfile.constant(1.0)
     above = ChargeProfile.constant(1.1 * d0)
     interp_ok = 0
     positive_ok = 0
-    for u in fields:
+    for _ in range(n_fields):
+        # a smooth decaying field, scaled by an amplitude in [0.1, 5]
+        u = rad.RadialField(grid, np.abs(rad.random_bumps(grid, rng))
+                            * rng.uniform(0.1, 5.0))
         _, _, holds = rad.strauss_check(u, unit_profile)
         interp_ok += int(holds)
         positive_ok += int(rad.energy_radial(u, above, model) > 0.0)
 
-    floor_profile = cfg.profile or ChargeProfile.rational(0.1, 2.0)
+    floor_profile = cfg.profile or ChargeProfile(0.1, 2.0)
     floor = coercivity_floor(floor_profile, c0, p)
 
     quantities = {
@@ -493,18 +502,14 @@ def _scenario_autonomous(cfg: ScenarioConfig):
     lam = _resolve_lambda(cfg, bounds.lambda0_lower)
     profile = cfg.profile or ChargeProfile.constant(math.sqrt(lam))
 
-    n_starts = cfg.solver.get("n_starts", 8)
-    starts: List[rad.RadialField] = []
-    if bounds.witness_a0 is not None:
-        starts.append(bounds.witness_a0)
-    starts += slv.radial_gaussian_starts(
-        grid, max(n_starts - len(starts), 1), seed=cfg.seed)
     best, results = slv.multistart_minimize(
-        starts, profile, model, _opts(cfg, tol_grad_abs=1e-6))
+        _starts(cfg, 8, bounds.witness_a0), profile, model,
+        _opts(cfg, tol_grad_abs=1e-6))
     saddle = slv.mountain_pass(best.field, profile, model,
                                _opts(cfg, tol_grad_abs=1e-5))
 
     # energies along the broken path 0 -> saddle -> minimizer
+    ws = rad.RadialDisc(grid, profile, model)
     taus = np.linspace(0.0, 1.0, 41)
     path_energies = []
     for tau in taus:
@@ -513,8 +518,7 @@ def _scenario_autonomous(cfg: ScenarioConfig):
         else:
             vals = ((2.0 - 2.0 * tau) * saddle.field.values
                     + (2.0 * tau - 1.0) * best.field.values)
-        path_energies.append(
-            rad.energy_radial(rad.RadialField(grid, vals), profile, model))
+        path_energies.append(ws.energy(vals)[0])
     max_node = int(np.argmax(path_energies))
 
     quantities = {
@@ -555,24 +559,22 @@ def _scenario_autonomous(cfg: ScenarioConfig):
 
 
 def _scenario_uniqueness_scan(cfg: ScenarioConfig):
-    grid = cfg.radial_grid
     model = cfg.model
     bar = lsc.lambdabar0_upper_bound(model)
     lam = _resolve_lambda(cfg, bar)
     sqrt_bar = math.sqrt(bar)
     auto_profile = ChargeProfile.constant(math.sqrt(lam))
-    nonauto = cfg.profile or ChargeProfile.rational(2.0 * sqrt_bar,
-                                                    4.0 * sqrt_bar)
+    nonauto = cfg.profile or ChargeProfile(2.0 * sqrt_bar, 4.0 * sqrt_bar)
     if nonauto.rho_min <= sqrt_bar:
         raise ConfigError(
             "non-autonomous profile must stay above the certified "
             "derivative threshold (rho_min > sqrt(lambdabar0_upper))")
 
-    n_starts = cfg.solver.get("n_starts", 20)
+    starts = _starts(cfg, 20)
+    n_starts = len(starts)
     opts = _opts(cfg, tol_grad_abs=1e-8, max_iter=2000)
 
     def scan(profile):
-        starts = slv.radial_gaussian_starts(grid, n_starts, seed=cfg.seed)
         _, results = slv.multistart_minimize(starts, profile, model, opts)
         norms = [math.sqrt(rad.h1_norm_sq(r.field)) for r in results]
         zeros = sum(int(r.classification == "zero") for r in results)
@@ -611,17 +613,14 @@ def _scenario_uniqueness_scan(cfg: ScenarioConfig):
 def _scenario_ground_state(cfg: ScenarioConfig):
     grid = cfg.radial_grid
     model = cfg.model
-    profile = cfg.profile or ChargeProfile.rational(0.04, 2.0).scaled(1.0 / 32.0)
+    profile = cfg.profile or ChargeProfile(0.04, 2.0).scaled(1.0 / 32.0)
     lam_for_check = cfg.lam if cfg.lam is not None else 1.0
     cond = validate_conditions(profile, model, lam_for_check)
     floor = coercivity_floor(profile, model.C0, model.p)
 
-    n_starts = cfg.solver.get("n_starts", 8)
-    starts = [rad.RadialField.gaussian(grid, 30.0, 1.2)]
-    starts += slv.radial_gaussian_starts(grid, max(n_starts - 1, 1),
-                                         seed=cfg.seed)
     best, results = slv.multistart_minimize(
-        starts, profile, model, _opts(cfg, tol_grad_abs=1e-6))
+        _starts(cfg, 8, lsc.reference_start(grid)), profile, model,
+        _opts(cfg, tol_grad_abs=1e-6))
 
     # the coercivity floor must hold along every accepted iterate
     floor_ok = True
@@ -663,13 +662,13 @@ def _scenario_ground_state(cfg: ScenarioConfig):
 
 
 def _scenario_multibump(cfg: ScenarioConfig):
-    R0 = cfg.options.get("R0", 3.5)
-    counts = cfg.options.get("bump_counts", [1, 2, 3, 4, 5])
+    R0 = cfg.options["R0"]
+    counts = cfg.options["bump_counts"]
     grid = cfg.radial_grid
     model = cfg.model
     bounds = lsc.estimate_lambda_bounds(model, grid)
     lam = _resolve_lambda(cfg, bounds.lambda0_lower)
-    profile = cfg.profile or ChargeProfile.rational(0.04, 2.0).scaled(1.0 / 16.0)
+    profile = cfg.profile or ChargeProfile(0.04, 2.0).scaled(1.0 / 16.0)
 
     start = lsc.tapered_ball_start(grid, R0)
     bump = slv.minimize(start, ChargeProfile.constant(math.sqrt(lam)),
@@ -723,7 +722,15 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
     eps_sweep = cfg.options.get(
         "eps_sweep", [0.05, 0.025, 0.0125, 0.00625, 0.003125])
     offset = cfg.options.get("bump_offset", 7.0)
-    n_starts = cfg.solver.get("n_starts", 4)
+    grid3 = cfg.cube_grid
+    # the two-bump start tapers each bump to zero between max(r1 - 2, 1)
+    # and r1, which keeps it off the box's last two nodes
+    reach = grid3.L - 2.0 * grid3.h
+    r1 = reach - offset - 0.5
+    if r1 <= 1.0:
+        raise ConfigError(
+            f"options.bump_offset must be below the cube's L - 2h - 1.5 "
+            f"= {_fmt(reach - 1.5)}, got {_fmt(offset)}")
     # the 3-D descents' options: the two-bump start is assembled from
     # converged radial pieces and already sits below the radial level,
     # and a modest number of 3-D relaxation steps keeps the scenario
@@ -737,17 +744,8 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
     bounds = lsc.estimate_lambda_bounds(model, grid)
     lam = _resolve_lambda(cfg, bounds.lambda0_lower)
     sqrt_lam = math.sqrt(lam)
-    profile = cfg.profile or ChargeProfile.rational(0.9 * sqrt_lam, 2.0)
+    profile = cfg.profile or ChargeProfile(0.9 * sqrt_lam, 2.0)
     cond = validate_conditions(profile, model, lam)
-
-    def radial_theta(prof_eps):
-        starts = [rad.RadialField.gaussian(grid, 30.0, 1.2)]
-        if bounds.witness_a0 is not None:
-            starts.append(bounds.witness_a0)
-        starts += slv.radial_gaussian_starts(grid, n_starts, seed=cfg.seed)
-        best, _ = slv.multistart_minimize(starts, prof_eps, model,
-                                          _opts(cfg, tol_grad_abs=1e-6))
-        return best
 
     # semi-analytic sweep: a single quick solve per eps is enough to rank
     # candidate eps values; the chosen eps, the first at which two bumps
@@ -760,21 +758,20 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
                        if theta < 0.0 and est < theta - 0.05 * abs(theta)),
                       (eps_sweep[-1], None))
     prof_eps = profile.scaled(eps)
-    theta_res = radial_theta(prof_eps)
+    theta_res, _ = slv.multistart_minimize(
+        _starts(cfg, 6, lsc.reference_start(grid), bounds.witness_a0),
+        prof_eps, model, _opts(cfg, tol_grad_abs=1e-6))
 
     # full 3-D run at the chosen eps: one centered start (the radial
     # minimizer) and one two-bump start
-    grid3 = cfg.cube_grid
     # exponential tails overflow the box at the support tolerance;
     # taper them smoothly before embedding (the energy shift is far
     # below the discretization error and the descent relaxes it)
-    margin = grid3.L - 2.0 * grid3.h
     centered = f3d.embed_radial(
-        lsc.taper_to_support(theta_res.field, margin - 2.5, margin - 0.5),
+        lsc.taper_to_support(theta_res.field, reach - 2.5, reach - 0.5),
         grid3)
     starts3 = [centered]
     if local is not None:
-        r1 = margin - offset - 0.5
         bump = lsc.taper_to_support(local.field, max(r1 - 2.0, 1.0), r1)
         up = f3d.embed_radial(bump, grid3, center=(0.0, 0.0, offset))
         dn = f3d.embed_radial(bump, grid3, center=(0.0, 0.0, -offset))
@@ -950,7 +947,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           out_dir=args.out, seed=args.seed,
                           grid_scale=args.grid_scale)
         report = run(cfg)
-    except (ConfigError, ModelError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(exc, 2)
     except MemoryError as exc:
         # most often the doubled cube of field3d.poisson_freespace

@@ -219,7 +219,9 @@ def _scan_bounds(model: NonlinearityModel, grid: RadialGrid,
 
 def smoothstep(r, r0: float, r1: float):
     """C^1 cubic smoothstep in r: 1 on [0, r0], 0 on [r1, inf), slope at
-    most 1.5 / (r1 - r0)."""
+    most 1.5 / (r1 - r0); r1 must exceed r0."""
+    if not r0 < r1:
+        raise ModelError(f"cutoff needs r0 < r1, got r0 = {r0}, r1 = {r1}")
     x = np.clip((r - r0) / (r1 - r0), 0.0, 1.0)
     return 1.0 - x * x * (3.0 - 2.0 * x)
 
@@ -227,6 +229,12 @@ def smoothstep(r, r0: float, r1: float):
 def taper_to_support(u: RadialField, r0: float, r1: float) -> RadialField:
     """u cut smoothly to zero beyond r1 (smoothstep on [r0, r1])."""
     return RadialField(u.grid, u.values * smoothstep(u.grid.r, r0, r1))
+
+
+def reference_start(grid: RadialGrid) -> RadialField:
+    """gaussian(30, 1.2), the first start of the radial descents toward
+    the ground state and the symmetry-breaking level."""
+    return RadialField.gaussian(grid, 30.0, 1.2)
 
 
 def tapered_ball_start(grid: RadialGrid, radius: float) -> RadialField:
@@ -381,21 +389,20 @@ def two_bump_sweep(grid: RadialGrid, profile: ChargeProfile,
     """Rows (eps, theta, bump, estimate): the radial level and a two-bump
     energy estimate at each eps.
 
-    theta and the solve result bump are descents from gaussian(30, 1.2)
+    theta and the solve result bump are descents from ``reference_start``
     under the rescaled profile and under the constant charge rho it takes
     at ``offset``.  Two copies of the bump 2 * offset apart add their
     energies and interact through the exact exterior Coulomb cross term
     of their charges, which holds while their supports stay disjoint.
     """
+    start = reference_start(grid)
     rows = []
     for eps in eps_values:
         prof_eps = profile.scaled(eps)
-        theta = minimize(RadialField.gaussian(grid, 30.0, 1.2), prof_eps,
-                         model, opts).energy
+        theta = minimize(start, prof_eps, model, opts).energy
         rho = float(prof_eps.at_radius(offset))
-        bump = minimize(RadialField.gaussian(grid, 30.0, 1.2),
-                        ChargeProfile.constant(rho), model, opts)
+        bump = minimize(start, ChargeProfile.constant(rho), model, opts)
         charge = rho * l2_norm_sq(bump.field)
-        cross = charge * charge / (4.0 * math.pi * 2.0 * offset)
+        cross = charge * charge / (FOUR_PI * 2.0 * offset)
         rows.append((eps, theta, bump, 2.0 * bump.energy + 0.5 * cross))
     return rows

@@ -373,10 +373,6 @@ class ChargeProfile:
     def constant(value: float) -> "ChargeProfile":
         return ChargeProfile(value, value)
 
-    @staticmethod
-    def rational(rho0: float, rho_inf: float) -> "ChargeProfile":
-        return ChargeProfile(rho0, rho_inf)
-
     # -- evaluation ---------------------------------------------------------
 
     def at_radius(self, r):

@@ -29,10 +29,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .models import ChargeProfile, ModelError, NonlinearityModel, eval_F, eval_f
+from .models import (SQRT8, ChargeProfile, ModelError, NonlinearityModel,
+                     eval_F, eval_f)
 
 FOUR_PI = 4.0 * math.pi
-SQRT8 = math.sqrt(8.0)
 
 DECAY_GUARD_REL = 1e-6
 
@@ -280,6 +280,28 @@ def strauss_check(u: RadialField, profile: ChargeProfile):
     return lhs, rhs, bool(holds)
 
 
+def random_bumps(grid: RadialGrid, rng: np.random.Generator) -> np.ndarray:
+    """Nodal values of a sum of three Gaussian bumps, each with a normal
+    amplitude, a center in [0, r_max / 3] and a width in [0.5, 2]."""
+    v = np.zeros_like(grid.r)
+    for _ in range(3):
+        c = rng.uniform(0.0, grid.r_max / 3.0)
+        s = rng.uniform(0.5, 2.0)
+        v = v + rng.normal() * np.exp(-((grid.r - c) / s) ** 2)
+    return v
+
+
+def ball_nodes(grid: RadialGrid, radius: float) -> np.ndarray:
+    """Indices of the nodes within ``radius``: at least three, and not
+    the outer boundary's, else DiscretizationError."""
+    idx = np.flatnonzero(grid.r <= radius)
+    if idx.size < 3 or idx.size > grid.n:
+        raise DiscretizationError(
+            "support radius must leave at least three interior nodes "
+            "and exclude the outer boundary")
+    return idx
+
+
 # ---------------------------------------------------------------------------
 # Raw-array evaluation kernels for the critical-point searches
 # ---------------------------------------------------------------------------
@@ -377,12 +399,7 @@ class RadialDisc(Disc):
 
     def random_direction(self, rng: np.random.Generator) -> np.ndarray:
         """A random smooth decaying field with unit H^1 norm."""
-        r = self.grid.r
-        v = np.zeros_like(r)
-        for _ in range(3):
-            c = rng.uniform(0.0, self.grid.r_max / 3.0)
-            s = rng.uniform(0.5, 2.0)
-            v = v + rng.normal() * np.exp(-((r - c) / s) ** 2)
+        v = random_bumps(self.grid, rng)
         return v / math.sqrt(self.h1_norm_sq(v))
 
 
@@ -399,12 +416,8 @@ class BallDisc(RadialDisc):
     def __init__(self, grid: RadialGrid, profile: ChargeProfile,
                  model: NonlinearityModel, radius: float):
         super().__init__(grid, profile, model)
+        self.idx = ball_nodes(grid, radius)
         self.mask = (grid.r <= radius).astype(float)
-        self.idx = np.flatnonzero(self.mask)
-        if self.idx.size < 3 or self.idx.size > grid.n:
-            raise DiscretizationError(
-                "support radius must leave at least three interior nodes "
-                "and exclude the outer boundary")
         self.lu_ball = splu(self.M.tocsr()[self.idx][:, self.idx].tocsc())
 
     def project(self, values: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ measured numbers before asserting.
 """
 
 import json
-import math
 import warnings
 
 import numpy as np
@@ -17,16 +16,13 @@ import spvlab.radial as rad
 import spvlab.solvers as slv
 from spvlab.cli import load_config, run
 from spvlab.landscape import a0_ratio, estimate_lambda_bounds
-from spvlab.models import (ChargeProfile, NonlinearityModel,
+from spvlab.models import (SQRT8, ChargeProfile, NonlinearityModel,
                            bracket_stationary_point, coercivity_floor,
                            critical_charge_threshold, energy_density_bracket,
                            fit_cubic_bound)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:field has not decayed:RuntimeWarning")
-
-SQRT8 = math.sqrt(8.0)
-FOUR_PI = 4.0 * math.pi
 
 
 def _model():
@@ -116,7 +112,7 @@ def test_criterion_02_poisson_oracles():
 
 def test_criterion_03_gradient_correctness():
     model = _model()
-    rho = ChargeProfile.rational(0.1, 2.0)
+    rho = ChargeProfile(0.1, 2.0)
     rng = np.random.default_rng(7)
 
     grid = rad.RadialGrid(12.0, 2048)
@@ -189,7 +185,7 @@ def test_criterion_04_inequality_suites():
 
     # coercivity floor along every trajectory of a multistart run with a
     # profile whose charge exceeds the threshold at infinity
-    profile = ChargeProfile.rational(0.04, 2.0).scaled(1.0 / 32.0)
+    profile = ChargeProfile(0.04, 2.0).scaled(1.0 / 32.0)
     floor = coercivity_floor(profile, model.C0, model.p)
     floor_total = floor.floor * floor.measure if not floor.degenerate \
         else 0.0

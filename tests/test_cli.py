@@ -14,6 +14,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 import spvlab.field3d as f3d
+import spvlab.radial as rad
 from spvlab.cli import (GRID_SCALES, SCENARIOS, SCHEMA_VERSION, ConfigError,
                         ExperimentReport, Verdict, _trilinear_resample,
                         load_config, main, run)
@@ -442,6 +443,8 @@ EARLY_FAILURES = [
      "options.refine_n"),
     ("unsorted-eps-sweep", "symmetry-breaking",
      {"options": {"eps_sweep": [0.01, 0.05]}}, 2, "options.eps_sweep"),
+    ("repeated-eps", "symmetry-breaking",
+     {"options": {"eps_sweep": [0.05, 0.05, 0.01]}}, 2, "options.eps_sweep"),
     ("empty-eps-sweep", "symmetry-breaking", {"options": {"eps_sweep": []}},
      2, "options.eps_sweep"),
     ("zero-in-eps-sweep", "symmetry-breaking",
@@ -472,10 +475,23 @@ EARLY_FAILURES = [
      "solver.max_iter"),
     ("negative-lambda", "autonomous", {"lambda": -1}, 2, "lambda"),
     ("zero-R0", "multibump", {"options": {"R0": 0}}, 2, "options.R0"),
+    ("overlapping-bumps", "multibump", {"options": {"R0": 4.5}}, 2,
+     "options.R0"),
+    ("R0-past-the-grid", "multibump",
+     {"options": {"R0": 12, "bump_counts": [1]}}, 2, "options.R0"),
+    ("R0-below-three-nodes", "multibump", {"options": {"R0": 0.01}}, 2,
+     "options.R0"),
     ("zero-bump-offset", "symmetry-breaking",
      {"options": {"bump_offset": 0}}, 2, "options.bump_offset"),
     ("negative-bump-offset", "symmetry-breaking",
      {"options": {"bump_offset": -3}}, 2, "options.bump_offset"),
+    # at L = 18 and n = 16 the two-bump taper ends at r1 = 13 - offset
+    ("degenerate-bump-taper", "symmetry-breaking",
+     {"cube_grid": {"n": 16}, "options": {"refine_n": 24, "bump_offset": 12}},
+     2, "options.bump_offset"),
+    ("bump-past-the-box", "symmetry-breaking",
+     {"cube_grid": {"n": 16}, "options": {"refine_n": 24, "bump_offset": 13}},
+     2, "options.bump_offset"),
     ("zero-tol-grad-abs", "symmetry-breaking",
      {"solver": {"tol_grad_abs": 0}}, 2, "solver.tol_grad_abs"),
     ("negative-tol-grad-abs", "symmetry-breaking",
@@ -508,6 +524,60 @@ def test_malformed_config_fails_before_any_solve(tmp_path, monkeypatch,
     assert err["error"] == ("ConfigError" if code == 2
                             else "DiscretizationError")
     assert name in err["message"]
+
+
+class _StartsSeen(Exception):
+    """Stops a scenario at its first radial multistart."""
+
+
+def _radial_starts(tmp_path, monkeypatch, scenario, entries, stop=True):
+    """The starts of each radial multistart the scenario runs, on a
+    512-node radial grid and a 16-node cube."""
+    import spvlab.solvers as slv
+    seen = []
+    multistart = slv.multistart_minimize
+
+    def record(starts, *args, **kwargs):
+        if isinstance(starts[0], rad.RadialField):
+            seen.append(starts)
+            if stop:
+                raise _StartsSeen
+        return multistart(starts, *args, **kwargs)
+
+    monkeypatch.setattr(slv, "multistart_minimize", record)
+    cube = {"cube_grid": {"n": 16}, "options": {"refine_n": 24}}
+    path = _write(tmp_path, {"schema": SCHEMA_VERSION,
+                             "radial_grid": {"n": 512}, **entries,
+                             **(cube if scenario == "symmetry-breaking"
+                                else {})})
+    cfg = load_config(scenario, config_path=path,
+                      out_dir=str(tmp_path / "out"))
+    if stop:
+        with pytest.raises(_StartsSeen):
+            run(cfg)
+    else:
+        run(cfg)
+    return seen
+
+
+@pytest.mark.parametrize("n_starts", [3, None])
+@pytest.mark.parametrize("scenario, default", [
+    ("autonomous", 8), ("uniqueness-scan", 20), ("ground-state", 8),
+    ("symmetry-breaking", 6)])
+def test_n_starts_counts_every_radial_start(tmp_path, monkeypatch,
+                                            scenario, default, n_starts):
+    # symmetry-breaking added n_starts random starts to its two fixed
+    # ones, so its radial level ran from 5 at n_starts 3
+    entries = {} if n_starts is None else {"solver": {"n_starts": n_starts}}
+    seen = _radial_starts(tmp_path, monkeypatch, scenario, entries)
+    assert len(seen[0]) == (n_starts or default)
+
+
+def test_uniqueness_scan_runs_both_profiles_from_one_list(tmp_path,
+                                                          monkeypatch):
+    seen = _radial_starts(tmp_path, monkeypatch, "uniqueness-scan",
+                          {"solver": {"n_starts": 2}}, stop=False)
+    assert len(seen) == 2 and seen[0] is seen[1] and len(seen[0]) == 2
 
 
 @pytest.mark.usefixtures("fresh_scan_cache")

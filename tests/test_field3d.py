@@ -17,11 +17,9 @@ from spvlab.field3d import (DiscretizationError, Field3D, Grid3D,
                             poisson_freespace, sobolev_gradient_3d,
                             support_radius)
 from spvlab.models import ChargeProfile, NonlinearityModel, eval_f
-from spvlab.radial import RadialField, RadialGrid
+from spvlab.radial import FOUR_PI, RadialField, RadialGrid
 from spvlab.radial import h1_norm_sq as h1_radial
 from spvlab.radial import nonlocal_term as nonlocal_radial
-
-FOUR_PI = 4.0 * math.pi
 GAUSSIAN_H1 = 2.5 * math.pi ** 1.5
 
 
@@ -350,7 +348,7 @@ class TestEnergies3D:
         # charge profile is even
         grid = Grid3D(6.0, 32)
         model = _model()
-        rho = ChargeProfile.rational(0.1, 2.0)
+        rho = ChargeProfile(0.1, 2.0)
         ax = grid.axis()
         x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
         vals = 2.0 * np.exp(-((x - 1.0) ** 2 + y ** 2 + z ** 2))
@@ -366,7 +364,7 @@ class TestEnergies3D:
     def test_gradient_matches_finite_differences(self):
         grid = Grid3D(6.0, 32)
         model = _model()
-        rho = ChargeProfile.rational(0.1, 2.0)
+        rho = ChargeProfile(0.1, 2.0)
         rng = np.random.default_rng(2)
         u = _gaussian3(grid, 3.0, 1.0)
         g = sobolev_gradient_3d(u, rho, model)
@@ -398,7 +396,7 @@ class TestEnergies3D:
     def test_helpers_are_the_kernel(self):
         grid = Grid3D(6.0, 16)
         model = _model()
-        rho = ChargeProfile.rational(0.1, 2.0)
+        rho = ChargeProfile(0.1, 2.0)
         u = _gaussian3(grid, 3.0, 1.0)
         v = _gaussian3(grid, 0.5, 1.5)
         disc = f3d.CubeDisc(grid, rho, model)

@@ -15,12 +15,11 @@ from spvlab.landscape import (MultibumpSpec, a0_ratio, coulomb_self_energy,
                               multibump_energy, multibump_sweep, smoothstep)
 from spvlab.models import (ChargeProfile, ModelError, NonlinearityModel,
                            eval_f)
-from spvlab.radial import RadialField, RadialGrid
+from spvlab.radial import FOUR_PI, RadialField, RadialGrid
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:field has not decayed:RuntimeWarning")
 
-FOUR_PI = 4.0 * math.pi
 LAM = 0.0031587563549145504
 
 
@@ -283,6 +282,11 @@ class TestCutoff:
         slope = np.max(np.abs(np.diff(smoothstep(r, r0, r1)) / np.diff(r)))
         assert slope <= 1.5 / (r1 - r0) + 1e-6
 
+    @pytest.mark.parametrize("r0, r1", [(4.0, 4.0), (4.0, 3.0)])
+    def test_empty_ramp_rejected(self, r0, r1):
+        with pytest.raises(ModelError, match="r0 < r1"):
+            smoothstep(np.linspace(0.0, 8.0, 9), r0, r1)
+
 
 class TestMultibumpSpec:
     def test_single_bump_always_allowed(self):
@@ -315,7 +319,7 @@ class TestMultibumpEnergy:
         self.grid = _grid()
         self.model = _model()
         self.u = _compact_bump(self.grid)
-        self.profile = ChargeProfile.rational(0.04, 2.0).scaled(1.0 / 16.0)
+        self.profile = ChargeProfile(0.04, 2.0).scaled(1.0 / 16.0)
 
     def test_report_invariants(self):
         report = multibump_energy(MultibumpSpec(R0=3.5, N=3), self.u,

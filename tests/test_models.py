@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import spvlab.models as mdl
-from spvlab.models import (ChargeProfile, ModelError, NonlinearityModel,
-                           bracket_stationary_point, coercivity_floor,
-                           critical_charge_threshold, energy_density_bracket,
+from spvlab.models import (SQRT8, ChargeProfile, ModelError,
+                           NonlinearityModel, bracket_stationary_point,
+                           coercivity_floor, critical_charge_threshold,
+                           energy_density_bracket,
                            eval_F, eval_f, fit_cubic_bound, fit_growth_bound,
                            fit_nehari_cubic_bound, pointwise_energy_floor,
                            validate_conditions)
-
-SQRT8 = math.sqrt(8.0)
 
 # bisection root of the bracket minimum for C0 = 1, p = 2.5, frozen from
 # an independent mpmath bisection
@@ -228,8 +227,8 @@ def _table(last=100.0):
 
 @pytest.mark.parametrize("build", [
     lambda: ChargeProfile.constant(2.0),
-    lambda: ChargeProfile.rational(0.1, 2.0),
-    lambda: ChargeProfile.rational(0.1, 2.0).scaled(0.25),
+    lambda: ChargeProfile(0.1, 2.0),
+    lambda: ChargeProfile(0.1, 2.0).scaled(0.25),
     lambda: NonlinearityModel.pure_power(2.5),
     lambda: NonlinearityModel.pure_power(2.5).with_constants(2.5),
     _table,
@@ -250,8 +249,7 @@ def test_equal_inputs_are_equal_values(build):
 class TestModelValues:
     def test_tables_differing_in_one_entry_are_unequal(self):
         assert _table() != _table(last=101.0)
-        assert ChargeProfile.rational(0.1, 2.0) != ChargeProfile.rational(
-            0.1, 2.5)
+        assert ChargeProfile(0.1, 2.0) != ChargeProfile(0.1, 2.5)
 
     def test_caller_writes_do_not_reach_the_model(self):
         s = np.linspace(0.0, 10.0, 50)
@@ -277,18 +275,18 @@ class TestChargeProfile:
         assert_allclose(prof.at_radius(np.array([0.0, 5.0])), [2.0, 2.0])
 
     def test_rational_shape(self):
-        prof = ChargeProfile.rational(0.1, 2.0)
+        prof = ChargeProfile(0.1, 2.0)
         assert_allclose(prof.at_radius(0.0), 0.1)
         assert_allclose(prof.at_radius(1.0), 0.1 + 1.9 / 2.0)
         assert_allclose(prof.at_radius(1e6), 2.0, rtol=1e-10)
 
     def test_scaled(self):
-        prof = ChargeProfile.rational(0.1, 2.0).scaled(0.5)
-        base = ChargeProfile.rational(0.1, 2.0)
+        prof = ChargeProfile(0.1, 2.0).scaled(0.5)
+        base = ChargeProfile(0.1, 2.0)
         assert_allclose(prof.at_radius(4.0), base.at_radius(2.0))
 
     def test_equal_levels_are_the_constant_profile(self):
-        flat = ChargeProfile.rational(2.0, 2.0)
+        flat = ChargeProfile(2.0, 2.0)
         assert flat == ChargeProfile.constant(2.0)
         assert hash(flat) == hash(ChargeProfile.constant(2.0))
         # equal levels give rho = rho0 exactly, even where r^2 / (1 + r^2)
@@ -300,15 +298,15 @@ class TestChargeProfile:
         with pytest.raises(ModelError):
             ChargeProfile.constant(-1.0)
         with pytest.raises(ModelError):
-            ChargeProfile.rational(-5.0, 2.0)
+            ChargeProfile(-5.0, 2.0)
 
     @pytest.mark.parametrize("build", [
         lambda: ChargeProfile.constant(math.nan),
         lambda: ChargeProfile.constant(math.inf),
-        lambda: ChargeProfile.rational(math.nan, 1.0),
-        lambda: ChargeProfile.rational(math.inf, 1.0),
-        lambda: ChargeProfile.rational(0.5, math.nan),
-        lambda: ChargeProfile.rational(0.5, math.inf),
+        lambda: ChargeProfile(math.nan, 1.0),
+        lambda: ChargeProfile(math.inf, 1.0),
+        lambda: ChargeProfile(0.5, math.nan),
+        lambda: ChargeProfile(0.5, math.inf),
         lambda: ChargeProfile.constant(1.0).scaled(math.nan),
         lambda: ChargeProfile.constant(1.0).scaled(math.inf),
         lambda: ChargeProfile.constant(1.0).scaled(0.0),
@@ -335,7 +333,7 @@ class TestCoercivityFloor:
 
     def test_rational_profile_finite(self):
         model = _model()
-        floor = coercivity_floor(ChargeProfile.rational(0.1, 2.0),
+        floor = coercivity_floor(ChargeProfile(0.1, 2.0),
                                  model.C0, model.p)
         assert not floor.degenerate
         assert floor.floor < 0.0 and math.isfinite(floor.floor)
@@ -343,7 +341,7 @@ class TestCoercivityFloor:
 
     def test_threshold_solved_once(self, count_calls):
         model = _model()
-        prof = ChargeProfile.rational(0.1, 2.0)
+        prof = ChargeProfile(0.1, 2.0)
         calls = count_calls(mdl, "critical_charge_threshold")
         coercivity_floor(prof, model.C0, model.p)
         assert len(calls) == 1
@@ -360,7 +358,7 @@ class TestCoercivityFloor:
     def test_unbounded_sublevel_set_rejected(self):
         model = _model()
         with pytest.raises(ModelError):
-            coercivity_floor(ChargeProfile.rational(0.1, 0.5),
+            coercivity_floor(ChargeProfile(0.1, 0.5),
                              model.C0, model.p)
 
 
@@ -368,7 +366,7 @@ class TestValidateConditions:
     def test_origin_window_profile(self):
         model = _model()
         lam = 0.003
-        prof = ChargeProfile.rational(0.9 * math.sqrt(lam), 2.0)
+        prof = ChargeProfile(0.9 * math.sqrt(lam), 2.0)
         rep = validate_conditions(prof, model, lam)
         assert rep.d1_positive_with_limit
         assert rep.d2_threshold_ordering
@@ -378,7 +376,7 @@ class TestValidateConditions:
     def test_window_violated_by_large_origin_value(self):
         model = _model()
         lam = 0.003
-        prof = ChargeProfile.rational(2.0 * math.sqrt(lam), 3.0)
+        prof = ChargeProfile(2.0 * math.sqrt(lam), 3.0)
         rep = validate_conditions(prof, model, lam)
         assert not rep.d5_origin_window
 

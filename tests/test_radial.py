@@ -11,12 +11,10 @@ from scipy.sparse.linalg import splu
 
 import spvlab.radial as rad
 from spvlab.models import ChargeProfile, NonlinearityModel
-from spvlab.radial import (DiscretizationError, RadialField, RadialGrid,
-                           energy_radial, h1_norm_sq, l2_norm_sq,
+from spvlab.radial import (FOUR_PI, DiscretizationError, RadialField,
+                           RadialGrid, energy_radial, h1_norm_sq, l2_norm_sq,
                            nonlocal_term, poisson_radial,
                            potential_gradient_energy, strauss_check)
-
-FOUR_PI = 4.0 * math.pi
 
 # analytic H1 norm of exp(-r^2/2): integral of u^2 is pi^{3/2}, of
 # |grad u|^2 is (3/2) pi^{3/2}
@@ -129,7 +127,7 @@ class TestEnergyAndGradient:
     def test_energy_matches_parts(self):
         grid = _grid(n=1024)
         model = _model()
-        rho = ChargeProfile.rational(0.1, 2.0)
+        rho = ChargeProfile(0.1, 2.0)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "field has not decayed",
                                     RuntimeWarning)
@@ -143,7 +141,7 @@ class TestEnergyAndGradient:
     def test_gradient_matches_finite_differences(self):
         grid = _grid(n=1024)
         model = _model()
-        rho = ChargeProfile.rational(0.1, 2.0)
+        rho = ChargeProfile(0.1, 2.0)
         rng = np.random.default_rng(11)
         disc = rad.RadialDisc(grid, rho, model)
         for _ in range(5):
@@ -335,3 +333,19 @@ class TestFieldIO:
                 RadialGrid(12.0, n)
         grid = RadialGrid(12.0, np.float64(4096.0))
         assert type(grid.n) is int and grid.r[-1] == 12.0
+
+
+def test_random_direction_draws_the_bumps_it_always_drew():
+    grid = _grid(n=512)
+    disc = rad.RadialDisc(grid, ChargeProfile.constant(1.0), _model())
+    got = disc.random_direction(np.random.default_rng(5))
+    # the three-bump loop as it stood before random_bumps held it
+    rng = np.random.default_rng(5)
+    r = grid.r
+    v = np.zeros_like(r)
+    for _ in range(3):
+        c = rng.uniform(0.0, grid.r_max / 3.0)
+        s = rng.uniform(0.5, 2.0)
+        v = v + rng.normal() * np.exp(-((r - c) / s) ** 2)
+    assert np.array_equal(got, v / math.sqrt(disc.h1_norm_sq(v)))
+
