@@ -132,6 +132,13 @@ def _number(value, name: str, convert: Callable, positive: bool):
     raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
 
 
+def _reject_unread(reader: str, names) -> None:
+    """Reject the config entries ``names``, which ``reader`` does not read."""
+    if names:
+        raise ConfigError(f"{reader} does not read config entries: "
+                          f"{', '.join(sorted(names))}")
+
+
 def _entries(doc: dict, scenario: str) -> Dict[str, dict]:
     """The entries of ``doc`` by section ("" for the top level), each
     converted to its type (a null entry or section counts as absent); an
@@ -143,10 +150,7 @@ def _entries(doc: dict, scenario: str) -> Dict[str, dict]:
         if not isinstance(sec, dict):
             raise ConfigError(f"config section {key} must be a JSON object")
         given.update((f"{key}.{k}", v) for k, v in sec.items())
-    unread = sorted(set(given) - set(types))
-    if unread:
-        raise ConfigError(f"scenario {scenario} does not read config "
-                          f"entries: {', '.join(unread)}")
+    _reject_unread(f"scenario {scenario}", set(given) - set(types))
     out = {section: {} for section in ("",) + _SECTIONS}
     for name, value in given.items():
         if value is None:
@@ -169,20 +173,23 @@ def _entries(doc: dict, scenario: str) -> Dict[str, dict]:
 
 # the model section's defaults, which a config without one echoes with p
 _DEFAULT_MODEL = {"kind": "pure-power", "q": 2.5, "a_q": 1.0}
+# each model kind's entries besides p, and its constructor from them
+_MODEL_KINDS = {
+    "pure-power": (("q", "a_q"), NonlinearityModel.pure_power),
+    "asymptotically-linear": (("a2",),
+                              NonlinearityModel.asymptotically_linear),
+    "table": (("csv",), NonlinearityModel.from_csv)}
 
 
 def _build_model(doc: dict) -> NonlinearityModel:
-    doc = {**_DEFAULT_MODEL, **doc}
-    kind = doc["kind"]
-    if kind == "pure-power":
-        model = NonlinearityModel.pure_power(doc["q"], doc["a_q"])
-    elif kind == "asymptotically-linear":
-        model = NonlinearityModel.asymptotically_linear(
-            _required(doc, "a2", "model"))
-    elif kind == "table":
-        model = NonlinearityModel.from_csv(_required(doc, "csv", "model"))
-    else:
+    kind = doc.get("kind", _DEFAULT_MODEL["kind"])
+    if kind not in _MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
+    reads, build = _MODEL_KINDS[kind]
+    _reject_unread(f"model kind {kind}", [f"model.{key}" for key in doc
+                                          if key not in ("kind", "p", *reads)])
+    full = {**_DEFAULT_MODEL, **doc}
+    model = build(*(_required(full, key, "model") for key in reads))
     p = doc.get("p", model.q if 2.0 < model.q < 3.0 else 2.5)
     return model.with_constants(p)
 
@@ -196,6 +203,9 @@ def _build_profile(doc: dict) -> ChargeProfile:
     levels = _PROFILE_LEVELS.get(doc.get("kind"))
     if levels is None:
         raise ConfigError(f"unknown profile kind {doc.get('kind')!r}")
+    _reject_unread(f"profile kind {doc['kind']}",
+                   [f"profile.{key}" for key in doc
+                    if key not in ("kind", "eps", *levels)])
     return ChargeProfile(*(_required(doc, key, "profile") for key in levels),
                          eps=doc.get("eps", 1.0))
 
@@ -271,6 +281,15 @@ def load_config(scenario: str, config_path: Optional[str] = None,
             rad.ball_nodes(radial_grid, options["R0"])
         except (ModelError, rad.DiscretizationError) as exc:
             raise ConfigError(f"options.R0: {exc}") from None
+    if scenario == "symmetry-breaking":
+        # the two-bump start tapers each bump to zero between max(r1 - 2, 1)
+        # and r1 = L - 2h - offset - 0.5, off the box's last two nodes
+        offset = options.setdefault("bump_offset", 7.0)
+        reach = cube_grid.L - 2.0 * cube_grid.h
+        if reach - offset - 0.5 <= 1.0:
+            raise ConfigError(
+                f"options.bump_offset must be below the cube's L - 2h - 1.5 "
+                f"= {_fmt(reach - 1.5)}, got {_fmt(offset)}")
 
     return ScenarioConfig(
         scenario=scenario,
@@ -386,13 +405,13 @@ def _resolve_lambda(cfg: ScenarioConfig, bound: Optional[float]) -> float:
 
 def _starts(cfg: ScenarioConfig, default: int,
             *fixed: Optional[rad.RadialField]) -> List[rad.RadialField]:
-    """A radial multistart's starts: the fixed ones that are not None,
-    then random Gaussians up to ``solver.n_starts`` (``default`` when
-    unset) in all, and always at least one random Gaussian."""
-    starts = [u for u in fixed if u is not None]
+    """A radial multistart's n starts, n = ``solver.n_starts``
+    (``default`` when unset): the first n fixed ones that are not None,
+    then random Gaussians to fill the count."""
     n = cfg.solver.get("n_starts", default)
+    starts = [u for u in fixed if u is not None][:n]
     return starts + slv.radial_gaussian_starts(
-        cfg.radial_grid, max(n - len(starts), 1), seed=cfg.seed)
+        cfg.radial_grid, n - len(starts), seed=cfg.seed)
 
 
 def _trilinear_resample(values: np.ndarray, grid_from: f3d.Grid3D,
@@ -721,16 +740,11 @@ def _scenario_multibump(cfg: ScenarioConfig):
 def _scenario_symmetry_breaking(cfg: ScenarioConfig):
     eps_sweep = cfg.options.get(
         "eps_sweep", [0.05, 0.025, 0.0125, 0.00625, 0.003125])
-    offset = cfg.options.get("bump_offset", 7.0)
+    offset = cfg.options["bump_offset"]
     grid3 = cfg.cube_grid
-    # the two-bump start tapers each bump to zero between max(r1 - 2, 1)
-    # and r1, which keeps it off the box's last two nodes
+    # the two-bump taper's outer radius, checked at load to exceed 1
     reach = grid3.L - 2.0 * grid3.h
     r1 = reach - offset - 0.5
-    if r1 <= 1.0:
-        raise ConfigError(
-            f"options.bump_offset must be below the cube's L - 2h - 1.5 "
-            f"= {_fmt(reach - 1.5)}, got {_fmt(offset)}")
     # the 3-D descents' options: the two-bump start is assembled from
     # converged radial pieces and already sits below the radial level,
     # and a modest number of 3-D relaxation steps keeps the scenario
@@ -862,11 +876,8 @@ _SCENARIO_BODIES: Dict[str, Callable] = {
 def run(cfg: ScenarioConfig) -> ExperimentReport:
     """Execute the scenario and write report, traces, fields, plot CSVs."""
     t0 = time.perf_counter()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    traces_dir = os.path.join(cfg.out_dir, "traces")
-    fields_dir = os.path.join(cfg.out_dir, "fields")
-    os.makedirs(traces_dir, exist_ok=True)
-    os.makedirs(fields_dir, exist_ok=True)
+    for sub in ("traces", "fields"):
+        os.makedirs(os.path.join(cfg.out_dir, sub), exist_ok=True)
 
     with warnings.catch_warnings():
         # descent iterates and trial fields legitimately brush the decay

@@ -216,7 +216,15 @@ def _spectral(grid: Grid3D):
 # ---------------------------------------------------------------------------
 
 def poisson_freespace(source: Field3D) -> Field3D:
-    """Solve -Delta phi = g with free-space boundary conditions.
+    """``_poisson_doubled`` of a field; the potential skips the decay
+    guard, since it decays only like 1/r."""
+    return Field3D(source.grid, _poisson_doubled(source.grid, source.values),
+                   guard=False)
+
+
+def _poisson_doubled(grid: Grid3D, g: np.ndarray) -> np.ndarray:
+    """Solve -Delta phi = g with free-space boundary conditions, for the
+    nodal samples g of a nonnegative source; returns those of phi.
 
     Zero-padded convolution on the doubled grid; exact convolution of the
     sampled source with the (cell-averaged at the origin) Coulomb kernel.
@@ -242,10 +250,9 @@ def poisson_freespace(source: Field3D) -> Field3D:
     honoured (a test pins this).  Slabs and chunks hold about
     ``_CHUNK_BYTES`` each.
     """
-    g = source.values
+    _nodal_peak(g)  # DiscretizationError for a non-finite source
     if g.min() < 0.0:
         raise ModelError("Poisson source must be nonnegative")
-    grid = source.grid
     n = grid.n
     m = 2 * n
     rows = max(1, _CHUNK_BYTES // (n * m * 16))
@@ -279,7 +286,7 @@ def poisson_freespace(source: Field3D) -> Field3D:
             f"spectrum ({n * n * (n + 1) * 16:,} bytes) and its chunk "
             f"workspace of {c} complex {m} x {m} k-planes "
             f"({c * m * m * 16:,} bytes) do not fit in memory") from exc
-    return Field3D(grid, conv, guard=False)
+    return conv
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +375,7 @@ class CubeDisc(Disc):
         return _h1_inner(self.grid, a, b)
 
     def poisson(self, source: np.ndarray) -> np.ndarray:
-        return poisson_freespace(Field3D(self.grid, source, guard=False)).values
+        return _poisson_doubled(self.grid, source)
 
     def _riesz_hat(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Half spectrum of the H^1-Riesz gradient."""

@@ -141,15 +141,6 @@ class RadialField:
         return RadialField(grid, u)
 
 
-@dataclass(frozen=True, eq=False)
-class PoissonPotential:
-    """Potential phi of a nonnegative radial source, with its total charge."""
-
-    grid: RadialGrid
-    values: np.ndarray
-    total_charge: float
-
-
 # ---------------------------------------------------------------------------
 # Cached discrete operators, keyed by grid
 # ---------------------------------------------------------------------------
@@ -204,17 +195,17 @@ def l2_norm_sq(u: RadialField) -> float:
 # Newtonian potential
 # ---------------------------------------------------------------------------
 
-def poisson_radial(source: RadialField) -> PoissonPotential:
-    """Solve -Delta phi = g for a nonnegative radial source g.
+def poisson_radial(grid: RadialGrid, g: np.ndarray) -> np.ndarray:
+    """Solve -Delta phi = g for the nodal samples g of a nonnegative
+    radial source; returns the nodal samples of phi.
 
     O(n) evaluation of the symmetric kernel quadrature
     phi_i = (1/4pi) sum_j w_j g_j / max(r_i, r_j); the self term at the
     origin uses the cell average of 1/s over the first half-cell.
     """
-    g = source.values
+    _nodal_peak(g)  # DiscretizationError for a non-finite source
     if g.min() < 0.0:
         raise ModelError("Poisson source must be nonnegative")
-    grid = source.grid
     r, w = grid.r, grid.w
     a = w * g
     inner = np.cumsum(a)                       # sum_{j <= i} w_j g_j
@@ -227,26 +218,13 @@ def poisson_radial(source: RadialField) -> PoissonPotential:
     # mean of 1/s over the origin cell [0, h/2] is 3/h
     phi[0] = a[0] * 3.0 / grid.h + tail[0]
     phi /= FOUR_PI
-    return PoissonPotential(grid=grid, values=phi, total_charge=float(inner[-1]))
-
-
-def potential_gradient_energy(phi: PoissonPotential) -> float:
-    """int |grad phi|^2 over all of R^3.
-
-    The grid part uses cell-wise differences; the 1/r far field carries
-    Q^2/(4 pi r_max) beyond the truncation radius and is added analytically
-    (phi decays too slowly to ignore it).
-    """
-    tail = phi.total_charge ** 2 / (FOUR_PI * phi.grid.r_max)
-    return _dirichlet(phi.grid, phi.values) + tail
+    return phi
 
 
 def nonlocal_term(u: RadialField, profile: ChargeProfile) -> float:
     """int rho phi_{rho,u} u^2 dV, the Coulomb self-interaction energy."""
-    rho = profile.at_radius(u.grid.r)
-    src = RadialField(u.grid, rho * u.values ** 2)
-    phi = poisson_radial(src)
-    return u.grid.integrate(rho * u.values ** 2 * phi.values)
+    dens = profile.at_radius(u.grid.r) * u.values ** 2
+    return u.grid.integrate(dens * poisson_radial(u.grid, dens))
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +293,13 @@ class Disc:
     gradient given the potential), ``gradient`` (the same with its H^1
     norm), ``random_direction`` and ``wrap``; the potential, the energy,
     the Nehari residual and its ratio to the squared H^1 norm are written
-    here once.  ``potential`` is the Poisson solve alone, for callers
-    that need the gradient but not J; ``energy`` returns the potential
-    with J so the gradient at the same iterate reuses the Poisson solve,
-    which dominates the per-iteration cost in 3-D, and ``energy_at``
-    evaluates J from a potential already solved for.
+    here once.  Every method works on arrays, the Poisson solve included;
+    ``wrap`` builds the one field object of a search, its result.
+    ``potential`` is the Poisson solve alone, for callers that need the
+    gradient but not J; ``energy`` returns the potential with J so the
+    gradient at the same iterate reuses the Poisson solve, which
+    dominates the per-iteration cost in 3-D, and ``energy_at`` evaluates
+    J from a potential already solved for.
     ``field3d.sobolev_gradient_3d`` is a thin call into the cube kernel.
     """
 
@@ -377,7 +357,7 @@ class RadialDisc(Disc):
         return float(a @ (self.M @ b))
 
     def poisson(self, source: np.ndarray) -> np.ndarray:
-        return poisson_radial(RadialField(self.grid, source)).values
+        return poisson_radial(self.grid, source)
 
     def _riesz_rhs(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Right-hand side b of the Riesz solve M g = b: the exact

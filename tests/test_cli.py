@@ -218,6 +218,69 @@ def test_entry_the_scenario_does_not_read_exits_2(tmp_path, capsys,
                               f"entries: {name}")
 
 
+# the entries each model and profile kind reads, at valid values (the
+# table's csv is written by the test); a kind reads no other entry of its
+# section
+KIND_READS = {
+    ("model", "pure-power"): {"q": 2.5, "a_q": 1.0, "p": 2.5},
+    ("model", "asymptotically-linear"): {"a2": 3.0, "p": 2.5},
+    ("model", "table"): {"csv": "f.csv", "p": 2.5},
+    ("profile", "constant"): {"value": 1.0, "eps": 1.0},
+    ("profile", "rational"): {"rho0": 0.5, "rho_inf": 2.0, "eps": 1.0},
+}
+
+
+def _section_entries(section):
+    """Every entry some kind of ``section`` reads, at its valid value."""
+    return {key: value for (other, _), reads in KIND_READS.items()
+            if other == section for key, value in reads.items()}
+
+
+KIND_UNREAD = [(section, kind, key)
+               for (section, kind), reads in KIND_READS.items()
+               for key in _section_entries(section) if key not in reads]
+
+
+def _kind_doc(tmp_path, section, kind, extra=None):
+    """A config document whose ``section`` is of ``kind``, sets every
+    entry the kind reads and the entry ``extra``."""
+    entries = _section_entries(section)
+    keys = [*KIND_READS[section, kind], *([extra] if extra else [])]
+    sec = {"kind": kind, **{key: entries[key] for key in keys}}
+    if "csv" in sec:
+        s = np.linspace(0.0, 10.0, 41)
+        np.savetxt(tmp_path / "f.csv", np.column_stack([s, s ** 1.5]),
+                   delimiter=",")
+        sec["csv"] = str(tmp_path / "f.csv")
+    return {"schema": SCHEMA_VERSION, section: sec}
+
+
+def test_every_unread_kind_entry_is_listed():
+    assert len(KIND_UNREAD) == 11
+
+
+@pytest.mark.parametrize("section, kind", sorted(KIND_READS))
+def test_every_entry_the_kind_reads_loads(tmp_path, section, kind):
+    load_config("verify-lemmas",
+                config_path=_write(tmp_path, _kind_doc(tmp_path, section,
+                                                       kind)))
+
+
+@pytest.mark.parametrize("section, kind, key", KIND_UNREAD)
+def test_entry_the_kind_does_not_read_exits_2(tmp_path, capsys, section,
+                                              kind, key):
+    path = _write(tmp_path, _kind_doc(tmp_path, section, kind, key))
+    assert main(["verify-lemmas", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError"
+    assert err["message"] == (f"{section} kind {kind} does not read config "
+                              f"entries: {section}.{key}")
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_every_entry_the_scenario_reads_loads(tmp_path, scenario):
     path = _write(tmp_path, _doc_setting(sorted(READS[scenario])))
@@ -518,6 +581,7 @@ def test_malformed_config_fails_before_any_solve(tmp_path, monkeypatch,
                              "radial_grid": {"n": 512}, **doc})
     assert main([*command.split(), "--config", path,
                  "--out", str(tmp_path / "out")]) == code
+    assert not (tmp_path / "out").exists()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
@@ -560,14 +624,15 @@ def _radial_starts(tmp_path, monkeypatch, scenario, entries, stop=True):
     return seen
 
 
-@pytest.mark.parametrize("n_starts", [3, None])
+@pytest.mark.parametrize("n_starts", [1, 3, None])
 @pytest.mark.parametrize("scenario, default", [
     ("autonomous", 8), ("uniqueness-scan", 20), ("ground-state", 8),
     ("symmetry-breaking", 6)])
 def test_n_starts_counts_every_radial_start(tmp_path, monkeypatch,
                                             scenario, default, n_starts):
     # symmetry-breaking added n_starts random starts to its two fixed
-    # ones, so its radial level ran from 5 at n_starts 3
+    # ones, so its radial level ran from 5 at n_starts 3; and at least
+    # one random start was always drawn, so from 3 at n_starts 1
     entries = {} if n_starts is None else {"solver": {"n_starts": n_starts}}
     seen = _radial_starts(tmp_path, monkeypatch, scenario, entries)
     assert len(seen[0]) == (n_starts or default)

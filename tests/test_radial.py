@@ -13,8 +13,7 @@ import spvlab.radial as rad
 from spvlab.models import ChargeProfile, NonlinearityModel
 from spvlab.radial import (FOUR_PI, DiscretizationError, RadialField,
                            RadialGrid, energy_radial, h1_norm_sq, l2_norm_sq,
-                           nonlocal_term, poisson_radial,
-                           potential_gradient_energy, strauss_check)
+                           nonlocal_term, poisson_radial, strauss_check)
 
 # analytic H1 norm of exp(-r^2/2): integral of u^2 is pi^{3/2}, of
 # |grad u|^2 is (3/2) pi^{3/2}
@@ -32,8 +31,7 @@ def _grid(n=4096, r_max=12.0):
 def _ball(grid):
     # cell-averaged indicator of the unit ball, exact charge 4 pi / 3 up
     # to one transition cell
-    vals = np.clip((1.0 - (grid.r - 0.5 * grid.h)) / grid.h, 0.0, 1.0)
-    return RadialField(grid, vals)
+    return np.clip((1.0 - (grid.r - 0.5 * grid.h)) / grid.h, 0.0, 1.0)
 
 
 class TestQuadrature:
@@ -83,32 +81,35 @@ class TestQuadrature:
 class TestPoisson:
     def test_uniform_ball_potential(self):
         grid = _grid()
-        phi = poisson_radial(_ball(grid))
+        phi = poisson_radial(grid, _ball(grid))
         r = grid.r
         exact = np.where(r <= 1.0, (3.0 - r ** 2) / 6.0,
                          1.0 / (3.0 * np.maximum(r, grid.h)))
-        rel = np.max(np.abs(phi.values - exact) / np.abs(exact))
+        rel = np.max(np.abs(phi - exact) / np.abs(exact))
         assert rel < 1e-3
 
     def test_total_charge(self):
         grid = _grid()
-        phi = poisson_radial(_ball(grid))
-        assert_allclose(phi.total_charge, FOUR_PI / 3.0, rtol=1e-4)
+        assert_allclose(grid.integrate(_ball(grid)), FOUR_PI / 3.0,
+                        rtol=1e-4)
 
     def test_far_field_tail(self):
+        # past the source, phi is the point charge Q / (4 pi r)
         grid = _grid()
-        phi = poisson_radial(_ball(grid))
-        assert_allclose(phi.values[-1],
-                        phi.total_charge / (FOUR_PI * grid.r_max),
+        g = _ball(grid)
+        phi = poisson_radial(grid, g)
+        assert_allclose(phi[-1], grid.integrate(g) / (FOUR_PI * grid.r_max),
                         rtol=1e-10)
 
     def test_energy_identity(self):
-        # integral of |grad phi|^2 equals the source-potential pairing
+        # integral of |grad phi|^2 over R^3 equals the source-potential
+        # pairing; past r_max the 1/r far field carries Q^2 / (4 pi r_max)
         grid = _grid()
         g = _ball(grid)
-        phi = poisson_radial(g)
-        pairing = grid.integrate(g.values * phi.values)
-        assert_allclose(potential_gradient_energy(phi), pairing, rtol=1e-3)
+        phi = poisson_radial(grid, g)
+        pairing = grid.integrate(g * phi)
+        tail = grid.integrate(g) ** 2 / (FOUR_PI * grid.r_max)
+        assert_allclose(rad._dirichlet(grid, phi) + tail, pairing, rtol=1e-3)
 
     def test_nonlocal_term_is_self_pairing(self):
         grid = _grid(n=1024)
@@ -117,10 +118,20 @@ class TestPoisson:
                                     RuntimeWarning)
             u = RadialField.gaussian(grid, 2.0, 1.0)
         rho = ChargeProfile.constant(1.5)
-        src = RadialField(grid, 1.5 * u.values ** 2)
-        phi = poisson_radial(src)
-        assert_allclose(nonlocal_term(u, rho),
-                        grid.integrate(src.values * phi.values), rtol=1e-12)
+        src = 1.5 * u.values ** 2
+        phi = poisson_radial(grid, src)
+        assert_allclose(nonlocal_term(u, rho), grid.integrate(src * phi),
+                        rtol=1e-12)
+
+    def test_solve_is_the_kernel_quadrature(self):
+        # phi_i = (1/4pi) sum_j w_j g_j / max(s_i, s_j), with the origin's
+        # effective radius s_0 = h/3
+        grid = _grid(n=64)
+        g = np.exp(-grid.r)
+        s = grid.r.copy()
+        s[0] = grid.h / 3.0
+        dense = (1.0 / np.maximum.outer(s, s)) @ (grid.w * g) / FOUR_PI
+        assert_allclose(poisson_radial(grid, g), dense, rtol=1e-13)
 
 
 class TestEnergyAndGradient:

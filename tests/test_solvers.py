@@ -18,7 +18,7 @@ import spvlab.radial as rad
 import spvlab.solvers as slv
 from spvlab.field3d import Field3D, Grid3D
 from spvlab.landscape import tapered_ball_start
-from spvlab.models import ChargeProfile, NonlinearityModel
+from spvlab.models import ChargeProfile, ModelError, NonlinearityModel
 from spvlab.radial import RadialField, RadialGrid, h1_norm_sq
 from spvlab.solvers import (ARMIJO_C, SolveOptions, SolverError, minimize,
                             mountain_pass, multistart_minimize,
@@ -113,6 +113,74 @@ class TestMinimize:
         with pytest.raises(SolverError):
             minimize(u, _rho(), _model(), SolveOptions(max_iter=5),
                      support_radius=2.0)
+
+
+def _count_fields(monkeypatch, field_type):
+    """The fields of ``field_type`` built from here on, in order."""
+    built = []
+    post_init = field_type.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(field_type, "__post_init__", counted)
+    return built
+
+
+def _cube_start(grid):
+    return 12.67 * np.exp(-grid.radius() ** 2 / (2.0 * 0.93 ** 2))
+
+
+class TestFieldsBuiltBySearches:
+    # the kernels solve Poisson on arrays, so a search builds one field
+    # object, its result, whatever the number of solves
+
+    def test_radial_minimize(self, monkeypatch):
+        start = _negative_start(RadialGrid(12.0, 512))
+        built = _count_fields(monkeypatch, RadialField)
+        res = minimize(start, _rho(), _model(), SolveOptions(tol_grad=1e-5))
+        assert res.classification == "minimizer"
+        assert len(built) == 1 and built[0] is res.field
+
+    def test_cube_minimize(self, monkeypatch):
+        grid = Grid3D(6.0, 16)
+        start = Field3D(grid, _cube_start(grid))
+        built = _count_fields(monkeypatch, Field3D)
+        res = minimize(start, _rho(), _model(), SolveOptions(tol_grad=1e-2))
+        # classified, so the curvature probes ran too
+        assert res.classification == "minimizer"
+        assert len(built) == 1 and built[0] is res.field
+
+    def test_radial_mountain_pass(self, monkeypatch):
+        low = minimize(_negative_start(RadialGrid(12.0, 512)), _rho(),
+                       _model(), SolveOptions(tol_grad_abs=1e-6))
+        built = _count_fields(monkeypatch, RadialField)
+        res = mountain_pass(low.field, _rho(), _model(),
+                            SolveOptions(tol_grad_abs=1e-4))
+        assert res.classification == "mountain-pass"
+        assert len(built) == 1 and built[0] is res.field
+
+
+_KERNELS = {
+    "radial": lambda: rad.RadialDisc(RadialGrid(12.0, 512), _rho(), _model()),
+    "ball": lambda: rad.BallDisc(RadialGrid(12.0, 512), _rho(), _model(),
+                                 3.5),
+    "cube": lambda: f3d.CubeDisc(Grid3D(6.0, 16), _rho(), _model()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNELS))
+@pytest.mark.parametrize("bad, error, match", [
+    (-1.0, ModelError, "nonnegative"),
+    (math.nan, rad.DiscretizationError, "non-finite"),
+    (math.inf, rad.DiscretizationError, "non-finite")])
+def test_kernel_poisson_rejects_a_bad_source(kind, bad, error, match):
+    ws = _KERNELS[kind]()
+    source = np.zeros(ws.rho.shape)
+    source.flat[7] = bad
+    with pytest.raises(error, match=match):
+        ws.poisson(source)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -580,8 +648,7 @@ def _ball_polish_input():
 def _cube_polish_input():
     grid = Grid3D(6.0, 16)
     ws = f3d.CubeDisc(grid, _rho(), _model())
-    start = 12.67 * np.exp(-grid.radius() ** 2 / (2.0 * 0.93 ** 2))
-    return ws, ws.project(start), 1e-6, 20
+    return ws, ws.project(_cube_start(grid)), 1e-6, 20
 
 
 # each input is a kernel, a start, a tolerance and an iteration cap
@@ -618,7 +685,7 @@ class TestPolish:
         gradients = count_calls(kind, "gradient")
         evals_F = count_calls(rad, "eval_F")
         if isinstance(ws, f3d.CubeDisc):
-            solves = count_calls(f3d, "poisson_freespace")
+            solves = count_calls(f3d, "_poisson_doubled")
         else:
             solves = count_calls(rad, "poisson_radial")
         slv._polish_residual(ws, u0, tol)
