@@ -17,11 +17,22 @@ in a full ``rfftn``/``irfftn`` and the potential is bit-identical to the
 unpruned solve.  The stages between the first and the last transform
 never mix two k-planes (axis 2), so they run on a chunk of c k-planes at
 a time, in one reusable complex workspace of c planes of (2n, 2n); the
-real transforms run on slabs of i-planes, and the Coulomb symbol is
-built the same way.  Each chunk and slab holds about ``_CHUNK_BYTES``,
-so besides the cached symbol one solve holds the compact (n, n, n+1)
-half spectrum, its (n, n, n) result and one chunk, whatever n.  The
-order of the arithmetic does not change, so neither do the bits.
+real transforms run on slabs of i-planes.
+
+The kernel depends on the offsets (ox, oy) only through ox^2 + oy^2, so
+its transform along the real axis has few distinct rows (1,621 of the
+16,384 at n = 64).  They are cached per grid as a row table, and a chunk
+of Coulomb symbol k-planes is one gather from it followed by two
+in-place transforms.  A solver kernel (``CubeDisc``) assembles the whole
+(2n, 2n, n+1) symbol that way once and shares it among its solves.  A
+one-off solve (``poisson_freespace``, hence ``energy_3d``) builds each
+chunk's symbol planes inside its chunk loop instead, so it never holds
+the whole symbol.  Each chunk and slab holds about ``_CHUNK_BYTES`` (a
+one-off solve's source chunk and symbol chunk share it), so besides the
+kernel's symbol or the row table one solve holds the compact
+(n, n, n+1) half spectrum, its (n, n, n) result and one chunk, whatever
+n.  The order of the arithmetic does not change, so neither do the
+bits.
 
 H^1 quantities and the Riesz solve for the energy gradient use the
 periodic spectral Laplacian.  This periodicization is an approximation
@@ -49,7 +60,8 @@ from .radial import (_GRID_CACHE_SIZE, FOUR_PI, DECAY_GUARD_REL,
 # mean of 1/|x| over the unit cube [-1/2, 1/2]^3
 _CUBE_COULOMB_AVG = 2.3800773639795536
 # bytes of each temporary of the Poisson solve and the symbol build: one
-# chunk of k-planes of the doubled grid, or one slab of real-transform rows
+# chunk of k-planes of the doubled grid (in a one-off solve, the source's
+# and the symbol's chunks together), or one slab of real-transform rows
 _CHUNK_BYTES = 4 << 20
 
 @dataclass(frozen=True)
@@ -159,36 +171,76 @@ class Field3D:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _coulomb_kernel_hat(grid: Grid3D) -> np.ndarray:
-    """rfftn of the Coulomb kernel on the doubled (2n)^3 grid.
+def _coulomb_rows(grid: Grid3D):
+    """The Coulomb symbol's distinct rows, as (table, index).
 
-    The kernel is sampled and transformed along its real axis 2 one slab
-    of i-planes at a time, straight into the symbol, which is then
-    transformed on axes 0 and 1 in place: pocketfft's own ``rfftn``
-    order, so the symbol is bit-identical to ``rfftn`` of the dense
-    kernel, which is never formed.  The (2n, 2n, n+1) result is a view of
-    a k-major array, so that a chunk of k-planes is contiguous.
+    On the doubled grid the kernel h^2 / (4 pi |x|) depends on the
+    offsets (ox, oy) only through ox^2 + oy^2, so its ``rfft`` along the
+    real axis 2 has only D distinct rows (1,621 of (2n)^2 at n = 64).
+    ``table`` holds them k-major, shape (n+1, D), and ``index`` the row
+    of each (i, j), shape (2n, 2n).  The rows are sampled and transformed
+    in slabs of about ``_CHUNK_BYTES``, each sample summed in the dense
+    kernel's order, so every row is bit-identical to that row of the
+    dense kernel's ``rfft``.
     """
     n, h = grid.n, grid.h
     m = 2 * n
     idx = np.arange(m)
     off = np.where(idx < n, idx, idx - m).astype(float)  # offsets -n..n-1
-    OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij", sparse=True)
-    step = max(1, _CHUNK_BYTES // (m * m * 16))
+    s, index = np.unique(off[:, np.newaxis] ** 2 + off ** 2,
+                         return_inverse=True)
+    d = len(s)
+    step = max(1, _CHUNK_BYTES // (m * 16))
     try:
-        planes = np.empty((n + 1, m, m), dtype=complex)  # [k, i, j]
-        for i in range(0, m, step):
+        table = np.empty((n + 1, d), dtype=complex)
+        for r in range(0, d, step):
             # one slab: distance, then 4 pi |x|, then h^2 / (4 pi |x|)
-            kern = OX[i:i + step] ** 2 + OY ** 2 + OZ ** 2
+            kern = s[r:r + step, np.newaxis] + off ** 2
             np.sqrt(kern, out=kern)
             np.multiply(FOUR_PI, kern, out=kern)
             with np.errstate(divide="ignore"):
                 np.divide(h ** 2, kern, out=kern)
-            if i == 0:
-                kern[0, 0, 0] = h ** 2 * _CUBE_COULOMB_AVG / FOUR_PI
-            planes[:, i:i + step] = sfft.rfft(kern, axis=2).transpose(2, 0, 1)
-        sfft.fft(planes, axis=1, overwrite_x=True)
-        sfft.fft(planes, axis=2, overwrite_x=True)
+            if r == 0:  # s[0] = 0: the origin's row
+                kern[0, 0] = h ** 2 * _CUBE_COULOMB_AVG / FOUR_PI
+            table[:, r:r + step] = sfft.rfft(kern, axis=1).T
+    except MemoryError as exc:
+        raise MemoryError(
+            f"doubled grid ({m}^3): its {n + 1} x {d} complex Coulomb row "
+            f"table ({(n + 1) * d * 16:,} bytes) does not fit in "
+            "memory") from exc
+    return table, index.reshape(m, m)
+
+
+def _symbol_planes(table: np.ndarray, index: np.ndarray, k: int,
+                   out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, shape (c, 2n, 2n), with the symbol's k-planes k to
+    k+c-1, [k, i, j]: gather their rows from the row table, then ``fft``
+    along i and j in place, as ``rfftn`` does after its real axis."""
+    np.take(table[k:k + len(out)], index, axis=1, out=out, mode="clip")
+    sfft.fft(out, axis=1, overwrite_x=True)
+    sfft.fft(out, axis=2, overwrite_x=True)
+    return out
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _coulomb_kernel_hat(grid: Grid3D) -> np.ndarray:
+    """rfftn of the Coulomb kernel on the doubled (2n)^3 grid, the symbol
+    a solver kernel's solves share.
+
+    It is assembled from the row table one chunk of about
+    ``_CHUNK_BYTES`` of k-planes at a time.  Every 1-D transform sees the
+    input it has in ``rfftn`` of the dense kernel, which is never formed,
+    so the symbol is bit-identical to it.  The (2n, 2n, n+1) result is a
+    view of a k-major array, so that a chunk of k-planes is contiguous.
+    """
+    n = grid.n
+    m = 2 * n
+    c = max(1, _CHUNK_BYTES // (m * m * 16))
+    try:
+        table, index = _coulomb_rows(grid)
+        planes = np.empty((n + 1, m, m), dtype=complex)  # [k, i, j]
+        for k in range(0, n + 1, c):
+            _symbol_planes(table, index, k, planes[k:k + c])
     except MemoryError as exc:
         raise MemoryError(
             f"doubled grid ({m}^3): its {m} x {m} x {n + 1} complex Coulomb "
@@ -216,13 +268,15 @@ def _spectral(grid: Grid3D):
 # ---------------------------------------------------------------------------
 
 def poisson_freespace(source: Field3D) -> Field3D:
-    """``_poisson_doubled`` of a field; the potential skips the decay
-    guard, since it decays only like 1/r."""
+    """``_poisson_doubled`` of a field, a one-off solve that builds no
+    symbol; the potential skips the decay guard, since it decays only
+    like 1/r."""
     return Field3D(source.grid, _poisson_doubled(source.grid, source.values),
                    guard=False)
 
 
-def _poisson_doubled(grid: Grid3D, g: np.ndarray) -> np.ndarray:
+def _poisson_doubled(grid: Grid3D, g: np.ndarray,
+                     symbol: np.ndarray | None = None) -> np.ndarray:
     """Solve -Delta phi = g with free-space boundary conditions, for the
     nodal samples g of a nonnegative source; returns those of phi.
 
@@ -247,7 +301,14 @@ def _poisson_doubled(grid: Grid3D, g: np.ndarray) -> np.ndarray:
     cleared just before the stage that reads it, and the kept corner goes
     back into the half spectrum.  The transforms act on views and their
     results are not kept, so the solve relies on ``overwrite_x`` being
-    honoured (a test pins this).  Slabs and chunks hold about
+    honoured (a test pins this).
+
+    A solver kernel passes its cached ``symbol``, and a chunk holds about
+    ``_CHUNK_BYTES``.  A one-off solve passes none: each chunk's symbol
+    planes are built from the grid's row table (``_symbol_planes``) into
+    a second workspace, and the two share the budget, so besides the
+    table the solve holds the half spectrum, the result and about
+    ``_CHUNK_BYTES``, and no (2n, 2n, n+1) array.  Slabs hold about
     ``_CHUNK_BYTES`` each.
     """
     _nodal_peak(g)  # DiscretizationError for a non-finite source
@@ -256,13 +317,18 @@ def _poisson_doubled(grid: Grid3D, g: np.ndarray) -> np.ndarray:
     n = grid.n
     m = 2 * n
     rows = max(1, _CHUNK_BYTES // (n * m * 16))
-    c = min(n + 1, max(1, _CHUNK_BYTES // (m * m * 16)))
-    planes = _coulomb_kernel_hat(grid).transpose(2, 0, 1)  # [k, i, j]
+    if symbol is None:
+        table, index = _coulomb_rows(grid)
+        c = min(n + 1, max(1, _CHUNK_BYTES // (2 * m * m * 16)))
+    else:
+        planes = symbol.transpose(2, 0, 1)  # [k, i, j]
+        c = min(n + 1, max(1, _CHUNK_BYTES // (m * m * 16)))
     try:
         half = np.empty((n, n, n + 1), dtype=complex)
         for i in range(0, n, rows):
             half[i:i + rows] = sfft.rfft(g[i:i + rows], n=m, axis=2)
         work = np.empty((c, m, m), dtype=complex)
+        sym = np.empty((c, m, m), dtype=complex) if symbol is None else None
         for k in range(0, n + 1, c):
             w = work[:n + 1 - k]
             w[:, :n, :n] = half[:, :, k:k + c].transpose(2, 0, 1)
@@ -270,22 +336,32 @@ def _poisson_doubled(grid: Grid3D, g: np.ndarray) -> np.ndarray:
             sfft.fft(w[:, :, :n], axis=1, overwrite_x=True)
             w[:, :, n:] = 0.0
             sfft.fft(w, axis=2, overwrite_x=True)
-            w *= planes[k:k + c]
+            if symbol is None:
+                w *= _symbol_planes(table, index, k, sym[:n + 1 - k])
+            else:
+                w *= planes[k:k + c]
             sfft.ifft(w, axis=1, norm="forward", overwrite_x=True)
             sfft.ifft(w[:, :n], axis=2, norm="forward", overwrite_x=True)
             half[:, :, k:k + c] = w[:, :n, :n].transpose(1, 2, 0)
-        del w, work  # before the output is allocated
+        del w, work, sym  # before the output is allocated
         conv = np.empty((n, n, n))
         for i in range(0, n, rows):
             np.multiply(sfft.irfft(half[i:i + rows], n=m, axis=2,
                                    norm="forward")[..., :n],
                         1.0 / m ** 3, out=conv[i:i + rows])
     except MemoryError as exc:
+        spectrum = (f"doubled grid ({m}^3): its {n} x {n} x {n + 1} complex "
+                    f"half spectrum ({n * n * (n + 1) * 16:,} bytes)")
+        if symbol is not None:
+            raise MemoryError(
+                f"{spectrum} and its chunk workspace of {c} complex {m} x "
+                f"{m} k-planes ({c * m * m * 16:,} bytes) do not fit in "
+                "memory") from exc
         raise MemoryError(
-            f"doubled grid ({m}^3): its {n} x {n} x {n + 1} complex half "
-            f"spectrum ({n * n * (n + 1) * 16:,} bytes) and its chunk "
-            f"workspace of {c} complex {m} x {m} k-planes "
-            f"({c * m * m * 16:,} bytes) do not fit in memory") from exc
+            f"{spectrum}, its {n + 1} x {table.shape[1]} complex Coulomb "
+            f"row table ({table.nbytes:,} bytes) and its chunk pair of 2 "
+            f"x {c} complex {m} x {m} k-planes ({2 * c * m * m * 16:,} "
+            "bytes) do not fit in memory") from exc
     return conv
 
 
@@ -358,7 +434,7 @@ class CubeDisc(Disc):
         self.k2, self.pw = _spectral(grid)
         # with the symbol, building a kernel fills every cache its solves
         # read, so workers forked after it inherit them all
-        _coulomb_kernel_hat(grid)
+        self.symbol = _coulomb_kernel_hat(grid)
 
     def wrap(self, values: np.ndarray) -> Field3D:
         return Field3D(self.grid, values)
@@ -375,7 +451,7 @@ class CubeDisc(Disc):
         return _h1_inner(self.grid, a, b)
 
     def poisson(self, source: np.ndarray) -> np.ndarray:
-        return _poisson_doubled(self.grid, source)
+        return _poisson_doubled(self.grid, source, self.symbol)
 
     def _riesz_hat(self, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Half spectrum of the H^1-Riesz gradient."""

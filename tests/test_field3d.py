@@ -141,6 +141,12 @@ def _reference_kernel_hat(grid):
     return sfft.rfftn(kern)
 
 
+def _kernel_solve(grid):
+    """The Poisson solve of a solver kernel on `grid`, which passes the
+    kernel's cached symbol."""
+    return f3d.CubeDisc(grid, ChargeProfile.constant(1.0), _model()).poisson
+
+
 def _budget_planes(monkeypatch, n, planes):
     """Set the chunk budget to `planes` complex k-planes of the doubled
     grid (None keeps the default)."""
@@ -188,8 +194,9 @@ class TestPrunedPoisson:
 
     @pytest.mark.parametrize("n", [4, 6, 10, 14, 16, 32, 48])
     def test_bit_identical_with_several_chunks(self, n, monkeypatch):
-        # 4 k-planes leave a partial last chunk at every n here, and from
-        # n = 10 on the real transforms run in several row slabs
+        # a budget of 4 k-planes runs chunks of 2 source and 2 symbol
+        # planes, which leave a partial last chunk at every (even) n, and
+        # from n = 10 on the real transforms run in several row slabs
         _budget_planes(monkeypatch, n, 4)
         for src in _source(n):
             assert np.array_equal(poisson_freespace(src).values,
@@ -197,18 +204,104 @@ class TestPrunedPoisson:
 
     @pytest.mark.slow
     def test_bit_identical_at_desk_size(self):
-        # the default budget runs 33 chunks of 4 k-planes here
+        # the default budget runs 65 chunks of 2 k-planes here, each beside
+        # its 2 symbol planes
         src = _source(128)[0]
         assert np.array_equal(poisson_freespace(src).values,
                               _reference_poisson(src))
 
-    # a budget of 3 planes builds the symbol in slabs of 3 i-planes, with a
-    # partial last slab at n = 4, 10, 16 and 32
+    # one-off solves run chunks of half the kernel's width: 4 planes give
+    # 2, and at n = 64 (65 k-planes) the default gives 16 and 8, each with
+    # a one-plane last chunk
+    @pytest.mark.parametrize("planes", [None, 4])
+    @pytest.mark.parametrize("n", [4, 6, 10, 16, 32, 48, 64])
+    def test_one_off_solve_bit_identical_to_kernel_solve(self, n, planes,
+                                                         monkeypatch):
+        _budget_planes(monkeypatch, n, planes)
+        srcs = _source(n)
+        solve = _kernel_solve(srcs[0].grid)
+        for src in srcs:
+            assert np.array_equal(poisson_freespace(src).values,
+                                  solve(src.values))
+
+    def test_one_off_solve_builds_each_symbol_chunk(self, monkeypatch):
+        n, m = 8, 16
+        grid = Grid3D(4.0, n)
+        table = f3d._coulomb_rows(grid)[0]  # warm the row table
+        kernels = f3d._coulomb_kernel_hat.cache_info()
+        # the source and the symbol chunk share 4 planes: 2 + 2 + 2 + 2 + 1
+        _budget_planes(monkeypatch, n, 4)
+        rec = _RecordingFFT()
+        monkeypatch.setattr(f3d, "sfft", rec)
+        take = np.take
+
+        def gather(a, *args, **kwargs):
+            out = take(a, *args, **kwargs)
+            rec.calls.append(("take", np.shape(a), np.shape(out),
+                              np.shares_memory(a, out), a.base.shape))
+            return out
+        monkeypatch.setattr(f3d.np, "take", gather)
+        poisson_freespace(_gaussian3(grid))
+        # each chunk of [k, i, j] planes: fft along i and j of the source,
+        # then the symbol's planes gathered from the row table and
+        # transformed along i and j, then the two inverse stages
+        widths = [2, 2, 2, 2, 1]
+        calls = [c for c in rec.calls if c[0] in ("take", "fft", "ifft")]
+        assert [c[0] for c in calls] == \
+            ["fft", "fft", "take", "fft", "fft", "ifft", "ifft"] * len(widths)
+        assert [c[1:3] for c in calls] == [
+            s for c in widths
+            for s in (((c, m, n), (c, m, n)), ((c, m, m), (c, m, m)),
+                      ((c, table.shape[1]), (c, m, m)),
+                      ((c, m, m), (c, m, m)), ((c, m, m), (c, m, m)),
+                      ((c, m, m), (c, m, m)), ((c, n, m), (c, n, m)))]
+        assert all(c[3] for c in calls if c[0] != "take")
+        assert {c[4] for c in calls} == {(2, m, m), table.shape}
+        # no array of the whole symbol is made, and none is cached
+        assert all(shape not in (c[1], c[2], c[4]) for c in rec.calls
+                   for shape in ((m, m, n + 1), (n + 1, m, m)))
+        assert f3d._coulomb_kernel_hat.cache_info() == kernels
+
+    def test_one_off_solve_bounds_the_peak_memory(self, monkeypatch):
+        # the row table, the half spectrum, the result and one budget,
+        # shared by the source chunk and the symbol chunk
+        n, m, planes = 32, 64, 8
+        src = _gaussian3(Grid3D(5.0, n))
+        poisson_freespace(src)  # warm the FFT plans
+        table = f3d._coulomb_rows(src.grid)[0].nbytes
+        # the row table, or a symbol, is built inside the measured solve
+        for cached in ("_coulomb_rows", "_coulomb_kernel_hat"):
+            monkeypatch.setattr(f3d, cached,
+                                getattr(f3d, cached).__wrapped__)
+        _budget_planes(monkeypatch, n, planes)
+        tracemalloc.start()
+        try:
+            poisson_freespace(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        half = n * n * (n + 1) * 16
+        out = n ** 3 * 8
+        budget = m * m * planes * 16
+        # the symbol alone, m * m * (n + 1) * 16 bytes, is over this bound
+        assert peak < 1.1 * (half + out + budget + table)
+
+    def test_energy_builds_no_symbol(self):
+        grid = Grid3D(5.25, 12)  # a grid no kernel builds
+        kernels = f3d._coulomb_kernel_hat.cache_info()
+        energy_3d(_gaussian3(grid), ChargeProfile.constant(1.0), _model())
+        assert f3d._coulomb_kernel_hat.cache_info() == kernels
+
+    # a budget of 3 planes builds the row table in slabs of 6n rows, with
+    # a partial last slab from n = 10 on, and the symbol in chunks of 3
+    # k-planes, with a partial last chunk at n = 4, 6, 10, 16, 32 and 48
     @pytest.mark.parametrize("planes", [None, 3])
     @pytest.mark.parametrize("n", [4, 6, 10, 16, 32, 48])
     def test_symbol_bit_identical_to_dense_rfftn(self, n, planes,
                                                  monkeypatch):
         _budget_planes(monkeypatch, n, planes)
+        monkeypatch.setattr(f3d, "_coulomb_rows",
+                            f3d._coulomb_rows.__wrapped__)
         grid = Grid3D(5.0, n)
         assert np.array_equal(f3d._coulomb_kernel_hat.__wrapped__(grid),
                               _reference_kernel_hat(grid))
@@ -217,11 +310,11 @@ class TestPrunedPoisson:
                                                               monkeypatch):
         n, m = 8, 16
         grid = Grid3D(4.0, n)
-        f3d._coulomb_kernel_hat(grid)  # warm the kernel cache
+        solve = _kernel_solve(grid)
         _budget_planes(monkeypatch, n, 2)  # 2 + 2 + 2 + 2 + 1 k-planes
         rec = _RecordingFFT()
         monkeypatch.setattr(f3d, "sfft", rec)
-        poisson_freespace(_gaussian3(grid))
+        solve(_gaussian3(grid).values)
         names = [c[0] for c in rec.calls]
         assert "rfftn" not in names and "irfftn" not in names
         # the real transforms run on slabs of the n x n source rows
@@ -246,11 +339,11 @@ class TestPrunedPoisson:
         # honour overwrite_x on views of the chunk workspace
         n = 8
         grid = Grid3D(4.0, n)
-        f3d._coulomb_kernel_hat(grid)
+        solve = _kernel_solve(grid)
         _budget_planes(monkeypatch, n, 4)
         rec = _RecordingFFT()
         monkeypatch.setattr(f3d, "sfft", rec)
-        poisson_freespace(_gaussian3(grid))
+        solve(_gaussian3(grid).values)
         c2c = [c for c in rec.calls if c[0] in ("fft", "ifft")]
         assert len(c2c) == 4 * 3 and all(c[3] for c in c2c)
         assert {c[4] for c in c2c} == {(4, 2 * n, 2 * n)}
@@ -262,12 +355,13 @@ class TestPrunedPoisson:
         # one chunk workspace, reused: the peak is the half spectrum, the
         # result and one chunk
         n, m, planes = 32, 64, 8
-        src = _gaussian3(Grid3D(5.0, n))
-        poisson_freespace(src)  # warm the kernel cache and FFT plans
+        src = _gaussian3(Grid3D(5.0, n)).values
+        solve = _kernel_solve(Grid3D(5.0, n))
+        solve(src)  # warm the FFT plans
         _budget_planes(monkeypatch, n, planes)
         tracemalloc.start()
         try:
-            poisson_freespace(src)
+            solve(src)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,24 +397,54 @@ class TestPrunedPoisson:
             raise MemoryError
 
         grid = Grid3D(4.0, 8)
-        f3d._coulomb_kernel_hat(grid)
+        solve = _kernel_solve(grid)
         monkeypatch.setattr(f3d.sfft, "rfft", no_memory)
         with pytest.raises(MemoryError, match=r"^doubled grid \(16\^3\): "
                            r"its 8 x 8 x 9 complex half spectrum \(9,216 "
                            r"bytes\) and its chunk workspace of 9 complex "
                            r"16 x 16 k-planes \(36,864 bytes\) do not fit"):
-            poisson_freespace(_gaussian3(grid))
+            solve(_gaussian3(grid).values)
 
     def test_memory_error_in_the_symbol_build_states_the_symbol(
             self, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError
 
+        # the row table is built afresh, so its rfft runs
+        monkeypatch.setattr(f3d, "_coulomb_rows",
+                            f3d._coulomb_rows.__wrapped__)
         monkeypatch.setattr(f3d.sfft, "rfft", no_memory)
         with pytest.raises(MemoryError, match=r"^doubled grid \(12\^3\): "
                            r"its 12 x 12 x 7 complex Coulomb symbol "
                            r"\(16,128 bytes\) does not fit"):
             f3d._coulomb_kernel_hat.__wrapped__(Grid3D(4.0, 6))
+
+    def test_memory_error_in_the_row_table_states_the_table(
+            self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f3d.sfft, "rfft", no_memory)
+        with pytest.raises(MemoryError, match=r"^doubled grid \(12\^3\): "
+                           r"its 7 x 27 complex Coulomb row table "
+                           r"\(3,024 bytes\) does not fit"):
+            f3d._coulomb_rows.__wrapped__(Grid3D(4.0, 6))
+
+    def test_memory_error_in_a_one_off_solve_states_table_and_chunks(
+            self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        grid = Grid3D(4.0, 8)
+        f3d._coulomb_rows(grid)
+        monkeypatch.setattr(f3d.sfft, "rfft", no_memory)
+        with pytest.raises(MemoryError, match=r"^doubled grid \(16\^3\): "
+                           r"its 8 x 8 x 9 complex half spectrum \(9,216 "
+                           r"bytes\), its 9 x 42 complex Coulomb row table "
+                           r"\(6,048 bytes\) and its chunk pair of 2 x 9 "
+                           r"complex 16 x 16 k-planes \(73,728 bytes\) do "
+                           r"not fit"):
+            poisson_freespace(_gaussian3(grid))
 
 
 class TestEnergies3D:
@@ -406,8 +530,9 @@ class TestEnergies3D:
         assert h1_inner_3d(u, v) == disc.h1_inner(u.values, v.values)
 
 
-@pytest.mark.parametrize("cached", [f3d._coulomb_kernel_hat, f3d._spectral],
-                         ids=["coulomb-kernel", "spectral"])
+@pytest.mark.parametrize("cached", [f3d._coulomb_rows, f3d._coulomb_kernel_hat,
+                                    f3d._spectral],
+                         ids=["coulomb-rows", "coulomb-kernel", "spectral"])
 def test_grid_caches_are_bounded(cached):
     size = cached.cache_info().maxsize
     assert size is not None and size <= 4
