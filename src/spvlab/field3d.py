@@ -23,16 +23,16 @@ The kernel depends on the offsets (ox, oy) only through ox^2 + oy^2, so
 its transform along the real axis has few distinct rows (1,621 of the
 16,384 at n = 64).  They are cached per grid as a row table, and a chunk
 of Coulomb symbol k-planes is one gather from it followed by two
-in-place transforms.  A solver kernel (``CubeDisc``) assembles the whole
-(2n, 2n, n+1) symbol that way once and shares it among its solves.  A
-one-off solve (``poisson_freespace``, hence ``energy_3d``) builds each
-chunk's symbol planes inside its chunk loop instead, so it never holds
-the whole symbol.  Each chunk and slab holds about ``_CHUNK_BYTES`` (a
-one-off solve's source chunk and symbol chunk share it), so besides the
-kernel's symbol or the row table one solve holds the compact
-(n, n, n+1) half spectrum, its (n, n, n) result and one chunk, whatever
-n.  The order of the arithmetic does not change, so neither do the
-bits.
+in-place transforms.  A solver kernel (``CubeDisc``) assembles its own
+(2n, 2n, n+1) symbol that way from an uncached table, and the symbol is
+freed with the kernel.  A one-off solve (``poisson_freespace``, hence
+``energy_3d``) builds each chunk's symbol planes from the cached table
+inside its chunk loop, and never holds the whole symbol.  Each chunk and
+slab holds about ``_CHUNK_BYTES`` (a one-off solve's source chunk and
+symbol chunk share it), so besides the kernel's symbol or the row table
+one solve holds the compact (n, n, n+1) half spectrum, its (n, n, n)
+result and one chunk, whatever n.  The order of the arithmetic does not
+change, so neither do the bits.
 
 H^1 quantities and the Riesz solve for the energy gradient use the
 periodic spectral Laplacian.  This periodicization is an approximation
@@ -52,10 +52,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .models import ChargeProfile, ModelError, NonlinearityModel, eval_F, eval_f
+from .models import ChargeProfile, NonlinearityModel, eval_F, eval_f
 from .radial import (_GRID_CACHE_SIZE, FOUR_PI, DECAY_GUARD_REL,
-                     DiscretizationError, Disc, RadialField, _nodal_peak,
-                     _node_count)
+                     DiscretizationError, Disc, RadialField, _check_source,
+                     _nodal_peak, _node_count)
 
 # mean of 1/|x| over the unit cube [-1/2, 1/2]^3
 _CUBE_COULOMB_AVG = 2.3800773639795536
@@ -222,12 +222,11 @@ def _symbol_planes(table: np.ndarray, index: np.ndarray, k: int,
     return out
 
 
-@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _coulomb_kernel_hat(grid: Grid3D) -> np.ndarray:
     """rfftn of the Coulomb kernel on the doubled (2n)^3 grid, the symbol
     a solver kernel's solves share.
 
-    It is assembled from the row table one chunk of about
+    It is assembled from a fresh (uncached) row table, one chunk of about
     ``_CHUNK_BYTES`` of k-planes at a time.  Every 1-D transform sees the
     input it has in ``rfftn`` of the dense kernel, which is never formed,
     so the symbol is bit-identical to it.  The (2n, 2n, n+1) result is a
@@ -237,7 +236,7 @@ def _coulomb_kernel_hat(grid: Grid3D) -> np.ndarray:
     m = 2 * n
     c = max(1, _CHUNK_BYTES // (m * m * 16))
     try:
-        table, index = _coulomb_rows(grid)
+        table, index = _coulomb_rows.__wrapped__(grid)
         planes = np.empty((n + 1, m, m), dtype=complex)  # [k, i, j]
         for k in range(0, n + 1, c):
             _symbol_planes(table, index, k, planes[k:k + c])
@@ -303,7 +302,7 @@ def _poisson_doubled(grid: Grid3D, g: np.ndarray,
     results are not kept, so the solve relies on ``overwrite_x`` being
     honoured (a test pins this).
 
-    A solver kernel passes its cached ``symbol``, and a chunk holds about
+    A solver kernel passes its own ``symbol``, and a chunk holds about
     ``_CHUNK_BYTES``.  A one-off solve passes none: each chunk's symbol
     planes are built from the grid's row table (``_symbol_planes``) into
     a second workspace, and the two share the budget, so besides the
@@ -311,9 +310,7 @@ def _poisson_doubled(grid: Grid3D, g: np.ndarray,
     ``_CHUNK_BYTES``, and no (2n, 2n, n+1) array.  Slabs hold about
     ``_CHUNK_BYTES`` each.
     """
-    _nodal_peak(g)  # DiscretizationError for a non-finite source
-    if g.min() < 0.0:
-        raise ModelError("Poisson source must be nonnegative")
+    _check_source(g)
     n = grid.n
     m = 2 * n
     rows = max(1, _CHUNK_BYTES // (n * m * 16))
@@ -432,9 +429,7 @@ class CubeDisc(Disc):
         self.model = model
         self.rho = profile.at_radius(grid.radius())
         self.k2, self.pw = _spectral(grid)
-        # with the symbol, building a kernel fills every cache its solves
-        # read, so workers forked after it inherit them all
-        self.symbol = _coulomb_kernel_hat(grid)
+        self.symbol = _coulomb_kernel_hat(grid)  # freed with the kernel
 
     def wrap(self, values: np.ndarray) -> Field3D:
         return Field3D(self.grid, values)

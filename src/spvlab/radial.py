@@ -55,14 +55,25 @@ def _node_count(n) -> int:
     raise DiscretizationError(f"need an integer n, got {n!r}")
 
 
-def _nodal_peak(vals: np.ndarray) -> float:
-    """max |u| of nodal values, which must all be finite: one max/min
-    pair gives both the finiteness test (NaN and +-inf reach an extreme)
-    and the peak."""
+def _nodal_extremes(vals: np.ndarray):
+    """(max, min) of nodal values, which must all be finite: NaN and
+    +-inf reach an extreme, so the pair is also the finiteness test."""
     hi, lo = vals.max(), vals.min()
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise DiscretizationError("field contains non-finite values")
+    return hi, lo
+
+
+def _nodal_peak(vals: np.ndarray) -> float:
+    """max |u| of nodal values, which must all be finite."""
+    hi, lo = _nodal_extremes(vals)
     return float(max(hi, -lo))
+
+
+def _check_source(g: np.ndarray) -> None:
+    """Raise for a non-finite or a negative Poisson source."""
+    if _nodal_extremes(g)[1] < 0.0:
+        raise ModelError("Poisson source must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,7 @@ class RadialGrid:
     r: np.ndarray = field(init=False, repr=False, compare=False)
     h: float = field(init=False, compare=False)
     w: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_volumes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _node_count(self.n))
@@ -90,6 +102,7 @@ class RadialGrid:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "cell_volumes", np.diff(vol))
 
     def integrate(self, values: np.ndarray) -> float:
         """int g dV over [0, r_max] for nodal samples g."""
@@ -158,7 +171,7 @@ def _operators(grid: RadialGrid):
     n, h = grid.n, grid.h
     D = sparse.diags([np.full(n, -1.0 / h), np.full(n, 1.0 / h)], [0, 1],
                      shape=(n, n + 1))
-    W_cell = sparse.diags(_cell_volumes(grid))
+    W_cell = sparse.diags(grid.cell_volumes)
     W = sparse.diags(grid.w)
     M = (D.T @ W_cell @ D + W).tocsc()
     return M, splu(M)
@@ -168,14 +181,10 @@ def _operators(grid: RadialGrid):
 # Norms and inner products
 # ---------------------------------------------------------------------------
 
-def _cell_volumes(grid: RadialGrid) -> np.ndarray:
-    return np.diff(FOUR_PI / 3.0 * grid.r ** 3)
-
-
 def _dirichlet(grid: RadialGrid, values: np.ndarray) -> float:
     """int |v'|^2 dV over [0, r_max], derivative by cell-wise
     differences."""
-    return float(_cell_volumes(grid) @ (np.diff(values) / grid.h) ** 2)
+    return float(grid.cell_volumes @ (np.diff(values) / grid.h) ** 2)
 
 
 def h1_norm_sq(u: RadialField) -> float:
@@ -203,9 +212,7 @@ def poisson_radial(grid: RadialGrid, g: np.ndarray) -> np.ndarray:
     phi_i = (1/4pi) sum_j w_j g_j / max(r_i, r_j); the self term at the
     origin uses the cell average of 1/s over the first half-cell.
     """
-    _nodal_peak(g)  # DiscretizationError for a non-finite source
-    if g.min() < 0.0:
-        raise ModelError("Poisson source must be nonnegative")
+    _check_source(g)
     r, w = grid.r, grid.w
     a = w * g
     inner = np.cumsum(a)                       # sum_{j <= i} w_j g_j

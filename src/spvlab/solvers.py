@@ -286,7 +286,7 @@ def multistart_minimize(starts: Sequence[FieldLike], profile: ChargeProfile,
     list, and the exception when starts fail (that of the lowest failing
     index, with its own type), are those of the serial loop.  Otherwise,
     and for a single start, the starts run one after another in this
-    process.
+    process.  Each descent builds its own kernel and frees it on return.
     """
     if len(starts) < 1:
         raise SolverError("multistart needs at least one start field")
@@ -331,15 +331,12 @@ def _minimize_forked(starts: Sequence[FieldLike], profile: ChargeProfile,
                      workers: int) -> List[SolveResult]:
     """``minimize`` of start k under ``seeded[k]``, in forked workers.
 
-    Building start 0's kernel here first fills its grid's caches, so the
-    workers inherit them and none factors or transforms them again.  The
-    workers share the starts through the fork; each is handed one start
+    The workers share the starts through the fork; each is handed one start
     index at a time, the next as soon as it sends back an outcome.  Once
     a start fails no further start is handed out: every lower index has
     already been.  Every worker is reaped before this returns or raises,
     and one still busy then (the call was interrupted) is terminated.
     """
-    _kernel(starts[0], profile, model)
     ctx = multiprocessing.get_context("fork")
     pipes = {}                   # our end of each worker's pipe -> worker
     outcomes = {}                # start index -> (result or error, warnings)

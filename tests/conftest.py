@@ -1,10 +1,11 @@
 """Shared test fixtures."""
 
 import multiprocessing
+import weakref
 
 import pytest
 
-from spvlab import landscape
+from spvlab import field3d, landscape
 
 
 # pyproject.toml turns an exception escaping a thread into a failure of
@@ -43,6 +44,27 @@ def count_calls(monkeypatch):
         return calls
 
     return wrap
+
+
+@pytest.fixture
+def symbol_builds(monkeypatch):
+    """Record the Coulomb symbols this process builds.
+
+    Replaces ``field3d._coulomb_kernel_hat`` by a wrapper that calls
+    through and appends a weak reference to each symbol it returns; the
+    list's length counts the builds, and a reference that is still alive
+    marks a symbol that something still holds.
+    """
+    build = field3d._coulomb_kernel_hat
+    built = []
+
+    def recorded(grid):
+        symbol = build(grid)
+        built.append(weakref.ref(symbol))
+        return symbol
+
+    monkeypatch.setattr(field3d, "_coulomb_kernel_hat", recorded)
+    return built
 
 
 @pytest.fixture

@@ -224,11 +224,11 @@ class TestPrunedPoisson:
             assert np.array_equal(poisson_freespace(src).values,
                                   solve(src.values))
 
-    def test_one_off_solve_builds_each_symbol_chunk(self, monkeypatch):
+    def test_one_off_solve_builds_each_symbol_chunk(self, monkeypatch,
+                                                    symbol_builds):
         n, m = 8, 16
         grid = Grid3D(4.0, n)
         table = f3d._coulomb_rows(grid)[0]  # warm the row table
-        kernels = f3d._coulomb_kernel_hat.cache_info()
         # the source and the symbol chunk share 4 planes: 2 + 2 + 2 + 2 + 1
         _budget_planes(monkeypatch, n, 4)
         rec = _RecordingFFT()
@@ -257,22 +257,22 @@ class TestPrunedPoisson:
                       ((c, m, m), (c, m, m)), ((c, n, m), (c, n, m)))]
         assert all(c[3] for c in calls if c[0] != "take")
         assert {c[4] for c in calls} == {(2, m, m), table.shape}
-        # no array of the whole symbol is made, and none is cached
+        # no array of the whole symbol is made, and no symbol is built
         assert all(shape not in (c[1], c[2], c[4]) for c in rec.calls
                    for shape in ((m, m, n + 1), (n + 1, m, m)))
-        assert f3d._coulomb_kernel_hat.cache_info() == kernels
+        assert symbol_builds == []
 
-    def test_one_off_solve_bounds_the_peak_memory(self, monkeypatch):
+    def test_one_off_solve_bounds_the_peak_memory(self, monkeypatch,
+                                                  symbol_builds):
         # the row table, the half spectrum, the result and one budget,
         # shared by the source chunk and the symbol chunk
         n, m, planes = 32, 64, 8
         src = _gaussian3(Grid3D(5.0, n))
         poisson_freespace(src)  # warm the FFT plans
         table = f3d._coulomb_rows(src.grid)[0].nbytes
-        # the row table, or a symbol, is built inside the measured solve
-        for cached in ("_coulomb_rows", "_coulomb_kernel_hat"):
-            monkeypatch.setattr(f3d, cached,
-                                getattr(f3d, cached).__wrapped__)
+        # the row table is built inside the measured solve
+        monkeypatch.setattr(f3d, "_coulomb_rows",
+                            f3d._coulomb_rows.__wrapped__)
         _budget_planes(monkeypatch, n, planes)
         tracemalloc.start()
         try:
@@ -285,12 +285,20 @@ class TestPrunedPoisson:
         budget = m * m * planes * 16
         # the symbol alone, m * m * (n + 1) * 16 bytes, is over this bound
         assert peak < 1.1 * (half + out + budget + table)
+        assert symbol_builds == []
 
-    def test_energy_builds_no_symbol(self):
-        grid = Grid3D(5.25, 12)  # a grid no kernel builds
-        kernels = f3d._coulomb_kernel_hat.cache_info()
+    def test_energy_builds_no_symbol(self, symbol_builds):
+        grid = Grid3D(5.25, 12)
         energy_3d(_gaussian3(grid), ChargeProfile.constant(1.0), _model())
-        assert f3d._coulomb_kernel_hat.cache_info() == kernels
+        assert symbol_builds == []
+
+    def test_kernel_keeps_no_row_table(self):
+        # the kernel's symbol is built from a table of its own, so a
+        # process that only builds kernels caches no row table
+        f3d._coulomb_rows.cache_clear()
+        f3d.CubeDisc(Grid3D(3.75, 10), ChargeProfile.constant(1.0),
+                     _model())
+        assert f3d._coulomb_rows.cache_info().currsize == 0
 
     # a budget of 3 planes builds the row table in slabs of 6n rows, with
     # a partial last slab from n = 10 on, and the symbol in chunks of 3
@@ -300,10 +308,8 @@ class TestPrunedPoisson:
     def test_symbol_bit_identical_to_dense_rfftn(self, n, planes,
                                                  monkeypatch):
         _budget_planes(monkeypatch, n, planes)
-        monkeypatch.setattr(f3d, "_coulomb_rows",
-                            f3d._coulomb_rows.__wrapped__)
         grid = Grid3D(5.0, n)
-        assert np.array_equal(f3d._coulomb_kernel_hat.__wrapped__(grid),
+        assert np.array_equal(f3d._coulomb_kernel_hat(grid),
                               _reference_kernel_hat(grid))
 
     def test_transforms_only_the_source_rows_and_kept_corner(self,
@@ -376,7 +382,7 @@ class TestPrunedPoisson:
         _budget_planes(monkeypatch, n, 4)
         tracemalloc.start()
         try:
-            f3d._coulomb_kernel_hat.__wrapped__(Grid3D(5.0, n))
+            f3d._coulomb_kernel_hat(Grid3D(5.0, n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,14 +416,12 @@ class TestPrunedPoisson:
         def no_memory(*args, **kwargs):
             raise MemoryError
 
-        # the row table is built afresh, so its rfft runs
-        monkeypatch.setattr(f3d, "_coulomb_rows",
-                            f3d._coulomb_rows.__wrapped__)
+        # the symbol's row table is built afresh, so its rfft runs
         monkeypatch.setattr(f3d.sfft, "rfft", no_memory)
         with pytest.raises(MemoryError, match=r"^doubled grid \(12\^3\): "
                            r"its 12 x 12 x 7 complex Coulomb symbol "
                            r"\(16,128 bytes\) does not fit"):
-            f3d._coulomb_kernel_hat.__wrapped__(Grid3D(4.0, 6))
+            f3d._coulomb_kernel_hat(Grid3D(4.0, 6))
 
     def test_memory_error_in_the_row_table_states_the_table(
             self, monkeypatch):
@@ -530,9 +534,8 @@ class TestEnergies3D:
         assert h1_inner_3d(u, v) == disc.h1_inner(u.values, v.values)
 
 
-@pytest.mark.parametrize("cached", [f3d._coulomb_rows, f3d._coulomb_kernel_hat,
-                                    f3d._spectral],
-                         ids=["coulomb-rows", "coulomb-kernel", "spectral"])
+@pytest.mark.parametrize("cached", [f3d._coulomb_rows, f3d._spectral],
+                         ids=["coulomb-rows", "spectral"])
 def test_grid_caches_are_bounded(cached):
     size = cached.cache_info().maxsize
     assert size is not None and size <= 4

@@ -1,5 +1,6 @@
 """Tests for Sobolev descent, classification, and the saddle search."""
 
+import gc
 import math
 import os
 import signal
@@ -339,31 +340,20 @@ class TestConcurrentMultistart:
                                                   tmp_path):
         self._check_matches_serial(monkeypatch, tmp_path, _radial_starts(4))
 
-    @pytest.mark.parametrize("kind", ["radial", "cube"])
-    def test_workers_inherit_the_grid_caches(self, monkeypatch, tmp_path,
-                                             kind):
-        caches = (rad._operators, f3d._spectral, f3d._coulomb_kernel_hat)
-        for cache in caches:
-            cache.cache_clear()
-        original = slv.minimize
-
-        def recorded(init, profile, model, opts, **kw):
-            before = [c.cache_info().misses for c in caches]
-            result = original(init, profile, model, opts, **kw)
-            after = [c.cache_info().misses for c in caches]
-            (tmp_path / f"{opts.seed}.misses").write_text(
-                f"{os.getpid()} {sum(after) - sum(before)}")
-            return result
-
-        monkeypatch.setattr(slv, "minimize", recorded)
-        monkeypatch.setattr(slv, "_usable_cpus", lambda: 2)
-        starts = _radial_starts(3) if kind == "radial" else _cube_starts(3)
-        multistart_minimize(starts, _rho(), _model(),
-                            SolveOptions(tol_grad=1e-3, max_iter=3))
-        records = [f.read_text().split() for f in tmp_path.glob("*.misses")]
-        assert len(records) == 3
-        assert {int(pid) for pid, _ in records} - {os.getpid()}
-        assert [int(misses) for _, misses in records] == [0, 0, 0]
+    @pytest.mark.parametrize("cpus, built", [(1, 3), (2, 0)],
+                             ids=["serial", "forked"])
+    def test_no_symbol_outlives_the_call(self, monkeypatch, symbol_builds,
+                                         cpus, built):
+        # each descent's kernel holds its Coulomb symbol and frees it on
+        # return; the forked call builds no kernel in this process.  The
+        # results are kept, so none of them may hold a symbol either
+        monkeypatch.setattr(slv, "_usable_cpus", lambda: cpus)
+        best, results = multistart_minimize(
+            _cube_starts(3), _rho(), _model(),
+            SolveOptions(tol_grad=1e-3, max_iter=3))
+        gc.collect()
+        assert len(symbol_builds) == built
+        assert [ref() is None for ref in symbol_builds] == [True] * built
 
     @pytest.mark.parametrize("fail, expected", [
         # start 2 fails first in time; start 1, the lower index, wins
