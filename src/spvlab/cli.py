@@ -218,6 +218,11 @@ def _grid(name: str, grid_type: Callable, *args):
         raise rad.DiscretizationError(f"{name}: {exc}") from None
 
 
+def _two_bump_taper_radius(grid3: f3d.Grid3D, offset: float) -> float:
+    """The two-bump taper's outer radius, off the box's last two nodes."""
+    return grid3.L - 2.0 * grid3.h - offset - 0.5
+
+
 def load_config(scenario: str, config_path: Optional[str] = None,
                 out_dir: Optional[str] = None, seed: Optional[int] = None,
                 grid_scale: str = "desk") -> ScenarioConfig:
@@ -282,14 +287,12 @@ def load_config(scenario: str, config_path: Optional[str] = None,
         except (ModelError, rad.DiscretizationError) as exc:
             raise ConfigError(f"options.R0: {exc}") from None
     if scenario == "symmetry-breaking":
-        # the two-bump start tapers each bump to zero between max(r1 - 2, 1)
-        # and r1 = L - 2h - offset - 0.5, off the box's last two nodes
         offset = options.setdefault("bump_offset", 7.0)
-        reach = cube_grid.L - 2.0 * cube_grid.h
-        if reach - offset - 0.5 <= 1.0:
+        if _two_bump_taper_radius(cube_grid, offset) <= 1.0:
             raise ConfigError(
                 f"options.bump_offset must be below the cube's L - 2h - 1.5 "
-                f"= {_fmt(reach - 1.5)}, got {_fmt(offset)}")
+                f"= {_fmt(cube_grid.L - 2.0 * cube_grid.h - 1.5)}, got "
+                f"{_fmt(offset)}")
 
     return ScenarioConfig(
         scenario=scenario,
@@ -742,9 +745,8 @@ def _scenario_symmetry_breaking(cfg: ScenarioConfig):
         "eps_sweep", [0.05, 0.025, 0.0125, 0.00625, 0.003125])
     offset = cfg.options["bump_offset"]
     grid3 = cfg.cube_grid
-    # the two-bump taper's outer radius, checked at load to exceed 1
     reach = grid3.L - 2.0 * grid3.h
-    r1 = reach - offset - 0.5
+    r1 = _two_bump_taper_radius(grid3, offset)  # checked at load to exceed 1
     # the 3-D descents' options: the two-bump start is assembled from
     # converged radial pieces and already sits below the radial level,
     # and a modest number of 3-D relaxation steps keeps the scenario
@@ -882,8 +884,7 @@ def run(cfg: ScenarioConfig) -> ExperimentReport:
     with warnings.catch_warnings():
         # descent iterates and trial fields legitimately brush the decay
         # guard at the domain edge
-        warnings.filterwarnings("ignore", "field has not decayed",
-                                RuntimeWarning)
+        warnings.simplefilter("ignore", rad.DecayWarning)
         quantities, verdicts, traces, plot = _SCENARIO_BODIES[cfg.scenario](cfg)
 
     artifacts = ["report.json"]

@@ -21,18 +21,18 @@ real transforms run on slabs of i-planes.
 
 The kernel depends on the offsets (ox, oy) only through ox^2 + oy^2, so
 its transform along the real axis has few distinct rows (1,621 of the
-16,384 at n = 64).  They are cached per grid as a row table, and a chunk
-of Coulomb symbol k-planes is one gather from it followed by two
-in-place transforms.  A solver kernel (``CubeDisc``) assembles its own
-(2n, 2n, n+1) symbol that way from an uncached table, and the symbol is
-freed with the kernel.  A one-off solve (``poisson_freespace``, hence
-``energy_3d``) builds each chunk's symbol planes from the cached table
-inside its chunk loop, and never holds the whole symbol.  Each chunk and
-slab holds about ``_CHUNK_BYTES`` (a one-off solve's source chunk and
-symbol chunk share it), so besides the kernel's symbol or the row table
-one solve holds the compact (n, n, n+1) half spectrum, its (n, n, n)
-result and one chunk, whatever n.  The order of the arithmetic does not
-change, so neither do the bits.
+16,384 at n = 64).  They form a row table, and a chunk of Coulomb symbol
+k-planes is one gather from it followed by two in-place transforms.  No
+table or spectral grid is cached: each is built where it is used.  A
+solver kernel (``CubeDisc``) assembles its (2n, 2n, n+1) symbol from a
+table it then drops, and the symbol is freed with the kernel.  A one-off
+solve (``poisson_freespace``, hence ``energy_3d``) builds a table, then
+each chunk's symbol planes inside its chunk loop.  Each chunk and slab
+holds about ``_CHUNK_BYTES`` (a one-off solve's source chunk and symbol
+chunk share it), so besides the kernel's symbol or the row table one
+solve holds the compact (n, n, n+1) half spectrum, its (n, n, n) result
+and one chunk, whatever n.  The order of the arithmetic does not change,
+so neither do the bits.
 
 H^1 quantities and the Riesz solve for the energy gradient use the
 periodic spectral Laplacian.  This periodicization is an approximation
@@ -43,7 +43,6 @@ directional derivatives match the reported gradient to roundoff.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 import warnings
@@ -53,7 +52,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .models import ChargeProfile, NonlinearityModel, eval_F, eval_f
-from .radial import (_GRID_CACHE_SIZE, FOUR_PI, DECAY_GUARD_REL,
+from .radial import (FOUR_PI, DECAY_GUARD_REL, DecayWarning,
                      DiscretizationError, Disc, RadialField, _check_source,
                      _nodal_peak, _node_count)
 
@@ -121,7 +120,7 @@ class Field3D:
                 warnings.warn(
                     "field has not decayed at the box boundary; enlarge L "
                     f"(edge peak {edge:.3e}, interior peak {peak:.3e})",
-                    RuntimeWarning, stacklevel=3)
+                    DecayWarning, stacklevel=3)
 
     # -- flat binary serialization -------------------------------------------
     # header: magic "SPV3D1\0", float64 L, int64 n, uint8 element kind
@@ -167,10 +166,9 @@ class Field3D:
 
 
 # ---------------------------------------------------------------------------
-# Cached spectral machinery, keyed by grid
+# Spectral machinery, built per use
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _coulomb_rows(grid: Grid3D):
     """The Coulomb symbol's distinct rows, as (table, index).
 
@@ -226,7 +224,7 @@ def _coulomb_kernel_hat(grid: Grid3D) -> np.ndarray:
     """rfftn of the Coulomb kernel on the doubled (2n)^3 grid, the symbol
     a solver kernel's solves share.
 
-    It is assembled from a fresh (uncached) row table, one chunk of about
+    It is assembled from a row table it does not keep, one chunk of about
     ``_CHUNK_BYTES`` of k-planes at a time.  Every 1-D transform sees the
     input it has in ``rfftn`` of the dense kernel, which is never formed,
     so the symbol is bit-identical to it.  The (2n, 2n, n+1) result is a
@@ -236,7 +234,7 @@ def _coulomb_kernel_hat(grid: Grid3D) -> np.ndarray:
     m = 2 * n
     c = max(1, _CHUNK_BYTES // (m * m * 16))
     try:
-        table, index = _coulomb_rows.__wrapped__(grid)
+        table, index = _coulomb_rows(grid)
         planes = np.empty((n + 1, m, m), dtype=complex)  # [k, i, j]
         for k in range(0, n + 1, c):
             _symbol_planes(table, index, k, planes[k:k + c])
@@ -248,7 +246,6 @@ def _coulomb_kernel_hat(grid: Grid3D) -> np.ndarray:
     return planes.transpose(1, 2, 0)
 
 
-@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _spectral(grid: Grid3D):
     """(k^2, Parseval bin weights) for rfftn on the n^3 grid."""
     k = 2.0 * math.pi * sfft.fftfreq(grid.n, d=grid.h)
@@ -304,7 +301,7 @@ def _poisson_doubled(grid: Grid3D, g: np.ndarray,
 
     A solver kernel passes its own ``symbol``, and a chunk holds about
     ``_CHUNK_BYTES``.  A one-off solve passes none: each chunk's symbol
-    planes are built from the grid's row table (``_symbol_planes``) into
+    planes are built from a row table of its own (``_symbol_planes``) into
     a second workspace, and the two share the budget, so besides the
     table the solve holds the half spectrum, the result and about
     ``_CHUNK_BYTES``, and no (2n, 2n, n+1) array.  Slabs hold about
@@ -377,11 +374,11 @@ def h1_norm_sq_3d(u: Field3D) -> float:
 
 def h1_inner_3d(u: Field3D, v: Field3D) -> float:
     """H^1 inner product consistent with h1_norm_sq_3d."""
-    return _h1_inner(u.grid, u.values, v.values)
+    return _h1_inner(u.grid, *_spectral(u.grid), u.values, v.values)
 
 
-def _h1_inner(grid: Grid3D, a: np.ndarray, b: np.ndarray) -> float:
-    k2, pw = _spectral(grid)
+def _h1_inner(grid: Grid3D, k2: np.ndarray, pw: np.ndarray, a: np.ndarray,
+              b: np.ndarray) -> float:
     ahat = sfft.rfftn(a)
     bhat = sfft.rfftn(b)
     total = float(np.sum(pw * (1.0 + k2) * (ahat.conj() * bhat).real))
@@ -443,7 +440,7 @@ class CubeDisc(Disc):
         return self._norm_sq_hat(sfft.rfftn(values))
 
     def h1_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return _h1_inner(self.grid, a, b)
+        return _h1_inner(self.grid, self.k2, self.pw, a, b)
 
     def poisson(self, source: np.ndarray) -> np.ndarray:
         return _poisson_doubled(self.grid, source, self.symbol)

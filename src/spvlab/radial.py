@@ -36,13 +36,13 @@ FOUR_PI = 4.0 * math.pi
 
 DECAY_GUARD_REL = 1e-6
 
-# grids whose operators each geometry cache keeps (least recently used
-# evicted); a scenario works on at most two grids of each kind
-_GRID_CACHE_SIZE = 2
-
 
 class DiscretizationError(RuntimeError):
     """Raised when a field or solve violates the grid's validity domain."""
+
+
+class DecayWarning(RuntimeWarning):
+    """A field has not decayed at the edge of its domain."""
 
 
 def _node_count(n) -> int:
@@ -126,7 +126,7 @@ class RadialField:
             warnings.warn(
                 "field has not decayed at r_max; enlarge the domain "
                 f"(|u(r_max)| = {abs(vals[-1]):.3e}, peak {peak:.3e})",
-                RuntimeWarning, stacklevel=3)
+                DecayWarning, stacklevel=3)
 
     @staticmethod
     def gaussian(grid: RadialGrid, amplitude: float = 1.0,
@@ -158,7 +158,8 @@ class RadialField:
 # Cached discrete operators, keyed by grid
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+# two grids' operators, the most a scenario uses (least recently used evicted)
+@functools.lru_cache(maxsize=2)
 def _operators(grid: RadialGrid):
     """H^1 Gram matrix M = D^T W_cell D + W and its sparse LU factor.
 
@@ -297,9 +298,9 @@ class Disc:
     The interface the solvers work through.  A discretization supplies
     ``grid``, ``model``, the sampled charge ``rho`` and the methods
     ``poisson``, ``h1_norm_sq``, ``h1_inner``, ``riesz`` (the H^1-Riesz
-    gradient given the potential), ``gradient`` (the same with its H^1
-    norm), ``random_direction`` and ``wrap``; the potential, the energy,
-    the Nehari residual and its ratio to the squared H^1 norm are written
+    gradient given the potential), ``random_direction`` and ``wrap``; the
+    potential, the energy, the Nehari residual and its ratio to the squared
+    H^1 norm, and ``gradient`` (``riesz`` with its H^1 norm) are written
     here once.  Every method works on arrays, the Poisson solve included;
     ``wrap`` builds the one field object of a search, its result.
     ``potential`` is the Poisson solve alone, for callers that need the
@@ -343,6 +344,11 @@ class Disc:
             return 0.0
         return self.nehari_residual(u, phi) / h1
 
+    def gradient(self, u: np.ndarray, phi: np.ndarray):
+        """H^1-Riesz gradient and its H^1 norm, reusing the potential."""
+        g = self.riesz(u, phi)
+        return g, math.sqrt(self.h1_norm_sq(g))
+
 
 class RadialDisc(Disc):
     """Radial kernel: Gram-matrix H^1 forms and a sparse Riesz solve."""
@@ -378,11 +384,6 @@ class RadialDisc(Disc):
         if not np.all(np.isfinite(g)):
             raise DiscretizationError("Riesz solve produced non-finite values")
         return g
-
-    def gradient(self, u: np.ndarray, phi: np.ndarray):
-        """H^1-Riesz gradient and its H^1 norm, reusing the potential."""
-        g = self.riesz(u, phi)
-        return g, math.sqrt(max(float(g @ (self.M @ g)), 0.0))
 
     def random_direction(self, rng: np.random.Generator) -> np.ndarray:
         """A random smooth decaying field with unit H^1 norm."""

@@ -17,7 +17,7 @@ from spvlab.field3d import (DiscretizationError, Field3D, Grid3D,
                             poisson_freespace, sobolev_gradient_3d,
                             support_radius)
 from spvlab.models import ChargeProfile, NonlinearityModel, eval_f
-from spvlab.radial import FOUR_PI, RadialField, RadialGrid
+from spvlab.radial import FOUR_PI, DecayWarning, RadialField, RadialGrid
 from spvlab.radial import h1_norm_sq as h1_radial
 from spvlab.radial import nonlocal_term as nonlocal_radial
 GAUSSIAN_H1 = 2.5 * math.pi ** 1.5
@@ -61,10 +61,6 @@ class TestGrid3D:
         assert grid == Grid3D(6.0, 16)
         assert hash(grid) == hash(Grid3D(6.0, 16))
         assert grid != Grid3D(6.0, 32) and grid != Grid3D(8.0, 16)
-        f3d._spectral(grid)
-        hits = f3d._spectral.cache_info().hits
-        assert f3d._spectral(Grid3D(6.0, 16)) is f3d._spectral(grid)
-        assert f3d._spectral.cache_info().hits == hits + 2
 
     def test_axis_and_cell(self):
         grid = Grid3D(6.0, 16)
@@ -143,7 +139,7 @@ def _reference_kernel_hat(grid):
 
 def _kernel_solve(grid):
     """The Poisson solve of a solver kernel on `grid`, which passes the
-    kernel's cached symbol."""
+    kernel's own symbol."""
     return f3d.CubeDisc(grid, ChargeProfile.constant(1.0), _model()).poisson
 
 
@@ -228,7 +224,7 @@ class TestPrunedPoisson:
                                                     symbol_builds):
         n, m = 8, 16
         grid = Grid3D(4.0, n)
-        table = f3d._coulomb_rows(grid)[0]  # warm the row table
+        table = f3d._coulomb_rows(grid)[0]
         # the source and the symbol chunk share 4 planes: 2 + 2 + 2 + 2 + 1
         _budget_planes(monkeypatch, n, 4)
         rec = _RecordingFFT()
@@ -271,8 +267,6 @@ class TestPrunedPoisson:
         poisson_freespace(src)  # warm the FFT plans
         table = f3d._coulomb_rows(src.grid)[0].nbytes
         # the row table is built inside the measured solve
-        monkeypatch.setattr(f3d, "_coulomb_rows",
-                            f3d._coulomb_rows.__wrapped__)
         _budget_planes(monkeypatch, n, planes)
         tracemalloc.start()
         try:
@@ -292,13 +286,21 @@ class TestPrunedPoisson:
         energy_3d(_gaussian3(grid), ChargeProfile.constant(1.0), _model())
         assert symbol_builds == []
 
-    def test_kernel_keeps_no_row_table(self):
-        # the kernel's symbol is built from a table of its own, so a
-        # process that only builds kernels caches no row table
-        f3d._coulomb_rows.cache_clear()
-        f3d.CubeDisc(Grid3D(3.75, 10), ChargeProfile.constant(1.0),
-                     _model())
-        assert f3d._coulomb_rows.cache_info().currsize == 0
+    def test_energy_keeps_no_grid_tables(self):
+        # the row table and the spectral grid are built for one call and
+        # freed with it: after energy_3d returns on a grid it has not
+        # seen, less than one row table's bytes is still allocated
+        rho, model = ChargeProfile.constant(1.0), _model()
+        energy_3d(_gaussian3(Grid3D(5.0, 20)), rho, model)  # warm up
+        grid = Grid3D(4.75, 20)
+        u = _gaussian3(grid)
+        tracemalloc.start()
+        try:
+            energy_3d(u, rho, model)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < f3d._coulomb_rows(grid)[0].nbytes
 
     # a budget of 3 planes builds the row table in slabs of 6n rows, with
     # a partial last slab from n = 10 on, and the symbol in chunks of 3
@@ -432,7 +434,7 @@ class TestPrunedPoisson:
         with pytest.raises(MemoryError, match=r"^doubled grid \(12\^3\): "
                            r"its 7 x 27 complex Coulomb row table "
                            r"\(3,024 bytes\) does not fit"):
-            f3d._coulomb_rows.__wrapped__(Grid3D(4.0, 6))
+            f3d._coulomb_rows(Grid3D(4.0, 6))
 
     def test_memory_error_in_a_one_off_solve_states_table_and_chunks(
             self, monkeypatch):
@@ -440,7 +442,8 @@ class TestPrunedPoisson:
             raise MemoryError
 
         grid = Grid3D(4.0, 8)
-        f3d._coulomb_rows(grid)
+        rows = f3d._coulomb_rows(grid)  # built before rfft runs out
+        monkeypatch.setattr(f3d, "_coulomb_rows", lambda g: rows)
         monkeypatch.setattr(f3d.sfft, "rfft", no_memory)
         with pytest.raises(MemoryError, match=r"^doubled grid \(16\^3\): "
                            r"its 8 x 8 x 9 complex half spectrum \(9,216 "
@@ -532,16 +535,6 @@ class TestEnergies3D:
         assert np.array_equal(sobolev_gradient_3d(u, rho, model).values,
                               disc.riesz(u.values, phi))
         assert h1_inner_3d(u, v) == disc.h1_inner(u.values, v.values)
-
-
-@pytest.mark.parametrize("cached", [f3d._coulomb_rows, f3d._spectral],
-                         ids=["coulomb-rows", "spectral"])
-def test_grid_caches_are_bounded(cached):
-    size = cached.cache_info().maxsize
-    assert size is not None and size <= 4
-    for n in range(4, 4 + 2 * (size + 2), 2):
-        cached(Grid3D(3.0, n))
-        assert cached.cache_info().currsize <= size
 
 
 class TestEmbedding:
@@ -649,6 +642,7 @@ class TestFieldIO3D:
         with pytest.warns(RuntimeWarning) as rec:
             Field3D(grid, np.ones((16, 16, 16)))
         assert [w.filename for w in rec] == [__file__]
+        assert [w.category for w in rec] == [DecayWarning]
 
     @pytest.mark.parametrize("guard", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -313,6 +313,7 @@ class TestFieldIO:
         with pytest.warns(RuntimeWarning) as rec:
             RadialField(grid, np.ones(grid.n + 1))
         assert [w.filename for w in rec] == [__file__]
+        assert [w.category for w in rec] == [rad.DecayWarning]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_are_rejected(self, bad):
